@@ -1,4 +1,8 @@
-"""Constrained max-plus (tropical) optimization in closed form."""
+"""Constrained max-plus (tropical) optimization in closed form.
+
+The oracle's names are resolved on first use, so importing the package
+does not import numpy.
+"""
 
 from .applications import (
     ApproximationProblem,
@@ -24,22 +28,6 @@ from .linalg import (
     scalar_mul,
     vec_leq,
 )
-from .oracle import (
-    GRID_POINT_CAP,
-    BestUnderObjective,
-    GridSpec,
-    GridTooLargeError,
-    MatrixLowerObjective,
-    OracleReport,
-    TwoSidedObjective,
-    VerificationFailedError,
-    best_under_box,
-    grid_min,
-    matrix_lower_box,
-    two_sided_box,
-    verify_interval,
-    verify_point,
-)
 from .semifield import (
     MAX_PLUS,
     MIN_PLUS,
@@ -47,12 +35,14 @@ from .semifield import (
     InvalidScalarError,
     MaxPlus,
     MinPlus,
+    ScalarOverflowError,
     Semifield,
     TropicalError,
     UndefinedPowerError,
     ZeroInverseError,
 )
 from .solvers import (
+    BestUnderProblem,
     InfeasibleBoundsError,
     IntervalSolution,
     MatrixLowerProblem,
@@ -67,11 +57,38 @@ from .solvers import (
     two_sided_terms,
 )
 
+_ORACLE_NAMES = (
+    "GRID_POINT_CAP",
+    "BestUnderObjective",
+    "GridSpec",
+    "GridTooLargeError",
+    "MatrixLowerObjective",
+    "OracleReport",
+    "TwoSidedObjective",
+    "VerificationFailedError",
+    "best_under_box",
+    "grid_min",
+    "matrix_lower_box",
+    "two_sided_box",
+    "verify_interval",
+    "verify_point",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproximationProblem",
     "BestUnderObjective",
+    "BestUnderProblem",
     "GRID_POINT_CAP",
     "GridSpec",
     "GridTooLargeError",
@@ -90,6 +107,7 @@ __all__ = [
     "NotRegularError",
     "OracleReport",
     "PointSolution",
+    "ScalarOverflowError",
     "Semifield",
     "ShapeMismatchError",
     "TropMatrix",

@@ -4,12 +4,13 @@ Both applications are substitutions into the core solvers: the two-point
 location problem reduces to the two-sided bounded problem with
 ``p = r + s`` and ``q~ = r~ + s~``, and the approximation problem is the
 matrix problem with ``q = p``.  Callers needing the general ``q`` should
-use ``solve_matrix_lower`` directly.
+use ``solve_matrix_lower`` directly.  Each problem builds its reduced
+instance once, on construction, and keeps it in ``reduced``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, conjugate, mat_add
 from .solvers import (
@@ -31,6 +32,7 @@ class LocationProblem:
     s: TropVector
     g: TropVector | None = None
     h: TropVector | None = None
+    reduced: TwoSidedProblem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, v in (("r", self.r), ("s", self.s)):
@@ -38,7 +40,8 @@ class LocationProblem:
                 raise ShapeMismatchError(f"{name} must be a column vector")
             if not v.is_regular:
                 raise NotRegularError(f"{name} must be regular")
-        reduced_two_sided(self)  # bound invariants match the reduced problem
+        # bound invariants match the reduced problem
+        object.__setattr__(self, "reduced", reduced_two_sided(self))
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,10 @@ class ApproximationProblem:
     A: TropMatrix
     p: TropVector
     g: TropVector
+    reduced: MatrixLowerProblem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        reduced_matrix_lower(self)
+        object.__setattr__(self, "reduced", reduced_matrix_lower(self))
 
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
@@ -67,7 +71,7 @@ def locate(prob: LocationProblem) -> IntervalSolution:
     The returned value is the least achievable max distance and the
     interval is the full set of optimal placements.
     """
-    return solve_two_sided(reduced_two_sided(prob))
+    return solve_two_sided(prob.reduced)
 
 
 def reduced_matrix_lower(prob: ApproximationProblem) -> MatrixLowerProblem:
@@ -77,4 +81,4 @@ def reduced_matrix_lower(prob: ApproximationProblem) -> MatrixLowerProblem:
 def approximate(prob: ApproximationProblem) -> PointSolution:
     """Least Chebyshev error of ``A x`` against ``p`` over ``x >= g``,
     with a vector attaining it."""
-    return solve_matrix_lower(reduced_matrix_lower(prob))
+    return solve_matrix_lower(prob.reduced)

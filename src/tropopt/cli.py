@@ -1,107 +1,77 @@
 """Command-line interface: solve, eval, and verify tropical problem files.
 
-Problem files are JSON objects with a ``kind`` discriminator
-(``two_sided``, ``matrix_lower``, ``locate``, ``approximate``,
-``best_under``), kind-specific payload vectors/matrices, and optional
-``name``/``description`` metadata.  Scalars are JSON numbers, with the
-string ``"-inf"`` standing in for the tropical zero.
+Problem files are JSON objects with a ``kind`` discriminator, the fields
+of that kind's problem dataclass under their field names (``A`` is the
+only matrix), and optional ``name``/``description`` metadata.  Scalars
+are JSON numbers, with the string ``"-inf"`` standing in for the tropical
+zero.  ``_KINDS`` maps each kind to its problem class and solver; every
+other step follows from the problem or the solution.  numpy is imported
+only by ``verify``, through the oracle.
 
 Exit codes: 0 success, 1 unreadable input (I/O or JSON syntax), 2 invalid
-or infeasible problem (a machine-readable ``reason`` accompanies it),
-3 verification grid over the size cap.
+arguments or an invalid or infeasible problem, 3 verification grid over
+the size cap; 2 and 3 print a JSON error whose ``reason`` the error
+class declares.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple
 
-from .applications import (
-    ApproximationProblem,
-    LocationProblem,
-    approximate,
-    locate,
-    reduced_two_sided,
-)
-from .linalg import (
-    NotColumnRegularError,
-    NotRegularError,
-    ShapeMismatchError,
-    TropMatrix,
-    TropVector,
-    ZeroVectorError,
-    conjugate,
-    mat_mul,
-    vec_leq,
-)
-from .oracle import (
-    BestUnderObjective,
-    GridSpec,
-    GridTooLargeError,
-    MatrixLowerObjective,
-    OracleReport,
-    VerificationFailedError,
-    best_under_box,
-    matrix_lower_box,
-    verify_interval,
-    verify_point,
-)
-from .semifield import (
-    NEG_INF,
-    InvalidScalarError,
-    TropicalError,
-    UndefinedPowerError,
-    ZeroInverseError,
-)
+from .applications import ApproximationProblem, LocationProblem, approximate, locate
+from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
+from .semifield import NEG_INF, ScalarOverflowError, TropicalError
 from .solvers import (
-    InfeasibleBoundsError,
+    BestUnderProblem,
     IntervalSolution,
     MatrixLowerProblem,
     TwoSidedProblem,
     best_underestimator,
-    matrix_lower_terms,
     objective_matrix,
     objective_two_sided,
     solve_matrix_lower,
     solve_two_sided,
-    two_sided_terms,
 )
 
 
 class ProblemFormatError(TropicalError):
     """Input does not match the problem-file schema."""
 
-
-# subclass entries must precede their base class
-_REASONS: tuple[tuple[type[TropicalError], str], ...] = (
-    (ProblemFormatError, "parse_error"),
-    (InfeasibleBoundsError, "infeasible_bounds"),
-    (NotColumnRegularError, "not_column_regular"),
-    (NotRegularError, "not_regular"),
-    (ShapeMismatchError, "shape_mismatch"),
-    (ZeroVectorError, "zero_vector"),
-    (InvalidScalarError, "invalid_scalar"),
-    (ZeroInverseError, "zero_inverse"),
-    (UndefinedPowerError, "undefined_power"),
-    (VerificationFailedError, "verification_failed"),
-    (GridTooLargeError, "grid_too_large"),
-    (TropicalError, "invalid_problem"),
-)
+    reason = "parse_error"
 
 
-def _reason(exc: TropicalError) -> str:
-    for cls, reason in _REASONS:
-        if isinstance(exc, cls):
-            return reason
-    return "invalid_problem"
+class InvalidArgumentError(TropicalError):
+    """A command-line option is out of its range."""
+
+    reason = "invalid_argument"
 
 
-@dataclass(frozen=True)
-class BestUnderProblem:
-    A: TropMatrix
-    p: TropVector
+class Kind(NamedTuple):
+    cls: type
+    solve: Callable
+
+
+# The solvers are called through the module's names, not held here, so
+# that wrappers installed on those names (timers, counters) see the calls.
+_KINDS = {
+    "two_sided": Kind(TwoSidedProblem, lambda pr: solve_two_sided(pr)),
+    "matrix_lower": Kind(MatrixLowerProblem, lambda pr: solve_matrix_lower(pr)),
+    "locate": Kind(LocationProblem, lambda pr: locate(pr)),
+    "approximate": Kind(ApproximationProblem, lambda pr: approximate(pr)),
+    "best_under": Kind(BestUnderProblem, lambda pr: best_underestimator(pr.A, pr.p)),
+}
+
+
+def _schema(cls: type) -> tuple[list[str], set[str]]:
+    """The payload keys of a problem class, in field order, and the
+    required ones (fields without a default)."""
+    init = [f for f in fields(cls) if f.init]
+    return [f.name for f in init], {f.name for f in init if f.default is MISSING}
 
 
 @dataclass(frozen=True)
@@ -117,7 +87,13 @@ def _scalar_in(token, where: str) -> float:
         return NEG_INF
     if isinstance(token, bool) or not isinstance(token, (int, float)):
         raise ProblemFormatError(f'{where}: expected a number or "-inf", got {token!r}')
-    return float(token)
+    try:
+        value = float(token)
+    except OverflowError:  # an integer literal too long for a float
+        value = math.inf
+    if math.isinf(value):  # json reads 1e400 as inf and -1e400 as -inf
+        raise ScalarOverflowError(f"{where}: number literal exceeds the float range")
+    return value
 
 
 def _scalar_out(v: float):
@@ -135,9 +111,7 @@ def _vector_in(obj, where: str) -> TropVector:
 def _matrix_in(obj, where: str) -> TropMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    return TropMatrix(
-        tuple(tuple(_scalar_in(t, where) for t in row) for row in obj)
-    )
+    return TropMatrix(tuple(tuple(_scalar_in(t, where) for t in row) for row in obj))
 
 
 def _vector_out(v: TropVector) -> list:
@@ -148,48 +122,25 @@ def _matrix_out(a: TropMatrix) -> list:
     return [[_scalar_out(e) for e in row] for row in a.entries]
 
 
-_FIELDS = {
-    "two_sided": ({"p", "q"}, {"g", "h"}),
-    "matrix_lower": ({"A", "p", "q", "g"}, set()),
-    "locate": ({"r", "s"}, {"g", "h"}),
-    "approximate": ({"A", "p", "g"}, set()),
-    "best_under": ({"A", "p"}, set()),
-}
-
-
 def parse_problem(doc) -> LoadedProblem:
     """Build a problem from a decoded JSON document, validating the schema."""
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _FIELDS:
+    if kind not in _KINDS:
         raise ProblemFormatError(f"unknown problem kind {kind!r}")
-    required, optional = _FIELDS[kind]
-    allowed = required | optional | {"kind", "name", "description"}
-    unknown = set(doc) - allowed
+    cls = _KINDS[kind].cls
+    keys, required = _schema(cls)
+    unknown = set(doc) - {*keys, "kind", "name", "description"}
     if unknown:
         raise ProblemFormatError(f"unexpected fields for kind {kind}: {sorted(unknown)}")
     missing = required - set(doc)
     if missing:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(missing)}")
 
-    def vec(key):
-        return _vector_in(doc[key], key) if key in doc else None
-
-    if kind == "two_sided":
-        problem = TwoSidedProblem(p=vec("p"), q=vec("q"), g=vec("g"), h=vec("h"))
-    elif kind == "matrix_lower":
-        problem = MatrixLowerProblem(
-            A=_matrix_in(doc["A"], "A"), p=vec("p"), q=vec("q"), g=vec("g")
-        )
-    elif kind == "locate":
-        problem = LocationProblem(r=vec("r"), s=vec("s"), g=vec("g"), h=vec("h"))
-    elif kind == "approximate":
-        problem = ApproximationProblem(A=_matrix_in(doc["A"], "A"), p=vec("p"), g=vec("g"))
-    else:
-        problem = BestUnderProblem(A=_matrix_in(doc["A"], "A"), p=vec("p"))
-        if problem.p.orientation != "col" or problem.A.rows != problem.p.dim:
-            raise ShapeMismatchError("A and p dimensions do not conform")
+    problem = cls(**{
+        k: (_matrix_in if k == "A" else _vector_in)(doc[k], k) for k in keys if k in doc
+    })
     name = doc.get("name")
     description = doc.get("description")
     for meta, label in ((name, "name"), (description, "description")):
@@ -205,65 +156,15 @@ def problem_to_dict(lp: LoadedProblem) -> dict:
         out["name"] = lp.name
     if lp.description is not None:
         out["description"] = lp.description
-    pr = lp.problem
-    if lp.kind == "two_sided":
-        out["p"], out["q"] = _vector_out(pr.p), _vector_out(pr.q)
-        if pr.g is not None:
-            out["g"] = _vector_out(pr.g)
-        if pr.h is not None:
-            out["h"] = _vector_out(pr.h)
-    elif lp.kind == "matrix_lower":
-        out["A"] = _matrix_out(pr.A)
-        out["p"], out["q"], out["g"] = _vector_out(pr.p), _vector_out(pr.q), _vector_out(pr.g)
-    elif lp.kind == "locate":
-        out["r"], out["s"] = _vector_out(pr.r), _vector_out(pr.s)
-        if pr.g is not None:
-            out["g"] = _vector_out(pr.g)
-        if pr.h is not None:
-            out["h"] = _vector_out(pr.h)
-    elif lp.kind == "approximate":
-        out["A"] = _matrix_out(pr.A)
-        out["p"], out["g"] = _vector_out(pr.p), _vector_out(pr.g)
-    else:
-        out["A"] = _matrix_out(pr.A)
-        out["p"] = _vector_out(pr.p)
+    for key in _schema(type(lp.problem))[0]:
+        value = getattr(lp.problem, key)
+        if value is not None:
+            out[key] = (_matrix_out if key == "A" else _vector_out)(value)
     return out
 
 
 def solve_loaded(lp: LoadedProblem):
-    if lp.kind == "two_sided":
-        return solve_two_sided(lp.problem)
-    if lp.kind == "matrix_lower":
-        return solve_matrix_lower(lp.problem)
-    if lp.kind == "locate":
-        return locate(lp.problem)
-    if lp.kind == "approximate":
-        return approximate(lp.problem)
-    return best_underestimator(lp.problem.A, lp.problem.p)
-
-
-def _diagnostics(lp: LoadedProblem, sol) -> dict:
-    if lp.kind in ("two_sided", "locate"):
-        prob = lp.problem if lp.kind == "two_sided" else reduced_two_sided(lp.problem)
-        terms = two_sided_terms(prob)
-        out = {"delta_term": _scalar_out(terms["delta"])}
-        if terms["g_term"] is not None:
-            out["g_term"] = _scalar_out(terms["g_term"])
-        if terms["h_term"] is not None:
-            out["h_term"] = _scalar_out(terms["h_term"])
-        return out
-    if lp.kind in ("matrix_lower", "approximate"):
-        prob = (
-            lp.problem
-            if lp.kind == "matrix_lower"
-            else MatrixLowerProblem(lp.problem.A, lp.problem.p, lp.problem.p, lp.problem.g)
-        )
-        terms = matrix_lower_terms(prob)
-        return {
-            "delta_term": _scalar_out(terms["delta"]),
-            "g_term": _scalar_out(terms["g_term"]),
-        }
-    return {"delta_term": _scalar_out(sol.delta)}
+    return _KINDS[lp.kind].solve(lp.problem)
 
 
 def solution_to_dict(lp: LoadedProblem, sol) -> dict:
@@ -276,60 +177,63 @@ def solution_to_dict(lp: LoadedProblem, sol) -> dict:
         out["solution"] = {"lower": _vector_out(sol.lower), "upper": _vector_out(sol.upper)}
     else:
         out["solution"] = {"x": _vector_out(sol.x)}
-    out["diagnostics"] = _diagnostics(lp, sol)
+    diagnostics = {"delta_term": _scalar_out(sol.delta)}
+    for key in ("g_term", "h_term"):
+        if getattr(sol, key) is not None:
+            diagnostics[key] = _scalar_out(getattr(sol, key))
+    out["diagnostics"] = diagnostics
     return out
 
 
+def _core(lp: LoadedProblem):
+    """The two-sided, matrix or best-underestimator problem behind ``lp``."""
+    return getattr(lp.problem, "reduced", lp.problem)
+
+
 def objective_at(lp: LoadedProblem, x: TropVector) -> float:
-    if lp.kind == "two_sided":
-        return objective_two_sided(lp.problem, x)
-    if lp.kind == "locate":
-        return objective_two_sided(reduced_two_sided(lp.problem), x)
-    if lp.kind == "matrix_lower":
-        return objective_matrix(lp.problem, x)
-    if lp.kind == "approximate":
-        return objective_matrix(
-            MatrixLowerProblem(lp.problem.A, lp.problem.p, lp.problem.p, lp.problem.g), x
-        )
-    ax = mat_mul(lp.problem.A, x)
-    return mat_mul(conjugate(ax), lp.problem.p)
+    prob = _core(lp)
+    if isinstance(prob, TwoSidedProblem):
+        return objective_two_sided(prob, x)
+    if isinstance(prob, MatrixLowerProblem):
+        return objective_matrix(prob, x)
+    ax = mat_mul(prob.A, x)
+    return mat_mul(conjugate(ax), prob.p)
 
 
 def is_feasible(lp: LoadedProblem, x: TropVector) -> bool:
-    if lp.kind in ("two_sided", "locate"):
-        g, h = lp.problem.g, lp.problem.h
-        return (g is None or vec_leq(g, x)) and (h is None or vec_leq(x, h))
-    if lp.kind in ("matrix_lower", "approximate"):
-        return vec_leq(lp.problem.g, x)
-    return vec_leq(mat_mul(lp.problem.A, x), lp.problem.p)
+    prob = _core(lp)
+    if isinstance(prob, TwoSidedProblem):
+        return (prob.g is None or vec_leq(prob.g, x)) and (prob.h is None or vec_leq(x, prob.h))
+    if isinstance(prob, MatrixLowerProblem):
+        return vec_leq(prob.g, x)
+    return vec_leq(mat_mul(prob.A, x), prob.p)
 
 
-def verify_loaded(lp: LoadedProblem, sol, *, step: float, samples: int) -> OracleReport:
-    if lp.kind in ("two_sided", "locate"):
-        prob = lp.problem if lp.kind == "two_sided" else reduced_two_sided(lp.problem)
-        return verify_interval(prob, sol, samples, step=step)
-    if lp.kind in ("matrix_lower", "approximate"):
-        prob = (
-            lp.problem
-            if lp.kind == "matrix_lower"
-            else MatrixLowerProblem(lp.problem.A, lp.problem.p, lp.problem.p, lp.problem.g)
-        )
+def verify_loaded(lp: LoadedProblem, sol, *, step: float, samples: int):
+    """Check ``sol`` against the grid oracle; returns its ``OracleReport``."""
+    from . import oracle  # numpy is loaded on this path only
+
+    prob = _core(lp)
+    if isinstance(prob, TwoSidedProblem):
+        return oracle.verify_interval(prob, sol, samples, step=step)
+    if isinstance(prob, MatrixLowerProblem):
         if not vec_leq(prob.g, sol.x):
-            raise VerificationFailedError(
+            raise oracle.VerificationFailedError(
                 "returned vector violates the lower bound", counterexample=sol.x
             )
-        lo, hi = matrix_lower_box(prob, pads=(sol.x,))
-        return verify_point(MatrixLowerObjective(prob), sol, GridSpec(lo, hi, step))
-    A, p = lp.problem.A, lp.problem.p
-    if not vec_leq(mat_mul(A, sol.x), p):
-        raise VerificationFailedError(
-            "returned vector violates the underestimation constraint", counterexample=sol.x
-        )
-    lo, hi = best_under_box(A, p, pads=(sol.x,))
-    return verify_point(BestUnderObjective(A, p), sol, GridSpec(lo, hi, step))
+        lo, hi = oracle.matrix_lower_box(prob, pads=(sol.x,))
+        objective = oracle.MatrixLowerObjective(prob)
+    else:
+        if not vec_leq(mat_mul(prob.A, sol.x), prob.p):
+            raise oracle.VerificationFailedError(
+                "returned vector violates the underestimation constraint", counterexample=sol.x
+            )
+        lo, hi = oracle.best_under_box(prob.A, prob.p, pads=(sol.x,))
+        objective = oracle.BestUnderObjective(prob.A, prob.p)
+    return oracle.verify_point(objective, sol, oracle.GridSpec(lo, hi, step))
 
 
-def report_to_dict(lp: LoadedProblem, sol, report: OracleReport) -> dict:
+def report_to_dict(lp: LoadedProblem, sol, report) -> dict:
     return {
         "kind": lp.kind,
         "mu": _scalar_out(sol.mu),
@@ -364,86 +268,50 @@ def _write_json(path: str, obj, pretty: bool) -> None:
 
 
 def _error_payload(exc: TropicalError) -> dict:
-    return {"error": {"reason": _reason(exc), "message": str(exc)}}
-
-
-def solve_command(args: argparse.Namespace) -> int:
-    try:
-        doc = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem: {exc}", file=sys.stderr)
-        return 1
-    except TropicalError as exc:
-        _write_json(args.output, _error_payload(exc), args.pretty)
-        return 2
-    try:
-        lp = parse_problem(doc)
-        sol = solve_loaded(lp)
-    except TropicalError as exc:
-        _write_json(args.output, _error_payload(exc), args.pretty)
-        return 2
-    _write_json(args.output, solution_to_dict(lp, sol), args.pretty)
-    return 0
-
-
-def eval_command(args: argparse.Namespace) -> int:
-    try:
-        doc = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem: {exc}", file=sys.stderr)
-        return 1
-    except TropicalError as exc:
-        _write_json("-", _error_payload(exc), args.pretty)
-        return 2
-    try:
-        lp = parse_problem(doc)
-        try:
-            point_doc = json.loads(args.point, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
-        x = _vector_in(point_doc, "--point")
-        value = objective_at(lp, x)
-        feasible = is_feasible(lp, x)
-    except TropicalError as exc:
-        _write_json("-", _error_payload(exc), args.pretty)
-        return 2
-    _write_json(
-        "-",
-        {"kind": lp.kind, "value": _scalar_out(value), "feasible": feasible},
-        args.pretty,
-    )
-    return 0
-
-
-def verify_command(args: argparse.Namespace) -> int:
-    try:
-        doc = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem: {exc}", file=sys.stderr)
-        return 1
-    except TropicalError as exc:
-        _write_json("-", _error_payload(exc), args.pretty)
-        return 2
-    try:
-        lp = parse_problem(doc)
-        sol = solve_loaded(lp)
-    except TropicalError as exc:
-        _write_json("-", _error_payload(exc), args.pretty)
-        return 2
-    try:
-        report = verify_loaded(lp, sol, step=args.step, samples=args.samples)
-    except GridTooLargeError as exc:
-        _write_json("-", _error_payload(exc), args.pretty)
-        return 3
-    except VerificationFailedError as exc:
-        payload = _error_payload(exc)
+    payload: dict = {"error": {"reason": exc.reason, "message": str(exc)}}
+    if exc.reason == "verification_failed":
         payload["agrees_with_solver"] = False
         if exc.counterexample is not None:
             payload["counterexample"] = _vector_out(exc.counterexample)
-        _write_json("-", payload, args.pretty)
-        return 2
-    _write_json("-", report_to_dict(lp, sol, report), args.pretty)
-    return 0
+    return payload
+
+
+def _solve(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+    return solution_to_dict(lp, solve_loaded(lp))
+
+
+def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+    try:
+        point_doc = json.loads(args.point, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
+    x = _vector_in(point_doc, "--point")
+    value = _scalar_out(objective_at(lp, x))
+    return {"kind": lp.kind, "value": value, "feasible": is_feasible(lp, x)}
+
+
+def _verify(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise InvalidArgumentError(f"--step must be positive and finite, got {args.step!r}")
+    if args.samples < 1:
+        raise InvalidArgumentError(f"--samples must be at least 1, got {args.samples}")
+    sol = solve_loaded(lp)
+    return report_to_dict(lp, sol, verify_loaded(lp, sol, step=args.step, samples=args.samples))
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Read the problem, run the subcommand, write its result or error."""
+    try:
+        try:
+            doc = _read_json(args.input)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read problem: {exc}", file=sys.stderr)
+            return 1
+        result, code = args.run(parse_problem(doc), args), 0
+    except TropicalError as exc:
+        result, code = _error_payload(exc), exc.exit_code
+    _write_json(args.output, result, args.pretty)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,26 +325,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help='problem JSON path, or "-" for stdin')
     sp.add_argument("output", nargs="?", default="-", help='solution path, or "-" for stdout')
     sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sp.set_defaults(func=solve_command)
+    sp.set_defaults(run=_solve)
 
     ep = sub.add_parser("eval", help="evaluate the objective at a point")
     ep.add_argument("input", help='problem JSON path, or "-" for stdin')
     ep.add_argument("--point", required=True, help='JSON array, e.g. "[0, 0, 0]"')
     ep.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    ep.set_defaults(func=eval_command)
+    ep.set_defaults(run=_eval, output="-")
 
     vp = sub.add_parser("verify", help="solve, then check against the brute-force oracle")
     vp.add_argument("input", help='problem JSON path, or "-" for stdin')
     vp.add_argument("--step", type=float, default=0.5, help="oracle lattice step (default 0.5)")
     vp.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
     vp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    vp.set_defaults(func=verify_command)
+    vp.set_defaults(run=_verify, output="-")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return run_command(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

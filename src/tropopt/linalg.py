@@ -17,18 +17,26 @@ from .semifield import MAX_PLUS, Semifield, TropicalError
 class ShapeMismatchError(TropicalError):
     """Operand shapes or orientations do not conform."""
 
+    reason = "shape_mismatch"
+
 
 class NotRegularError(TropicalError):
     """A vector with zero elements (or a matrix with an all-zero line) was
     passed where a regular one is required."""
 
+    reason = "not_regular"
+
 
 class NotColumnRegularError(NotRegularError):
     """Matrix has a column consisting entirely of zero elements."""
 
+    reason = "not_column_regular"
+
 
 class ZeroVectorError(TropicalError):
     """The all-zero vector cannot be conjugated."""
+
+    reason = "zero_vector"
 
 
 @dataclass(frozen=True)

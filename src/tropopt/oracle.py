@@ -39,9 +39,14 @@ _TOL = 1e-9
 class GridTooLargeError(TropicalError):
     """Requested grid exceeds the evaluation cap."""
 
+    reason = "grid_too_large"
+    exit_code = 3
+
 
 class VerificationFailedError(TropicalError):
     """Solver output disagrees with the brute-force oracle."""
+
+    reason = "verification_failed"
 
     def __init__(self, message: str, counterexample: TropVector | None = None):
         super().__init__(message)

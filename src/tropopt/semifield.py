@@ -18,19 +18,39 @@ POS_INF = float("inf")
 
 
 class TropicalError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``reason`` is the machine-readable tag and ``exit_code`` the process
+    exit status that the command line reports for the error.
+    """
+
+    reason = "invalid_problem"
+    exit_code = 2
 
 
 class InvalidScalarError(TropicalError):
     """Value lies outside the semifield carrier (NaN or the wrong infinity)."""
 
+    reason = "invalid_scalar"
+
+
+class ScalarOverflowError(InvalidScalarError):
+    """Finite data whose value, or a value computed from it, exceeds the
+    float range."""
+
+    reason = "overflow"
+
 
 class ZeroInverseError(TropicalError):
     """The zero element has no multiplicative inverse."""
 
+    reason = "zero_inverse"
+
 
 class UndefinedPowerError(TropicalError):
     """Nonpositive powers of the zero element are undefined."""
+
+    reason = "undefined_power"
 
 
 class Semifield:
@@ -90,8 +110,10 @@ class MaxPlus(Semifield):
 
     def check(self, a: float) -> float:
         a = float(a)
-        if math.isnan(a) or a == POS_INF:
+        if math.isnan(a):
             raise InvalidScalarError(f"{a!r} is not a max-plus scalar")
+        if a == POS_INF:
+            raise ScalarOverflowError("value exceeds the float range")
         return a
 
     def add(self, a: float, b: float) -> float:

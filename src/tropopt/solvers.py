@@ -16,7 +16,8 @@ any shipped instance, although the package tests pin down max-plus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .linalg import (
     NotRegularError,
@@ -30,11 +31,13 @@ from .linalg import (
     scalar_mul,
     vec_leq,
 )
-from .semifield import TropicalError
+from .semifield import ScalarOverflowError, TropicalError
 
 
 class InfeasibleBoundsError(TropicalError):
     """Lower bound exceeds upper bound somewhere; the feasible set is empty."""
+
+    reason = "infeasible_bounds"
 
 
 def _require_regular_column(v: TropVector, name: str, dim: int | None = None) -> None:
@@ -102,15 +105,40 @@ class MatrixLowerProblem:
 
 
 @dataclass(frozen=True)
+class BestUnderProblem:
+    """Maximize ``A x`` subject to ``A x <= p``."""
+
+    A: TropMatrix
+    p: TropVector
+
+    def __post_init__(self) -> None:
+        if self.p.orientation != "col" or self.A.rows != self.p.dim:
+            raise ShapeMismatchError("A and p dimensions do not conform")
+
+
+def _require_finite_optimum(mu: float) -> None:
+    if not math.isfinite(mu):
+        raise ScalarOverflowError(f"optimum {mu!r} exceeds the float range")
+
+
+@dataclass(frozen=True)
 class IntervalSolution:
-    """Optimum value plus the complete minimizer box [lower, upper]."""
+    """Optimum value plus the complete minimizer box [lower, upper].
+
+    ``g_term`` and ``h_term`` are the bound-driven terms of the optimum
+    (``None`` for an absent bound); they are diagnostics and take no part
+    in comparisons.
+    """
 
     mu: float
     lower: TropVector
     upper: TropVector
     delta: float
+    g_term: float | None = field(default=None, compare=False)
+    h_term: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        _require_finite_optimum(self.mu)
         sf = self.lower.sf
         if not vec_leq(self.lower, self.upper):
             raise TropicalError("solution interval has lower > upper")
@@ -122,13 +150,17 @@ class IntervalSolution:
 
 @dataclass(frozen=True)
 class PointSolution:
-    """Optimum value plus one attaining vector."""
+    """Optimum value plus one attaining vector, with the same diagnostic
+    terms as ``IntervalSolution``."""
 
     mu: float
     x: TropVector
     delta: float
+    g_term: float | None = field(default=None, compare=False)
+    h_term: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        _require_finite_optimum(self.mu)
         if not self.x.is_regular:
             raise NotRegularError("attaining vector must be regular")
 
@@ -175,7 +207,7 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
         upper = conjugate(mat_add(scalar_mul(inv_mu, conjugate(prob.q)), conjugate(prob.h)))
     else:
         upper = scalar_mul(mu, prob.q)
-    return IntervalSolution(mu=mu, lower=lower, upper=upper, delta=terms["delta"])
+    return IntervalSolution(mu, lower, upper, terms["delta"], terms["g_term"], terms["h_term"])
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
@@ -206,7 +238,7 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     terms = matrix_lower_terms(prob)
     mu = sf.add(terms["delta"], terms["g_term"])
     x = scalar_mul(mu, conjugate(mat_mul(conjugate(prob.q), prob.A)))
-    return PointSolution(mu=mu, x=x, delta=terms["delta"])
+    return PointSolution(mu=mu, x=x, delta=terms["delta"], g_term=terms["g_term"])
 
 
 def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:

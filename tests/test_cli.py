@@ -1,16 +1,49 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tropopt.cli import main, parse_problem, problem_to_dict
+import tropopt
+from tropopt import applications, solvers
+from tropopt.cli import main, parse_problem, problem_to_dict, solution_to_dict, solve_loaded
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 LOCATION = str(FIXTURES / "location_example.json")
 APPROXIMATION = str(FIXTURES / "approximation_example.json")
 INFEASIBLE = str(FIXTURES / "infeasible_bounds.json")
+
+A3 = [[1, -1, 1], [3, 1, 0], [0, 0, 2]]
+
+# one document per kind, with and without the optional bounds
+KIND_DOCS = {
+    "two_sided": {"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2]},
+    "two_sided_bounded": {
+        "kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2], "g": [0, "-inf", 0], "h": [2, 2, 2],
+    },
+    "two_sided_lower": {"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2], "g": [0, 0, 0]},
+    "two_sided_upper": {"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2], "h": [0, 0, 0]},
+    "matrix_lower": {
+        "kind": "matrix_lower", "A": A3, "p": [3, 4, 4], "q": [2, 4, 3], "g": [2, "-inf", 2],
+    },
+    "locate": {"kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2]},
+    "locate_bounded": {
+        "kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2], "g": [0, 0, 0], "h": [1, 1, 1],
+    },
+    "locate_upper": {"kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2], "h": [0.5, 1, 1]},
+    "approximate": {"kind": "approximate", "A": A3, "p": [3, 4, 4], "g": [2, 2, 2]},
+    "best_under": {"kind": "best_under", "A": A3, "p": [3, 4, 4], "name": "b", "description": "d"},
+}
+
+
+def write(tmp_path, doc, name="p.json"):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -206,3 +239,104 @@ class TestRoundTrip:
     def test_half_integers_round_trip(self):
         doc = {"kind": "two_sided", "p": [0.5, 3], "q": [-1.5, 0]}
         assert problem_to_dict(parse_problem(doc)) == doc
+
+    @pytest.mark.parametrize("key", sorted(KIND_DOCS))
+    def test_every_kind_round_trips(self, key):
+        doc = KIND_DOCS[key]
+        assert problem_to_dict(parse_problem(doc)) == doc
+
+
+def _core(problem):
+    if isinstance(problem, applications.LocationProblem):
+        return applications.reduced_two_sided(problem)
+    if isinstance(problem, applications.ApproximationProblem):
+        return applications.reduced_matrix_lower(problem)
+    return problem
+
+
+class TestStructure:
+    def test_locate_reduces_and_computes_terms_once(self, monkeypatch):
+        calls = {"reduce": 0, "terms": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            applications, "reduced_two_sided", counted("reduce", applications.reduced_two_sided)
+        )
+        monkeypatch.setattr(solvers, "two_sided_terms", counted("terms", solvers.two_sided_terms))
+        lp = parse_problem(KIND_DOCS["locate_bounded"])
+        solution_to_dict(lp, solve_loaded(lp))
+        assert calls == {"reduce": 1, "terms": 1}
+
+    @pytest.mark.parametrize("key", sorted(KIND_DOCS))
+    def test_diagnostics_are_the_core_terms(self, key):
+        lp = parse_problem(KIND_DOCS[key])
+        got = solution_to_dict(lp, solve_loaded(lp))["diagnostics"]
+        core = _core(lp.problem)
+        if isinstance(core, solvers.TwoSidedProblem):
+            terms = solvers.two_sided_terms(core)
+        elif isinstance(core, solvers.MatrixLowerProblem):
+            terms = solvers.matrix_lower_terms(core)
+        else:
+            terms = {"delta": solvers.best_underestimator(core.A, core.p).delta}
+        want = {
+            "delta_term" if name == "delta" else name: value
+            for name, value in terms.items()
+            if value is not None
+        }
+        assert {k: float(v) for k, v in got.items()} == want
+
+    def test_solve_does_not_import_numpy(self):
+        src = str(Path(tropopt.__file__).resolve().parent.parent)
+        code = (
+            "import sys, tropopt.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert tropopt.cli.main(['solve', {LOCATION!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'solve'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--step", "0"],
+            ["--step", "-1"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--samples", "0"],
+            ["--samples", "-1"],
+        ],
+        ids=lambda o: " ".join(o),
+    )
+    def test_bad_verify_arguments(self, capsys, option):
+        code, out = run(capsys, "verify", LOCATION, *option)
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "invalid_argument"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0]},
+            {"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0], "h": [1e308, 1]},
+            '{"kind": "two_sided", "p": [1' + "0" * 400 + ', 0], "q": [0, 0]}',
+            '{"kind": "two_sided", "p": [1e400, 0], "q": [0, 0]}',
+            '{"kind": "two_sided", "p": [1, 0], "q": [0, 0], "g": [-1e400, 0]}',
+        ],
+        ids=["optimum", "optimum_with_h", "literal", "float_literal", "negative_float_literal"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflow(self, capsys, tmp_path, doc, command):
+        code, out = run(capsys, command, write(tmp_path, doc))
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "overflow"
