@@ -8,10 +8,10 @@ zero.  ``_KINDS`` maps each kind to its problem class and solver; every
 other step follows from the problem or the solution.  numpy is imported
 only by ``verify``, through the oracle.
 
-Exit codes: 0 success, 1 unreadable input (I/O or JSON syntax), 2 invalid
-arguments or an invalid or infeasible problem, 3 verification grid over
-the size cap; 2 and 3 print a JSON error whose ``reason`` the error
-class declares.
+Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
+or nesting too deep to decode), 2 invalid arguments or an invalid or
+infeasible problem, 3 verification grid over the size cap; 2 and 3 print
+a JSON error whose ``reason`` the error class declares.
 """
 
 from __future__ import annotations
@@ -102,16 +102,30 @@ def _scalar_out(v: float):
     return int(v) if float(v).is_integer() else v
 
 
+def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
+    """Convert a list of tokens; a list of plain finite numbers takes one
+    bulk pass, any other list ``_scalar_in`` token by token."""
+    if {*map(type, tokens)} <= {int, float}:
+        try:
+            values = tuple(map(float, tokens))
+        except OverflowError:  # an integer literal too long for a float
+            pass
+        else:
+            if math.inf not in values and -math.inf not in values:
+                return values
+    return tuple(_scalar_in(t, where) for t in tokens)
+
+
 def _vector_in(obj, where: str) -> TropVector:
     if not isinstance(obj, list) or not obj:
         raise ProblemFormatError(f"{where}: expected a nonempty array of scalars")
-    return TropVector(tuple(_scalar_in(t, where) for t in obj))
+    return TropVector(_scalars_in(obj, where))
 
 
 def _matrix_in(obj, where: str) -> TropMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    return TropMatrix(tuple(tuple(_scalar_in(t, where) for t in row) for row in obj))
+    return TropMatrix(tuple(_scalars_in(row, where) for row in obj))
 
 
 def _vector_out(v: TropVector) -> list:
@@ -304,7 +318,7 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         try:
             doc = _read_json(args.input)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             print(f"error: cannot read problem: {exc}", file=sys.stderr)
             return 1
         result, code = args.run(parse_problem(doc), args), 0

@@ -4,11 +4,19 @@ Containers are immutable and every operation returns a fresh value.  Row
 and column orientation is tracked explicitly: conjugation flips a column
 into a row, and products such as a conjugated vector times a matrix mix
 the two, so silent transposition would hide modeling mistakes.
+
+Every operation is a pass of C-implemented builtins over whole rows and
+columns: a product entry is ``sf.reduce(map(add, row, col))``, with no
+semifield method call per scalar.  ``reduce`` keeps the first of equal
+values, as the scalar ``add`` does, so results are bit for bit those of
+the scalar definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, eq, sub
 from typing import Iterator, Union
 
 from .semifield import MAX_PLUS, Semifield, TropicalError
@@ -50,7 +58,7 @@ class TropVector:
     def __post_init__(self) -> None:
         if self.orientation not in ("col", "row"):
             raise ShapeMismatchError(f"unknown orientation {self.orientation!r}")
-        elems = tuple(self.sf.check(v) for v in self.elements)
+        elems = self.sf.check_all(self.elements)
         if not elems:
             raise ShapeMismatchError("vectors must be nonempty")
         object.__setattr__(self, "elements", elems)
@@ -66,11 +74,11 @@ class TropVector:
     @property
     def is_regular(self) -> bool:
         """True when no element is the zero element."""
-        return not any(self.sf.is_zero(v) for v in self.elements)
+        return self.sf.zero not in self.elements
 
     @property
     def is_zero(self) -> bool:
-        return all(self.sf.is_zero(v) for v in self.elements)
+        return self.elements.count(self.sf.zero) == len(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -90,7 +98,7 @@ class TropMatrix:
     sf: Semifield = MAX_PLUS
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(self.sf.check(v) for v in row) for row in self.entries)
+        rows = tuple(map(self.sf.check_all, self.entries))
         if not rows or not rows[0]:
             raise ShapeMismatchError("matrices must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -124,13 +132,11 @@ class TropMatrix:
 
     @property
     def is_row_regular(self) -> bool:
-        return all(any(not self.sf.is_zero(v) for v in row) for row in self.entries)
+        return (self.sf.zero,) * self.cols not in self.entries
 
     @property
     def is_column_regular(self) -> bool:
-        return all(
-            any(not self.sf.is_zero(row[j]) for row in self.entries) for j in range(self.cols)
-        )
+        return (self.sf.zero,) * self.rows not in zip(*self.entries)
 
     @property
     def is_regular(self) -> bool:
@@ -146,29 +152,20 @@ def _require_same_sf(a: MatLike, b: MatLike) -> Semifield:
     return a.sf
 
 
-def _grid(v: MatLike) -> tuple[tuple[float, ...], ...]:
-    if isinstance(v, TropVector):
-        if v.orientation == "col":
-            return tuple((e,) for e in v.elements)
-        return (v.elements,)
-    return v.entries
-
-
 def mat_add(a: MatLike, b: MatLike) -> MatLike:
     """Entrywise tropical sum of two vectors or two matrices."""
     sf = _require_same_sf(a, b)
     if isinstance(a, TropVector) and isinstance(b, TropVector):
         if a.orientation != b.orientation or a.dim != b.dim:
             raise ShapeMismatchError("vector sum needs equal length and orientation")
-        return TropVector(tuple(sf.add(x, y) for x, y in zip(a, b)), a.orientation, sf)
+        return TropVector(tuple(map(sf.reduce, a.elements, b.elements)), a.orientation, sf)
     if isinstance(a, TropMatrix) and isinstance(b, TropMatrix):
         if (a.rows, a.cols) != (b.rows, b.cols):
             raise ShapeMismatchError(
                 f"matrix sum needs equal shapes, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
             )
         return TropMatrix(
-            tuple(tuple(sf.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
-            sf,
+            tuple(tuple(map(sf.reduce, ra, rb)) for ra, rb in zip(a.entries, b.entries)), sf
         )
     raise ShapeMismatchError("cannot add a vector to a matrix")
 
@@ -187,30 +184,32 @@ def mat_mul(a: MatLike, b: MatLike):
     if isinstance(a, TropMatrix) and isinstance(b, TropVector) and b.orientation != "col":
         raise ShapeMismatchError("right vector operand of a product must be a column")
 
-    ga, gb = _grid(a), _grid(b)
-    m, k = len(ga), len(ga[0])
-    k2, n = len(gb), len(gb[0])
+    # the left operand's rows and the right one's columns; a column on the
+    # left or a row on the right is an outer-product factor, one
+    # single-term line per entry
+    if isinstance(a, TropMatrix):
+        rows = a.entries
+    else:
+        rows = (a.elements,) if a.orientation == "row" else tuple(zip(a.elements))
+    if isinstance(b, TropMatrix):
+        cols = tuple(zip(*b.entries))
+    else:
+        cols = (b.elements,) if b.orientation == "col" else tuple(zip(b.elements))
+    m, k, k2, n = len(rows), len(rows[0]), len(cols[0]), len(cols)
     if k != k2:
         raise ShapeMismatchError(f"cannot multiply {m}x{k} by {k2}x{n}")
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = sf.zero
-            for t in range(k):
-                acc = sf.add(acc, sf.mul(ga[i][t], gb[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
+    reduce = sf.reduce
+    out = tuple(tuple([reduce(map(add, row, col)) for col in cols]) for row in rows)
 
     if isinstance(a, TropVector) and isinstance(b, TropVector):
         if a.orientation == "row":
             return out[0][0]
-        return TropMatrix(tuple(out), sf)
+        return TropMatrix(out, sf)
     if isinstance(a, TropVector):
         return TropVector(out[0], "row", sf)
     if isinstance(b, TropVector):
         return TropVector(tuple(r[0] for r in out), "col", sf)
-    return TropMatrix(tuple(out), sf)
+    return TropMatrix(out, sf)
 
 
 def scalar_mul(c: float, a: MatLike) -> MatLike:
@@ -218,8 +217,8 @@ def scalar_mul(c: float, a: MatLike) -> MatLike:
     sf = a.sf
     c = sf.check(c)
     if isinstance(a, TropVector):
-        return TropVector(tuple(sf.mul(c, v) for v in a), a.orientation, sf)
-    return TropMatrix(tuple(tuple(sf.mul(c, v) for v in row) for row in a.entries), sf)
+        return TropVector(tuple(map(add, repeat(c), a.elements)), a.orientation, sf)
+    return TropMatrix(tuple(tuple(map(add, repeat(c), row)) for row in a.entries), sf)
 
 
 def conjugate(x: TropVector) -> TropVector:
@@ -230,9 +229,11 @@ def conjugate(x: TropVector) -> TropVector:
         raise ZeroVectorError("the zero vector has no conjugate")
     sf = x.sf
     flipped = "row" if x.orientation == "col" else "col"
-    return TropVector(
-        tuple(sf.zero if sf.is_zero(v) else sf.inv(v) for v in x), flipped, sf
-    )
+    # 0.0 - v is -v + 0.0 bit for bit: the inverse, with -0.0 taken to 0.0
+    out = tuple(map(sub, repeat(0.0), x.elements))
+    if sf.zero in x.elements:
+        out = tuple(sf.zero if v == sf.zero else w for v, w in zip(x.elements, out))
+    return TropVector(out, flipped, sf)
 
 
 def distance(x: TropVector, y: TropVector) -> float:
@@ -268,12 +269,17 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
     return conjugate(mat_mul(conjugate(p), A))
 
 
+def _leq(sf: Semifield, xs: tuple[float, ...], ys: tuple[float, ...]) -> bool:
+    """The natural order entrywise: ``x <= y`` iff ``x + y = y``."""
+    return all(map(eq, map(sf.reduce, xs, ys), ys))
+
+
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     """Componentwise order between vectors of equal shape."""
     sf = _require_same_sf(x, y)
     if x.orientation != y.orientation or x.dim != y.dim:
         raise ShapeMismatchError("comparison needs equal length and orientation")
-    return all(sf.leq(a, b) for a, b in zip(x, y))
+    return _leq(sf, x.elements, y.elements)
 
 
 def mat_leq(a: TropMatrix, b: TropMatrix) -> bool:
@@ -281,6 +287,4 @@ def mat_leq(a: TropMatrix, b: TropMatrix) -> bool:
     sf = _require_same_sf(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatchError("comparison needs equal shapes")
-    return all(
-        sf.leq(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-    )
+    return all(_leq(sf, ra, rb) for ra, rb in zip(a.entries, b.entries))

@@ -56,19 +56,40 @@ class UndefinedPowerError(TropicalError):
 class Semifield:
     """A linearly ordered, radicable idempotent semifield on floats.
 
-    Subclasses fix the zero element and the idempotent addition.  On the
-    nonzero carrier, multiplication is float addition, the inverse is
-    negation, and a rational power acts by scaling, so ``pow(a, 0.5)`` is
-    the tropical square root (halving).
+    Subclasses fix the zero element and the idempotent addition, both as
+    the scalar ``add`` and as ``reduce``, the builtin that sums a whole
+    iterable (``max`` or ``min``; like ``add``, it keeps the first of two
+    equal values).  On the nonzero carrier, multiplication is float
+    addition, the inverse is negation, and a rational power acts by
+    scaling, so ``pow(a, 0.5)`` is the tropical square root (halving).
+    The carrier holds every float except NaN and the infinity opposite to
+    the zero element.
     """
 
     name: str = "abstract"
     zero: float = math.nan
     one: float = 0.0
+    reduce = None
 
     def check(self, a: float) -> float:
         """Validate that ``a`` belongs to the carrier and return it."""
         raise NotImplementedError
+
+    def check_all(self, values) -> tuple[float, ...]:
+        """Validate a whole sequence in three builtin passes; returns its
+        elements as a tuple of floats.
+
+        On any failure the sequence is checked again element by element,
+        so the first bad element raises exactly what ``check`` raises.
+        """
+        values = tuple(values)  # free for a tuple; lets an iterator be checked twice
+        try:
+            out = tuple(map(float, values))
+        except (TypeError, ValueError, OverflowError):
+            out = None
+        if out is None or -self.zero in out or any(map(math.isnan, out)):
+            return tuple(map(self.check, values))
+        return out
 
     def add(self, a: float, b: float) -> float:
         raise NotImplementedError
@@ -107,6 +128,7 @@ class MaxPlus(Semifield):
 
     name = "max-plus"
     zero = NEG_INF
+    reduce = max
 
     def check(self, a: float) -> float:
         a = float(a)
@@ -125,6 +147,7 @@ class MinPlus(Semifield):
 
     name = "min-plus"
     zero = POS_INF
+    reduce = min
 
     def check(self, a: float) -> float:
         a = float(a)

@@ -9,9 +9,10 @@ Three problems are solved, all in direct form with no iteration:
 * the best-underestimator problem, maximizing ``A x`` subject to
   ``A x <= p``, solved by residuation.
 
-Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.  All
-arithmetic goes through the scalar semifield, so the solvers are valid for
-any shipped instance, although the package tests pin down max-plus.
+Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.  The
+solvers use only the semifield's operations, through the vector and
+matrix passes of ``linalg``, so they are valid for any shipped instance,
+although the package tests pin down max-plus.
 """
 
 from __future__ import annotations
@@ -172,13 +173,18 @@ def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     return sf.add(mat_mul(conjugate(prob.q), x), mat_mul(conjugate(x), prob.p))
 
 
-def two_sided_terms(prob: TwoSidedProblem) -> dict[str, float | None]:
+def two_sided_terms(
+    prob: TwoSidedProblem, qc: TropVector | None = None
+) -> dict[str, float | None]:
     """The three lower bounds whose maximum is the optimum: the intrinsic
     bound ``delta = sqrt(q~ p)``, the g-driven bound ``q~ g``, and the
-    h-driven bound ``h~ p``.  Absent bounds yield ``None`` entries."""
+    h-driven bound ``h~ p``.  Absent bounds yield ``None`` entries.
+    ``qc`` is ``q~``, when the caller has already computed it."""
     sf = prob.p.sf
-    delta = sf.sqrt(mat_mul(conjugate(prob.q), prob.p))
-    g_term = None if prob.g is None else mat_mul(conjugate(prob.q), prob.g)
+    if qc is None:
+        qc = conjugate(prob.q)
+    delta = sf.sqrt(mat_mul(qc, prob.p))
+    g_term = None if prob.g is None else mat_mul(qc, prob.g)
     h_term = None if prob.h is None else mat_mul(conjugate(prob.h), prob.p)
     return {"delta": delta, "g_term": g_term, "h_term": h_term}
 
@@ -192,7 +198,8 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     ``mu^-1 p`` and ``mu q`` when a bound is absent.
     """
     sf = prob.p.sf
-    terms = two_sided_terms(prob)
+    qc = conjugate(prob.q)
+    terms = two_sided_terms(prob, qc)
     mu = terms["delta"]
     if terms["g_term"] is not None:
         mu = sf.add(mu, terms["g_term"])
@@ -204,7 +211,7 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     if prob.g is not None:
         lower = mat_add(lower, prob.g)
     if prob.h is not None:
-        upper = conjugate(mat_add(scalar_mul(inv_mu, conjugate(prob.q)), conjugate(prob.h)))
+        upper = conjugate(mat_add(scalar_mul(inv_mu, qc), conjugate(prob.h)))
     else:
         upper = scalar_mul(mu, prob.q)
     return IntervalSolution(mu, lower, upper, terms["delta"], terms["g_term"], terms["h_term"])
@@ -218,11 +225,15 @@ def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
     return sf.add(mat_mul(conjugate(prob.q), ax), mat_mul(conjugate(ax), prob.p))
 
 
-def matrix_lower_terms(prob: MatrixLowerProblem) -> dict[str, float]:
+def matrix_lower_terms(
+    prob: MatrixLowerProblem, qa: TropVector | None = None
+) -> dict[str, float]:
     """The two lower bounds for the matrix problem: the intrinsic bound
-    ``delta = sqrt((A (q~ A)~)~ p)`` and the g-driven bound ``q~ A g``."""
+    ``delta = sqrt((A (q~ A)~)~ p)`` and the g-driven bound ``q~ A g``.
+    ``qa`` is the row ``q~ A``, when the caller has already computed it."""
     sf = prob.p.sf
-    qa = mat_mul(conjugate(prob.q), prob.A)
+    if qa is None:
+        qa = mat_mul(conjugate(prob.q), prob.A)
     residual = mat_mul(prob.A, conjugate(qa))
     delta = sf.sqrt(mat_mul(conjugate(residual), prob.p))
     return {"delta": delta, "g_term": mat_mul(qa, prob.g)}
@@ -235,9 +246,10 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     ``x = mu (q~ A)~``, which automatically satisfies ``x >= g``.
     """
     sf = prob.p.sf
-    terms = matrix_lower_terms(prob)
+    qa = mat_mul(conjugate(prob.q), prob.A)
+    terms = matrix_lower_terms(prob, qa)
     mu = sf.add(terms["delta"], terms["g_term"])
-    x = scalar_mul(mu, conjugate(mat_mul(conjugate(prob.q), prob.A)))
+    x = scalar_mul(mu, conjugate(qa))
     return PointSolution(mu=mu, x=x, delta=terms["delta"], g_term=terms["g_term"])
 
 

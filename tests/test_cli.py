@@ -1,15 +1,27 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tropopt
-from tropopt import applications, solvers
-from tropopt.cli import main, parse_problem, problem_to_dict, solution_to_dict, solve_loaded
+from tropopt import TropMatrix, TropVector, applications, solvers
+from tropopt.cli import (
+    _matrix_in,
+    _scalar_in,
+    _vector_in,
+    main,
+    parse_problem,
+    problem_to_dict,
+    solution_to_dict,
+    solve_loaded,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -120,6 +132,18 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_too_deep"],
+    )
+    def test_unreadable_input_is_io_failure(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read problem: ") and "Traceback" not in err
 
     def test_unknown_kind_is_invalid_problem(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -273,6 +297,22 @@ class TestStructure:
         solution_to_dict(lp, solve_loaded(lp))
         assert calls == {"reduce": 1, "terms": 1}
 
+    def test_matrix_lower_computes_q_a_once(self, monkeypatch):
+        calls = []
+        mat_mul = solvers.mat_mul
+        monkeypatch.setattr(solvers, "mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+        solvers.solve_matrix_lower(parse_problem(KIND_DOCS["matrix_lower"]).problem)
+        # q~ A, A (q~ A)~, the delta reduction and the g term
+        assert len(calls) == 4
+
+    def test_two_sided_conjugates_q_once(self, monkeypatch):
+        prob = parse_problem(KIND_DOCS["two_sided_bounded"]).problem
+        args = []
+        conjugate = solvers.conjugate
+        monkeypatch.setattr(solvers, "conjugate", lambda v: args.append(v) or conjugate(v))
+        solvers.solve_two_sided(prob)
+        assert sum(v is prob.q for v in args) == 1
+
     @pytest.mark.parametrize("key", sorted(KIND_DOCS))
     def test_diagnostics_are_the_core_terms(self, key):
         lp = parse_problem(KIND_DOCS[key])
@@ -340,3 +380,43 @@ class TestErrors:
         code, out = run(capsys, command, write(tmp_path, doc))
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "overflow"
+
+
+# JSON tokens that take each branch of the scalar parse: plain numbers,
+# signed zeros, bools, the zero's string, other strings, literals beyond
+# the float range (json reads 1e400 as inf), and 400-digit integers
+tokens = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-50, 50).map(lambda k: k / 4),
+    st.sampled_from(
+        [0.0, -0.0, True, False, "-inf", "inf", None, math.inf, -math.inf, 10**400, -(10**400)]
+    ),
+)
+
+
+def _outcome(fn):
+    try:
+        value = fn()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return "ok", value, [math.copysign(1.0, e) for row in _rows(value) for e in row]
+
+
+def _rows(value):
+    return value.entries if isinstance(value, TropMatrix) else (value.elements,)
+
+
+class TestBulkParse:
+    @given(st.lists(tokens, min_size=1, max_size=8))
+    def test_vector_matches_per_token_parse(self, toks):
+        got = _outcome(lambda: _vector_in(toks, "p"))
+        want = _outcome(lambda: TropVector(tuple(_scalar_in(t, "p") for t in toks)))
+        assert got == want
+
+    @given(st.lists(st.lists(tokens, min_size=2, max_size=2), min_size=1, max_size=3))
+    def test_matrix_matches_per_token_parse(self, rows):
+        got = _outcome(lambda: _matrix_in(rows, "A"))
+        want = _outcome(
+            lambda: TropMatrix(tuple(tuple(_scalar_in(t, "A") for t in row) for row in rows))
+        )
+        assert got == want

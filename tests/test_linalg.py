@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropopt import (
+    MAX_PLUS,
     MIN_PLUS,
     NEG_INF,
     InvalidScalarError,
@@ -248,3 +249,142 @@ class TestOrderProperties:
             lhs = mat_mul(TropMatrix(tuple(map(tuple, A))), TropMatrix(tuple(map(tuple, B))))
             rhs = mat_mul(TropMatrix(tuple(map(tuple, A2))), TropMatrix(tuple(map(tuple, B2))))
             assert mat_leq(lhs, rhs)
+
+
+# Reference: the per-scalar definitions, one sf.add / sf.mul call per term.
+def _grid(v):
+    if isinstance(v, TropVector):
+        return [[e] for e in v] if v.orientation == "col" else [list(v)]
+    return [list(row) for row in v.entries]
+
+
+def _naive_mul(sf, a, b):
+    ga, gb = _grid(a), _grid(b)
+    out = []
+    for i in range(len(ga)):
+        row = []
+        for j in range(len(gb[0])):
+            acc = sf.zero
+            for t in range(len(gb)):
+                acc = sf.add(acc, sf.mul(ga[i][t], gb[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _same(xs, ys):
+    """Bit-for-bit equality of two flat float sequences: value and sign."""
+    return len(xs) == len(ys) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(xs, ys)
+    )
+
+
+def _flat(grid):
+    return [e for row in grid for e in row]
+
+
+semifields = st.sampled_from([MAX_PLUS, MIN_PLUS])
+
+
+def scalars(sf):
+    """Half-integers, both signed zeros and the zero element."""
+    return st.one_of(
+        st.integers(-12, 12).map(lambda k: k / 2), st.sampled_from([0.0, -0.0, sf.zero])
+    )
+
+
+@st.composite
+def product_operands(draw):
+    """A semifield and two conforming operands of one of the five shapes."""
+    sf = draw(semifields)
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    shape = draw(st.sampled_from(["row x col", "col x row", "row x mat", "mat x col", "mat x mat"]))
+
+    def vec(d, orientation):
+        return TropVector(tuple(draw(st.lists(scalars(sf), min_size=d, max_size=d))), orientation, sf)
+
+    def mat(r, c):
+        rows = draw(st.lists(st.lists(scalars(sf), min_size=c, max_size=c), min_size=r, max_size=r))
+        return TropMatrix(tuple(map(tuple, rows)), sf)
+
+    left, right = shape.split(" x ")
+    a = vec(k, "row") if left == "row" else vec(m, "col") if left == "col" else mat(m, k)
+    b = vec(k, "col") if right == "col" else vec(n, "row") if right == "row" else mat(k, n)
+    return sf, a, b
+
+
+@st.composite
+def same_shape_pair(draw):
+    sf = draw(semifields)
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.lists(st.lists(scalars(sf), min_size=c, max_size=c), min_size=r, max_size=r)
+    a, b = (TropMatrix(tuple(map(tuple, draw(cells))), sf) for _ in range(2))
+    return sf, a, b
+
+
+class TestKernelsMatchScalarDefinitions:
+    @given(product_operands())
+    def test_mat_mul(self, operands):
+        sf, a, b = operands
+        got = mat_mul(a, b)
+        want = _naive_mul(sf, a, b)
+        if isinstance(got, float):
+            assert _same([got], _flat(want))
+        else:
+            assert _same(_flat(_grid(got)), _flat(want))
+
+    @given(same_shape_pair())
+    def test_mat_add_and_order(self, pair):
+        sf, a, b = pair
+        want = [[sf.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+        assert _same(_flat(_grid(mat_add(a, b))), _flat(want))
+        u, v = TropVector(a.entries[0], sf=sf), TropVector(b.entries[0], sf=sf)
+        assert _same(list(mat_add(u, v)), want[0])
+        assert mat_leq(a, b) == all(
+            sf.leq(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
+        )
+        assert vec_leq(u, v) == all(sf.leq(x, y) for x, y in zip(u, v))
+        assert vec_leq(u, mat_add(u, v)) and mat_leq(b, mat_add(a, b))
+
+    @given(same_shape_pair(), st.data())
+    def test_scalar_mul_and_conjugate(self, pair, data):
+        sf, a, _ = pair
+        c = data.draw(scalars(sf))
+        want = [[sf.mul(c, v) for v in row] for row in a.entries]
+        assert _same(_flat(_grid(scalar_mul(c, a))), _flat(want))
+        x = TropVector(a.entries[0], sf=sf)
+        assert _same(list(scalar_mul(c, x)), want[0])
+        if x.is_zero:
+            with pytest.raises(ZeroVectorError):
+                conjugate(x)
+        else:
+            got = conjugate(x)
+            assert got.orientation == "row"
+            assert _same(list(got), [sf.zero if sf.is_zero(v) else sf.inv(v) for v in x])
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestCheckAll:
+    @given(
+        semifields,
+        st.lists(st.integers(-8, 8).map(float), max_size=8),
+        st.lists(
+            st.tuples(st.integers(0, 8), st.sampled_from([math.nan, math.inf, -math.inf, "x", None])),
+            max_size=3,
+        ),
+    )
+    def test_same_error_as_per_element_check(self, sf, values, bad):
+        for pos, v in bad:
+            values.insert(min(pos, len(values)), v)
+        got = _outcome(lambda: sf.check_all(values))
+        want = _outcome(lambda: tuple(sf.check(v) for v in values))
+        if want[0] == "ok":
+            assert got[0] == "ok" and _same(got[1], want[1])
+        else:
+            assert got == want
