@@ -1,7 +1,7 @@
 """Constrained max-plus (tropical) optimization in closed form.
 
-The oracle's names are resolved on first use, so importing the package
-does not import numpy.
+The grid oracle's names are resolved on first use, so importing the
+package does not import numpy.
 """
 
 from .applications import (
@@ -12,6 +12,7 @@ from .applications import (
     reduced_matrix_lower,
     reduced_two_sided,
 )
+from .certificate import OracleReport, VerificationFailedError, certify
 from .linalg import (
     NotColumnRegularError,
     NotRegularError,
@@ -63,9 +64,7 @@ _ORACLE_NAMES = (
     "GridSpec",
     "GridTooLargeError",
     "MatrixLowerObjective",
-    "OracleReport",
     "TwoSidedObjective",
-    "VerificationFailedError",
     "best_under_box",
     "grid_min",
     "matrix_lower_box",
@@ -122,6 +121,7 @@ __all__ = [
     "approximate",
     "best_under_box",
     "best_underestimator",
+    "certify",
     "conjugate",
     "distance",
     "grid_min",

@@ -5,13 +5,14 @@ of that kind's problem dataclass under their field names (``A`` is the
 only matrix), and optional ``name``/``description`` metadata.  Scalars
 are JSON numbers, with the string ``"-inf"`` standing in for the tropical
 zero.  ``_KINDS`` maps each kind to its problem class and solver; every
-other step follows from the problem or the solution.  numpy is imported
-only by ``verify``, through the oracle.
+other step follows from the problem or the solution.  ``verify`` checks
+the solution with the exact certificate of ``certificate.py``; no
+subcommand imports numpy.
 
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
-or nesting too deep to decode), 2 invalid arguments or an invalid or
-infeasible problem, 3 verification grid over the size cap; 2 and 3 print
-a JSON error whose ``reason`` the error class declares.
+or nesting too deep to decode), 2 invalid arguments, an invalid or
+infeasible problem, or a failed verification; 2 prints a JSON error
+whose ``reason`` the error class declares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
 
 from .applications import ApproximationProblem, LocationProblem, approximate, locate
+from .certificate import certify
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
 from .semifield import NEG_INF, ScalarOverflowError, TropicalError
 from .solvers import (
@@ -224,30 +226,14 @@ def is_feasible(lp: LoadedProblem, x: TropVector) -> bool:
 
 
 def verify_loaded(lp: LoadedProblem, sol, *, step: float, samples: int):
-    """Check ``sol`` against the grid oracle; returns its ``OracleReport``."""
-    from . import oracle  # numpy is loaded on this path only
-
-    prob = _core(lp)
-    if isinstance(prob, TwoSidedProblem):
-        return oracle.verify_interval(prob, sol, samples, step=step)
-    if isinstance(prob, MatrixLowerProblem):
-        if not vec_leq(prob.g, sol.x):
-            raise oracle.VerificationFailedError(
-                "returned vector violates the lower bound", counterexample=sol.x
-            )
-        lo, hi = oracle.matrix_lower_box(prob, pads=(sol.x,))
-        objective = oracle.MatrixLowerObjective(prob)
-    else:
-        if not vec_leq(mat_mul(prob.A, sol.x), prob.p):
-            raise oracle.VerificationFailedError(
-                "returned vector violates the underestimation constraint", counterexample=sol.x
-            )
-        lo, hi = oracle.best_under_box(prob.A, prob.p, pads=(sol.x,))
-        objective = oracle.BestUnderObjective(prob.A, prob.p)
-    return oracle.verify_point(objective, sol, oracle.GridSpec(lo, hi, step))
+    """Prove ``sol`` optimal with the exact certificate; returns its
+    ``OracleReport``.  ``step`` and ``samples`` were the grid oracle's
+    settings and have no effect on the exact check."""
+    return certify(_core(lp), sol)
 
 
 def report_to_dict(lp: LoadedProblem, sol, report) -> dict:
+    term, index = report.binding
     return {
         "kind": lp.kind,
         "mu": _scalar_out(sol.mu),
@@ -256,6 +242,7 @@ def report_to_dict(lp: LoadedProblem, sol, report) -> dict:
         "points_evaluated": report.points_evaluated,
         "agrees_with_solver": report.agrees_with_solver,
         "max_discrepancy": report.max_discrepancy,
+        "binding": {"term": term, "index": index},
     }
 
 
@@ -347,10 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--pretty", action="store_true", help="indent the JSON output")
     ep.set_defaults(run=_eval, output="-")
 
-    vp = sub.add_parser("verify", help="solve, then check against the brute-force oracle")
+    vp = sub.add_parser("verify", help="solve, then prove the answer optimal")
     vp.add_argument("input", help='problem JSON path, or "-" for stdin')
-    vp.add_argument("--step", type=float, default=0.5, help="oracle lattice step (default 0.5)")
-    vp.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
+    # accepted and range-checked for compatibility; the exact check uses neither
+    vp.add_argument("--step", type=float, default=0.5, help="no effect (default 0.5)")
+    vp.add_argument("--samples", type=int, default=1000, help="no effect (default 1000)")
     vp.add_argument("--pretty", action="store_true", help="indent the JSON output")
     vp.set_defaults(run=_verify, output="-")
     return ap

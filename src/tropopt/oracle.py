@@ -7,6 +7,10 @@ form ``x_i + c`` and ``-x_i + c``, so its minimum over a box is attained
 on the half-step lattice and the step-1/2 grid check is exact rather than
 approximate.
 
+``tropopt verify`` proves answers with the exact certificate instead
+(``certificate.py``); this oracle is the independent reference that the
+tests compare it with.
+
 The oracle operates on the max-plus instance only; its internals lean on
 numeric min/max rather than semifield calls so grids can be evaluated in
 vectorized chunks.
@@ -20,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .certificate import _TOL, OracleReport, VerificationFailedError
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
 from .semifield import MAX_PLUS, TropicalError
 from .solvers import (
@@ -33,7 +38,6 @@ from .solvers import (
 
 GRID_POINT_CAP = 10_000_000
 _CHUNK = 1 << 18
-_TOL = 1e-9
 
 
 class GridTooLargeError(TropicalError):
@@ -41,16 +45,6 @@ class GridTooLargeError(TropicalError):
 
     reason = "grid_too_large"
     exit_code = 3
-
-
-class VerificationFailedError(TropicalError):
-    """Solver output disagrees with the brute-force oracle."""
-
-    reason = "verification_failed"
-
-    def __init__(self, message: str, counterexample: TropVector | None = None):
-        super().__init__(message)
-        self.counterexample = counterexample
 
 
 @dataclass(frozen=True)
@@ -78,19 +72,6 @@ class GridSpec:
     @property
     def dim(self) -> int:
         return self.lower.dim
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    min_value: float
-    argmin: TropVector
-    points_evaluated: int
-    agrees_with_solver: bool = True
-    max_discrepancy: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.points_evaluated < 1:
-            raise TropicalError("an oracle report must cover at least one point")
 
 
 def _axis_counts(spec: GridSpec) -> tuple[int, ...]:

@@ -1,0 +1,259 @@
+"""The exact certificate against the grid oracle, and against corrupted
+solutions."""
+
+import json
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from tropopt import (
+    MIN_PLUS,
+    BestUnderObjective,
+    GridSpec,
+    MatrixLowerObjective,
+    MatrixLowerProblem,
+    TropicalError,
+    TropVector,
+    TwoSidedObjective,
+    TwoSidedProblem,
+    VerificationFailedError,
+    best_under_box,
+    certify,
+    grid_min,
+    matrix_lower_box,
+    mat_mul,
+    objective_matrix,
+    objective_two_sided,
+    two_sided_box,
+    vec_leq,
+)
+from tropopt.cli import main, parse_problem, solve_loaded
+
+FIXTURES = Path(__file__).parent / "fixtures"
+KINDS = ("two_sided", "matrix_lower", "locate", "approximate", "best_under")
+PER_KIND = 40
+
+
+def _vec(rng, n, lo, hi, neg_inf=0.0):
+    return ["-inf" if rng.random() < neg_inf else rng.randint(lo, hi) for _ in range(n)]
+
+
+def _doc(kind, rng):
+    """A random small integer problem of ``kind``; bounds, when drawn,
+    are optional and may hold the tropical zero."""
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    if kind in ("two_sided", "locate"):
+        a, b = ("p", "q") if kind == "two_sided" else ("r", "s")
+        doc = {a: _vec(rng, n, -3, 3), b: _vec(rng, n, -3, 3)}
+        if rng.random() < 0.6:
+            doc["g"] = _vec(rng, n, -3, 1, neg_inf=0.3)
+        if rng.random() < 0.6:
+            doc["h"] = _vec(rng, n, 0, 3)
+    else:
+        n = min(n, 2)  # keeps the grid oracle's box over x small
+        doc = {"A": [_vec(rng, n, -2, 2, neg_inf=0.2) for _ in range(m)], "p": _vec(rng, m, -2, 2)}
+        if kind == "matrix_lower":
+            doc["q"] = _vec(rng, m, -2, 2)
+        if kind != "best_under":
+            doc["g"] = _vec(rng, n, -2, 2, neg_inf=0.3)
+    return {"kind": kind, **doc}
+
+
+def _solved(kind, count=PER_KIND):
+    """``count`` seeded random problems of ``kind`` that solve, as
+    (core problem, solution) pairs."""
+    rng = random.Random(f"certificate-{kind}")
+    out = []
+    while len(out) < count:
+        try:
+            lp = parse_problem(_doc(kind, rng))
+            sol = solve_loaded(lp)
+        except TropicalError:  # infeasible bounds, an irregular A
+            continue
+        out.append((getattr(lp.problem, "reduced", lp.problem), sol))
+    return out
+
+
+def _grid_minimum(core, sol) -> float:
+    if isinstance(core, TwoSidedProblem):
+        box = two_sided_box(core, pads=(sol.lower, sol.upper))
+        objective = TwoSidedObjective(core)
+    elif isinstance(core, MatrixLowerProblem):
+        box = matrix_lower_box(core, pads=(sol.x,))
+        objective = MatrixLowerObjective(core)
+    else:
+        box = best_under_box(core.A, core.p, pads=(sol.x,))
+        objective = BestUnderObjective(core.A, core.p)
+    return grid_min(objective, GridSpec(*box, 0.5)).min_value
+
+
+def _refutes(core, sol, point: TropVector) -> bool:
+    """Whether ``point`` shows the claimed solution wrong: a claimed
+    minimizer that is infeasible or misses the claimed value, a feasible
+    point below it, a minimizer the claim leaves out, or a feasible
+    vector above the claimed greatest one."""
+    if isinstance(core, TwoSidedProblem):
+        feasible = (core.g is None or vec_leq(core.g, point)) and (
+            core.h is None or vec_leq(point, core.h)
+        )
+        value = objective_two_sided(core, point)
+        claimed = vec_leq(sol.lower, point) and vec_leq(point, sol.upper)
+        return (claimed and (not feasible or value != sol.mu)) or (
+            feasible and value <= sol.mu and not claimed
+        )
+    claimed = point == sol.x
+    if isinstance(core, MatrixLowerProblem):
+        feasible, value = vec_leq(core.g, point), objective_matrix(core, point)
+        above = False
+    else:
+        feasible = vec_leq(mat_mul(core.A, point), core.p)
+        value = BestUnderObjective(core.A, core.p)(point)
+        above = feasible and vec_leq(sol.x, point) and not claimed
+    return (claimed and (not feasible or value != sol.mu)) or (feasible and value < sol.mu) or above
+
+
+def _rejected(core, sol) -> VerificationFailedError:
+    with pytest.raises(VerificationFailedError) as info:
+        certify(core, sol)
+    point = info.value.counterexample
+    assert isinstance(point, TropVector)
+    assert _refutes(core, sol, point), (info.value, point)
+    return info.value
+
+
+def _shifted(v: TropVector, i: int, d: float) -> TropVector:
+    return TropVector(tuple(e + d if j == i else e for j, e in enumerate(v)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_minimum_equals_grid_oracle(kind):
+    for core, sol in _solved(kind):
+        report = certify(core, sol)
+        assert report.min_value == _grid_minimum(core, sol) == sol.mu
+        assert report.agrees_with_solver and report.max_discrepancy == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_data_is_certified(kind):
+    # off the half-integer lattice, where the grid oracle is not exact
+    rng = random.Random(f"float-{kind}")
+
+    def blur(e):
+        return e if e == "-inf" else e * scale + rng.uniform(-1, 1)
+
+    certified = 0
+    while certified < PER_KIND:
+        scale = rng.uniform(0.01, 100.0)
+        doc = {
+            k: v if k == "kind" else [list(map(blur, r)) for r in v] if k == "A" else list(map(blur, v))
+            for k, v in _doc(kind, rng).items()
+        }
+        try:
+            lp = parse_problem(doc)
+            sol = solve_loaded(lp)
+        except TropicalError:
+            continue
+        report = certify(getattr(lp.problem, "reduced", lp.problem), sol)
+        assert report.min_value == sol.mu
+        certified += 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_corrupted_optimum_is_rejected(kind):
+    for core, sol in _solved(kind, 10):
+        for d in (0.5, -0.5):
+            _rejected(core, replace(sol, mu=sol.mu + d, delta=min(sol.delta, sol.mu + d)))
+
+
+@pytest.mark.parametrize("kind", ("two_sided", "locate"))
+def test_moved_interval_endpoint_is_rejected(kind):
+    rejected = 0
+    for core, sol in _solved(kind, 10):
+        for end in ("lower", "upper"):
+            for i in range(core.dim):
+                for d in (0.5, -0.5):
+                    try:
+                        bad = replace(sol, **{end: _shifted(getattr(sol, end), i, d)})
+                    except TropicalError:  # lower above upper: not an interval
+                        continue
+                    _rejected(core, bad)
+                    rejected += 1
+    assert rejected >= 40
+
+
+@pytest.mark.parametrize("kind", ("matrix_lower", "approximate"))
+def test_moved_point_is_rejected_unless_still_optimal(kind):
+    rejected = 0
+    for core, sol in _solved(kind, 10):
+        for i in range(sol.x.dim):
+            for d in (0.5, -0.5):
+                moved = replace(sol, x=_shifted(sol.x, i, d))
+                if vec_leq(core.g, moved.x) and objective_matrix(core, moved.x) == sol.mu:
+                    assert certify(core, moved).min_value == sol.mu
+                else:
+                    _rejected(core, moved)
+                    rejected += 1
+    assert rejected >= 10
+
+
+@pytest.mark.parametrize("kind", ("matrix_lower", "approximate"))
+def test_suboptimal_point_claimed_with_its_value_is_rejected(kind):
+    # x + 1/2 raises every row of A x by 1/2, and some row attains mu on
+    # the q side, so the shifted point scores mu + 1/2
+    for core, sol in _solved(kind, 10):
+        x = TropVector(tuple(e + 0.5 for e in sol.x))
+        error = _rejected(core, replace(sol, mu=objective_matrix(core, x), x=x))
+        assert objective_matrix(core, error.counterexample) == sol.mu
+
+
+def test_best_under_moved_or_slack_point_is_rejected():
+    for core, sol in _solved("best_under", 10):
+        for i in range(sol.x.dim):
+            up = _rejected(core, replace(sol, x=_shifted(sol.x, i, 0.5)))
+            assert "violates" in str(up) and up.counterexample == _shifted(sol.x, i, 0.5)
+            slack = _rejected(core, replace(sol, x=_shifted(sol.x, i, -0.5)))
+            assert "slack" in str(slack) and slack.counterexample == sol.x
+
+
+def _fixture(name):
+    lp = parse_problem(json.loads((FIXTURES / name).read_text()))
+    return lp.problem.reduced, solve_loaded(lp)
+
+
+@pytest.mark.parametrize(
+    "doc, binding",
+    [
+        ({"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2]}, ("delta", 0)),
+        ({"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2], "h": [0, 0, 0]}, ("h_term", 1)),
+        (
+            {"kind": "matrix_lower", "A": [[1, -1, 1], [3, 1, 0], [0, 0, 2]],
+             "p": [3, 4, 4], "q": [2, 4, 3], "g": ["-inf"] * 3},
+            ("delta", (0, 0)),
+        ),
+        ({"kind": "best_under", "A": [[1, -1, 1], [3, 1, 0], [0, 0, 2]], "p": [3, 4, 4]},
+         ("delta", (0, 2))),
+    ],
+    ids=["delta", "h_term", "matrix_delta", "best_under"],
+)
+def test_binding(doc, binding):
+    lp = parse_problem(doc)
+    assert certify(lp.problem, solve_loaded(lp)).binding == binding
+
+
+def test_binding_on_fixtures(capsys):
+    # location: g_1 - q_1 = 0 - (-3) = 3 beats delta 2 and the h term 2
+    report = certify(*_fixture("location_example.json"))
+    assert (report.min_value, report.binding) == (3, ("g_term", 0))
+    # approximation: a_21 - q_2 + g_1 = 3 - 4 + 2 = 1 beats delta 0
+    report = certify(*_fixture("approximation_example.json"))
+    assert (report.min_value, report.binding) == (1, ("g_term", (1, 0)))
+    assert main(["verify", str(FIXTURES / "approximation_example.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["binding"] == {"term": "g_term", "index": [1, 0]}
+
+
+def test_min_plus_is_refused():
+    prob = TwoSidedProblem(TropVector((1.0,), sf=MIN_PLUS), TropVector((0.0,), sf=MIN_PLUS))
+    with pytest.raises(TropicalError, match="max-plus"):
+        certify(prob, None)

@@ -222,19 +222,31 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "infeasible_bounds"
 
-    def test_grid_cap_exit_code(self, capsys, tmp_path):
-        prob = tmp_path / "wide.json"
+    def test_wide_problem_verifies(self, capsys, tmp_path):
+        # 41^8 lattice points: over the grid oracle's cap, which the exact
+        # certificate does not have
         n = 8
-        prob.write_text(json.dumps({
+        prob = write(tmp_path, {
             "kind": "two_sided",
             "p": [10] * n,
             "q": [-10] * n,
             "g": [-10] * n,
             "h": [10] * n,
-        }))
-        code, out = run(capsys, "verify", str(prob))
-        assert code == 3
-        assert json.loads(out)["error"]["reason"] == "grid_too_large"
+        })
+        code, out = run(capsys, "verify", prob)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agrees_with_solver"] is True and doc["min_value"] == 10
+        assert doc["binding"] == {"term": "delta", "index": 0}
+
+    def test_non_integer_data_verifies(self, capsys, tmp_path):
+        # the half-step grid's minimum here is 0.2, not the true 0.05
+        prob = write(tmp_path, {"kind": "two_sided", "p": [0.1, 0.3], "q": [0, 0.2]})
+        code, out = run(capsys, "verify", prob)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agrees_with_solver"] is True
+        assert doc["mu"] == doc["min_value"] == 0.05
 
     def test_custom_step_and_samples(self, capsys):
         code, out = run(capsys, "verify", LOCATION, "--step", "1", "--samples", "10")
@@ -332,18 +344,35 @@ class TestStructure:
         assert {k: float(v) for k, v in got.items()} == want
 
     def test_solve_does_not_import_numpy(self):
-        src = str(Path(tropopt.__file__).resolve().parent.parent)
-        code = (
+        _run_fresh(
             "import sys, tropopt.cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
             f"assert tropopt.cli.main(['solve', {LOCATION!r}]) == 0\n"
             "assert 'numpy' not in sys.modules, 'solve'\n"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+
+    def test_verify_does_not_import_numpy(self):
+        _run_fresh(
+            "import sys, tropopt.cli\n"
+            "from tropopt import OracleReport, VerificationFailedError\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert tropopt.cli.main(['verify', {LOCATION!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'verify'\n"
+            "from tropopt import oracle\n"
+            "assert oracle.OracleReport is OracleReport\n"
+            "assert oracle.VerificationFailedError is VerificationFailedError\n"
         )
-        assert proc.returncode == 0, proc.stderr
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout;
+    its assertions fail the test."""
+    src = str(Path(tropopt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestErrors:
