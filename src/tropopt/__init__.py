@@ -31,13 +31,10 @@ from .linalg import (
 )
 from .semifield import (
     MAX_PLUS,
-    MIN_PLUS,
     NEG_INF,
     InvalidScalarError,
     MaxPlus,
-    MinPlus,
     ScalarOverflowError,
-    Semifield,
     TropicalError,
     UndefinedPowerError,
     ZeroInverseError,
@@ -51,6 +48,7 @@ from .solvers import (
     TwoSidedProblem,
     best_underestimator,
     matrix_lower_terms,
+    objective_best_under,
     objective_matrix,
     objective_two_sided,
     solve_matrix_lower,
@@ -86,52 +84,41 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproximationProblem",
-    "BestUnderObjective",
     "BestUnderProblem",
-    "GRID_POINT_CAP",
-    "GridSpec",
-    "GridTooLargeError",
     "InfeasibleBoundsError",
     "IntervalSolution",
     "InvalidScalarError",
     "LocationProblem",
     "MAX_PLUS",
-    "MIN_PLUS",
-    "MatrixLowerObjective",
     "MatrixLowerProblem",
     "MaxPlus",
-    "MinPlus",
     "NEG_INF",
     "NotColumnRegularError",
     "NotRegularError",
     "OracleReport",
     "PointSolution",
     "ScalarOverflowError",
-    "Semifield",
     "ShapeMismatchError",
     "TropMatrix",
     "TropVector",
     "TropicalError",
-    "TwoSidedObjective",
     "TwoSidedProblem",
     "UndefinedPowerError",
     "VerificationFailedError",
     "ZeroInverseError",
     "ZeroVectorError",
     "approximate",
-    "best_under_box",
     "best_underestimator",
     "certify",
     "conjugate",
     "distance",
-    "grid_min",
     "locate",
     "mat_add",
     "mat_leq",
     "mat_mul",
-    "matrix_lower_box",
     "matrix_lower_terms",
     "max_solution_leq",
+    "objective_best_under",
     "objective_matrix",
     "objective_two_sided",
     "reduced_matrix_lower",
@@ -139,9 +126,7 @@ __all__ = [
     "scalar_mul",
     "solve_matrix_lower",
     "solve_two_sided",
-    "two_sided_box",
     "two_sided_terms",
     "vec_leq",
-    "verify_interval",
-    "verify_point",
+    *_ORACLE_NAMES,
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, conjugate, mat_add
+from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector
 from .solvers import (
     IntervalSolution,
     MatrixLowerProblem,
@@ -59,9 +59,10 @@ class ApproximationProblem:
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     """Two-sided instance whose objective equals the larger of the two
-    Chebyshev distances at every regular point."""
-    p = mat_add(prob.r, prob.s)
-    q = conjugate(mat_add(conjugate(prob.r), conjugate(prob.s)))
+    Chebyshev distances at every regular point: ``p = r + s`` is the
+    entrywise max and ``q = (r~ + s~)~`` the entrywise min."""
+    r, s = prob.r.elements, prob.s.elements
+    p, q = TropVector(tuple(map(max, r, s))), TropVector(tuple(map(min, r, s)))
     return TwoSidedProblem(p=p, q=q, g=prob.g, h=prob.h)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .linalg import TropVector
-from .semifield import MAX_PLUS, NEG_INF, POS_INF, TropicalError
+from .semifield import NEG_INF, POS_INF, TropicalError
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -201,8 +201,6 @@ def certify(prob, sol) -> OracleReport:
     returned point that attains it (an interval's lower endpoint), and
     ``points_evaluated`` the number of objective evaluations.
     """
-    if prob.p.sf is not MAX_PLUS:
-        raise TropicalError("the certificate supports the max-plus instance only")
     if isinstance(prob, TwoSidedProblem):
         return _interval(prob, sol)
     if isinstance(prob, MatrixLowerProblem):

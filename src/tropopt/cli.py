@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .applications import ApproximationProblem, LocationProblem, approximate, locate
 from .certificate import certify
-from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
+from .linalg import TropMatrix, TropVector, mat_mul, vec_leq
 from .semifield import NEG_INF, ScalarOverflowError, TropicalError
 from .solvers import (
     BestUnderProblem,
@@ -34,6 +34,7 @@ from .solvers import (
     MatrixLowerProblem,
     TwoSidedProblem,
     best_underestimator,
+    objective_best_under,
     objective_matrix,
     objective_two_sided,
     solve_matrix_lower,
@@ -212,8 +213,7 @@ def objective_at(lp: LoadedProblem, x: TropVector) -> float:
         return objective_two_sided(prob, x)
     if isinstance(prob, MatrixLowerProblem):
         return objective_matrix(prob, x)
-    ax = mat_mul(prob.A, x)
-    return mat_mul(conjugate(ax), prob.p)
+    return objective_best_under(prob, x)
 
 
 def is_feasible(lp: LoadedProblem, x: TropVector) -> bool:
@@ -284,7 +284,7 @@ def _solve(lp: LoadedProblem, args: argparse.Namespace) -> dict:
 def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
     try:
         point_doc = json.loads(args.point, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
     value = _scalar_out(objective_at(lp, x))

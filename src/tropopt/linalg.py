@@ -6,20 +6,20 @@ into a row, and products such as a conjugated vector times a matrix mix
 the two, so silent transposition would hide modeling mistakes.
 
 Every operation is a pass of C-implemented builtins over whole rows and
-columns: a product entry is ``sf.reduce(map(add, row, col))``, with no
-semifield method call per scalar.  ``reduce`` keeps the first of equal
-values, as the scalar ``add`` does, so results are bit for bit those of
-the scalar definitions.
+columns: a product entry is ``max(map(add, row, col))``, with no method
+call per scalar.  ``max`` keeps the first of equal values, as the scalar
+``MaxPlus.add`` does, so results are bit for bit those of the scalar
+definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, eq, sub
+from operator import add, le, sub
 from typing import Iterator, Union
 
-from .semifield import MAX_PLUS, Semifield, TropicalError
+from .semifield import MAX_PLUS, NEG_INF, ScalarOverflowError, TropicalError, check_all
 
 
 class ShapeMismatchError(TropicalError):
@@ -49,23 +49,22 @@ class ZeroVectorError(TropicalError):
 
 @dataclass(frozen=True)
 class TropVector:
-    """Dense vector of semifield scalars with a column/row orientation."""
+    """Dense vector of max-plus scalars with a column/row orientation."""
 
     elements: tuple[float, ...]
     orientation: str = "col"
-    sf: Semifield = MAX_PLUS
 
     def __post_init__(self) -> None:
         if self.orientation not in ("col", "row"):
             raise ShapeMismatchError(f"unknown orientation {self.orientation!r}")
-        elems = self.sf.check_all(self.elements)
+        elems = check_all(self.elements)
         if not elems:
             raise ShapeMismatchError("vectors must be nonempty")
         object.__setattr__(self, "elements", elems)
 
     @classmethod
-    def zeros(cls, n: int, orientation: str = "col", sf: Semifield = MAX_PLUS) -> "TropVector":
-        return cls((sf.zero,) * n, orientation, sf)
+    def zeros(cls, n: int, orientation: str = "col") -> "TropVector":
+        return cls((NEG_INF,) * n, orientation)
 
     @property
     def dim(self) -> int:
@@ -74,11 +73,11 @@ class TropVector:
     @property
     def is_regular(self) -> bool:
         """True when no element is the zero element."""
-        return self.sf.zero not in self.elements
+        return NEG_INF not in self.elements
 
     @property
     def is_zero(self) -> bool:
-        return self.elements.count(self.sf.zero) == len(self.elements)
+        return self.elements.count(NEG_INF) == len(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -92,13 +91,12 @@ class TropVector:
 
 @dataclass(frozen=True)
 class TropMatrix:
-    """Dense row-major matrix of semifield scalars."""
+    """Dense row-major matrix of max-plus scalars."""
 
     entries: tuple[tuple[float, ...], ...]
-    sf: Semifield = MAX_PLUS
 
     def __post_init__(self) -> None:
-        rows = tuple(map(self.sf.check_all, self.entries))
+        rows = tuple(map(check_all, self.entries))
         if not rows or not rows[0]:
             raise ShapeMismatchError("matrices must be nonempty")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -106,15 +104,12 @@ class TropMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def identity(cls, n: int, sf: Semifield = MAX_PLUS) -> "TropMatrix":
-        return cls(
-            tuple(tuple(sf.one if i == j else sf.zero for j in range(n)) for i in range(n)),
-            sf,
-        )
+    def identity(cls, n: int) -> "TropMatrix":
+        return cls(tuple(tuple(0.0 if i == j else NEG_INF for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, m: int, n: int, sf: Semifield = MAX_PLUS) -> "TropMatrix":
-        return cls(((sf.zero,) * n,) * m, sf)
+    def zeros(cls, m: int, n: int) -> "TropMatrix":
+        return cls(((NEG_INF,) * n,) * m)
 
     @property
     def rows(self) -> int:
@@ -124,19 +119,13 @@ class TropMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> TropVector:
-        return TropVector(self.entries[i], "row", self.sf)
-
-    def col(self, j: int) -> TropVector:
-        return TropVector(tuple(r[j] for r in self.entries), "col", self.sf)
-
     @property
     def is_row_regular(self) -> bool:
-        return (self.sf.zero,) * self.cols not in self.entries
+        return (NEG_INF,) * self.cols not in self.entries
 
     @property
     def is_column_regular(self) -> bool:
-        return (self.sf.zero,) * self.rows not in zip(*self.entries)
+        return (NEG_INF,) * self.rows not in zip(*self.entries)
 
     @property
     def is_regular(self) -> bool:
@@ -146,27 +135,18 @@ class TropMatrix:
 MatLike = Union[TropVector, TropMatrix]
 
 
-def _require_same_sf(a: MatLike, b: MatLike) -> Semifield:
-    if a.sf is not b.sf:
-        raise TropicalError("operands belong to different semifields")
-    return a.sf
-
-
 def mat_add(a: MatLike, b: MatLike) -> MatLike:
     """Entrywise tropical sum of two vectors or two matrices."""
-    sf = _require_same_sf(a, b)
     if isinstance(a, TropVector) and isinstance(b, TropVector):
         if a.orientation != b.orientation or a.dim != b.dim:
             raise ShapeMismatchError("vector sum needs equal length and orientation")
-        return TropVector(tuple(map(sf.reduce, a.elements, b.elements)), a.orientation, sf)
+        return TropVector(tuple(map(max, a.elements, b.elements)), a.orientation)
     if isinstance(a, TropMatrix) and isinstance(b, TropMatrix):
         if (a.rows, a.cols) != (b.rows, b.cols):
             raise ShapeMismatchError(
                 f"matrix sum needs equal shapes, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
             )
-        return TropMatrix(
-            tuple(tuple(map(sf.reduce, ra, rb)) for ra, rb in zip(a.entries, b.entries)), sf
-        )
+        return TropMatrix(tuple(tuple(map(max, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
     raise ShapeMismatchError("cannot add a vector to a matrix")
 
 
@@ -176,7 +156,6 @@ def mat_mul(a: MatLike, b: MatLike):
     Allowed combinations: row x col (scalar), col x row (matrix), row x
     matrix (row), matrix x col (col), matrix x matrix (matrix).
     """
-    sf = _require_same_sf(a, b)
     if isinstance(a, TropVector) and isinstance(b, TropVector) and a.orientation == b.orientation:
         raise ShapeMismatchError(f"cannot multiply two {a.orientation} vectors")
     if isinstance(a, TropVector) and isinstance(b, TropMatrix) and a.orientation != "row":
@@ -198,27 +177,25 @@ def mat_mul(a: MatLike, b: MatLike):
     m, k, k2, n = len(rows), len(rows[0]), len(cols[0]), len(cols)
     if k != k2:
         raise ShapeMismatchError(f"cannot multiply {m}x{k} by {k2}x{n}")
-    reduce = sf.reduce
-    out = tuple(tuple([reduce(map(add, row, col)) for col in cols]) for row in rows)
+    out = tuple(tuple([max(map(add, row, col)) for col in cols]) for row in rows)
 
     if isinstance(a, TropVector) and isinstance(b, TropVector):
         if a.orientation == "row":
             return out[0][0]
-        return TropMatrix(out, sf)
+        return TropMatrix(out)
     if isinstance(a, TropVector):
-        return TropVector(out[0], "row", sf)
+        return TropVector(out[0], "row")
     if isinstance(b, TropVector):
-        return TropVector(tuple(r[0] for r in out), "col", sf)
-    return TropMatrix(out, sf)
+        return TropVector(tuple(r[0] for r in out), "col")
+    return TropMatrix(out)
 
 
 def scalar_mul(c: float, a: MatLike) -> MatLike:
     """Entrywise tropical scaling by the scalar ``c``."""
-    sf = a.sf
-    c = sf.check(c)
+    c = MAX_PLUS.check(c)
     if isinstance(a, TropVector):
-        return TropVector(tuple(map(add, repeat(c), a.elements)), a.orientation, sf)
-    return TropMatrix(tuple(tuple(map(add, repeat(c), row)) for row in a.entries), sf)
+        return TropVector(tuple(map(add, repeat(c), a.elements)), a.orientation)
+    return TropMatrix(tuple(tuple(map(add, repeat(c), row)) for row in a.entries))
 
 
 def conjugate(x: TropVector) -> TropVector:
@@ -227,13 +204,12 @@ def conjugate(x: TropVector) -> TropVector:
     all-zero vector."""
     if x.is_zero:
         raise ZeroVectorError("the zero vector has no conjugate")
-    sf = x.sf
     flipped = "row" if x.orientation == "col" else "col"
     # 0.0 - v is -v + 0.0 bit for bit: the inverse, with -0.0 taken to 0.0
     out = tuple(map(sub, repeat(0.0), x.elements))
-    if sf.zero in x.elements:
-        out = tuple(sf.zero if v == sf.zero else w for v, w in zip(x.elements, out))
-    return TropVector(out, flipped, sf)
+    if NEG_INF in x.elements:
+        out = tuple(NEG_INF if v == NEG_INF else w for v, w in zip(x.elements, out))
+    return TropVector(out, flipped)
 
 
 def distance(x: TropVector, y: TropVector) -> float:
@@ -241,14 +217,13 @@ def distance(x: TropVector, y: TropVector) -> float:
 
     In max-plus this is the Chebyshev distance max_i |y_i - x_i|.
     """
-    sf = _require_same_sf(x, y)
     if x.orientation != "col" or y.orientation != "col":
         raise ShapeMismatchError("distance is defined on column vectors")
     if x.dim != y.dim:
         raise ShapeMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if not (x.is_regular and y.is_regular):
         raise NotRegularError("distance requires regular vectors")
-    return sf.add(mat_mul(conjugate(y), x), mat_mul(conjugate(x), y))
+    return max(mat_mul(conjugate(y), x), mat_mul(conjugate(x), y))
 
 
 def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
@@ -257,7 +232,6 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
     Every regular solution of the inequality is dominated componentwise by
     the returned vector.
     """
-    _require_same_sf(A, p)
     if p.orientation != "col":
         raise ShapeMismatchError("bound must be a column vector")
     if A.rows != p.dim:
@@ -266,25 +240,23 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
         raise NotRegularError("bound vector must be regular")
     if not A.is_column_regular:
         raise NotColumnRegularError("matrix must be column-regular")
-    return conjugate(mat_mul(conjugate(p), A))
-
-
-def _leq(sf: Semifield, xs: tuple[float, ...], ys: tuple[float, ...]) -> bool:
-    """The natural order entrywise: ``x <= y`` iff ``x + y = y``."""
-    return all(map(eq, map(sf.reduce, xs, ys), ys))
+    # x_l = min_k(p_k - a_kl), the conjugate of p~A, which is -inf only
+    # when p~A overflowed to +inf
+    x = [min(map(sub, p.elements, col)) for col in zip(*A.entries)]
+    if NEG_INF in x:
+        raise ScalarOverflowError("value exceeds the float range")
+    return TropVector(tuple(x))
 
 
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     """Componentwise order between vectors of equal shape."""
-    sf = _require_same_sf(x, y)
     if x.orientation != y.orientation or x.dim != y.dim:
         raise ShapeMismatchError("comparison needs equal length and orientation")
-    return _leq(sf, x.elements, y.elements)
+    return all(map(le, x.elements, y.elements))
 
 
 def mat_leq(a: TropMatrix, b: TropMatrix) -> bool:
     """Componentwise order between matrices of equal shape."""
-    sf = _require_same_sf(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeMismatchError("comparison needs equal shapes")
-    return all(_leq(sf, ra, rb) for ra, rb in zip(a.entries, b.entries))
+    return all(all(map(le, ra, rb)) for ra, rb in zip(a.entries, b.entries))

@@ -5,14 +5,13 @@ an objective on a lattice and comparing minima.  On integer problem data
 every objective in this package is a pointwise maximum of terms of the
 form ``x_i + c`` and ``-x_i + c``, so its minimum over a box is attained
 on the half-step lattice and the step-1/2 grid check is exact rather than
-approximate.
+approximate; on half-integer data the step-1/4 grid is.
 
 ``tropopt verify`` proves answers with the exact certificate instead
 (``certificate.py``); this oracle is the independent reference that the
 tests compare it with.
 
-The oracle operates on the max-plus instance only; its internals lean on
-numeric min/max rather than semifield calls so grids can be evaluated in
+Its internals lean on numpy min/max so grids can be evaluated in
 vectorized chunks.
 """
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .certificate import _TOL, OracleReport, VerificationFailedError
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
-from .semifield import MAX_PLUS, TropicalError
+from .semifield import NEG_INF, TropicalError
 from .solvers import (
     IntervalSolution,
     MatrixLowerProblem,
@@ -106,7 +105,7 @@ def grid_min(objective: Callable[[TropVector], float], spec: GridSpec) -> Oracle
             vals = np.asarray(batch(pts), dtype=float)
         else:
             vals = np.array(
-                [objective(TropVector(tuple(row), sf=spec.lower.sf)) for row in pts],
+                [objective(TropVector(tuple(row))) for row in pts],
                 dtype=float,
             )
         k = int(np.argmin(vals))
@@ -116,21 +115,15 @@ def grid_min(objective: Callable[[TropVector], float], spec: GridSpec) -> Oracle
     assert best_pt is not None
     return OracleReport(
         min_value=best_val,
-        argmin=TropVector(best_pt, sf=spec.lower.sf),
+        argmin=TropVector(best_pt),
         points_evaluated=total,
     )
-
-
-def _require_max_plus(sf) -> None:
-    if sf is not MAX_PLUS:
-        raise TropicalError("the brute-force oracle supports the max-plus instance only")
 
 
 class TwoSidedObjective:
     """``q~ x + x~ p`` with a vectorized batch path for grids."""
 
     def __init__(self, prob: TwoSidedProblem):
-        _require_max_plus(prob.p.sf)
         self.prob = prob
         self._p = np.asarray(prob.p.elements, dtype=float)
         self._q = np.asarray(prob.q.elements, dtype=float)
@@ -146,7 +139,6 @@ class MatrixLowerObjective:
     """``q~ A x + (A x)~ p`` with a vectorized batch path for grids."""
 
     def __init__(self, prob: MatrixLowerProblem):
-        _require_max_plus(prob.p.sf)
         self.prob = prob
         self._A = np.asarray(prob.A.entries, dtype=float)
         self._p = np.asarray(prob.p.elements, dtype=float)
@@ -165,7 +157,6 @@ class BestUnderObjective:
     evaluate to +inf so an unconstrained grid scan respects the constraint."""
 
     def __init__(self, A: TropMatrix, p: TropVector):
-        _require_max_plus(A.sf)
         self.A = A
         self.p = p
         self._A = np.asarray(A.entries, dtype=float)
@@ -195,7 +186,6 @@ def _envelope(
     g: TropVector | None,
     h: TropVector | None,
     pads: Sequence[TropVector],
-    sf,
 ) -> tuple[TropVector, TropVector]:
     """Data-scaled box certain to contain a minimizer.
 
@@ -207,7 +197,7 @@ def _envelope(
     reach = 2.0 * (dmax - dmin)
     lo, hi = [], []
     for i in range(n):
-        if g is not None and not sf.is_zero(g[i]):
+        if g is not None and g[i] != NEG_INF:
             lo_i = g[i]
         else:
             lo_i = dmin - reach
@@ -221,18 +211,27 @@ def _envelope(
                 hi_i = max(hi_i, pad[i])
         lo.append(lo_i)
         hi.append(hi_i)
-    return TropVector(tuple(lo), sf=sf), TropVector(tuple(hi), sf=sf)
+    return TropVector(tuple(lo)), TropVector(tuple(hi))
+
+
+def _two_sided_data(prob: TwoSidedProblem) -> list[float]:
+    return _finite(v for vec in (prob.p, prob.q, prob.g, prob.h) if vec is not None for v in vec)
+
+
+def _lattice_step(data: list[float]) -> float:
+    """A grid step that is exact for ``data``.  On the lattice 1/d every
+    optimum and endpoint is a sum or a halving of data values, so it lies
+    on 1/(2d): 0.5 for integer data, 0.25 for half-integer data."""
+    for d in (1, 2):
+        if all((v * d).is_integer() for v in data):
+            return 0.5 / d
+    raise TropicalError("data off the half-integer lattice need an explicit grid step")
 
 
 def two_sided_box(
     prob: TwoSidedProblem, pads: Sequence[TropVector] = ()
 ) -> tuple[TropVector, TropVector]:
-    data = _finite(prob.p) + _finite(prob.q)
-    if prob.g is not None:
-        data += _finite(prob.g)
-    if prob.h is not None:
-        data += _finite(prob.h)
-    return _envelope(data, prob.dim, prob.g, prob.h, pads, prob.p.sf)
+    return _envelope(_two_sided_data(prob), prob.dim, prob.g, prob.h, pads)
 
 
 def matrix_lower_box(
@@ -240,14 +239,14 @@ def matrix_lower_box(
 ) -> tuple[TropVector, TropVector]:
     data = _finite(v for row in prob.A.entries for v in row)
     data += _finite(prob.p) + _finite(prob.q) + _finite(prob.g)
-    return _envelope(data, prob.A.cols, prob.g, None, pads, prob.p.sf)
+    return _envelope(data, prob.A.cols, prob.g, None, pads)
 
 
 def best_under_box(
     A: TropMatrix, p: TropVector, pads: Sequence[TropVector] = ()
 ) -> tuple[TropVector, TropVector]:
     data = _finite(v for row in A.entries for v in row) + _finite(p)
-    return _envelope(data, A.cols, None, None, pads, p.sf)
+    return _envelope(data, A.cols, None, None, pads)
 
 
 def _lattice_sample(
@@ -267,7 +266,7 @@ def verify_interval(
     sol: IntervalSolution,
     samples: int = 1000,
     *,
-    step: float = 0.5,
+    step: float | None = None,
     rng: int | np.random.Generator | None = None,
     tol: float = _TOL,
 ) -> OracleReport:
@@ -277,8 +276,11 @@ def verify_interval(
     counterexample: the grid minimum over the feasible box must equal the
     claimed optimum; sampled lattice points inside [lower, upper] must
     attain it; and sampled feasible points outside the interval must
-    exceed it strictly.
+    exceed it strictly.  The default ``step`` is exact on integer and
+    half-integer data; other data need an explicit one.
     """
+    if step is None:
+        step = _lattice_step(_two_sided_data(prob))
     rng = np.random.default_rng(0 if rng is None else rng)
     obj = TwoSidedObjective(prob)
     box_lo, box_hi = two_sided_box(prob, pads=(sol.lower, sol.upper))

@@ -9,16 +9,20 @@ Three problems are solved, all in direct form with no iteration:
 * the best-underestimator problem, maximizing ``A x`` subject to
   ``A x <= p``, solved by residuation.
 
-Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.  The
-solvers use only the semifield's operations, through the vector and
-matrix passes of ``linalg``, so they are valid for any shipped instance,
-although the package tests pin down max-plus.
+Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.  Each
+solver evaluates the paper's formulas as a few passes of ``max``, ``min``
+and float arithmetic over the data's tuples, and builds only the
+containers it returns.  A value computed from valid data can still
+overflow; each pass whose result the formulas would hold in a container
+is tested for that, and raises ``ScalarOverflowError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, sub
 
 from .linalg import (
     NotRegularError,
@@ -26,13 +30,11 @@ from .linalg import (
     TropMatrix,
     TropVector,
     conjugate,
-    mat_add,
     mat_mul,
     max_solution_leq,
-    scalar_mul,
     vec_leq,
 )
-from .semifield import ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -140,12 +142,11 @@ class IntervalSolution:
 
     def __post_init__(self) -> None:
         _require_finite_optimum(self.mu)
-        sf = self.lower.sf
         if not vec_leq(self.lower, self.upper):
             raise TropicalError("solution interval has lower > upper")
         if not self.upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
-        if not sf.leq(self.delta, self.mu):
+        if not self.delta <= self.mu:
             raise TropicalError("optimum cannot be below its intrinsic bound")
 
 
@@ -166,27 +167,36 @@ class PointSolution:
             raise NotRegularError("attaining vector must be regular")
 
 
+def _no_overflow(values):
+    """Return computed ``values`` unless one overflowed to +inf: the test,
+    and the message, of a validated container."""
+    if POS_INF in values:
+        raise ScalarOverflowError("value exceeds the float range")
+    return values
+
+
+def _objective(x, q, p) -> float:
+    """``q~ x + x~ p`` over float sequences: ``max_i max(x_i - q_i, p_i - x_i)``."""
+    value = max(max(map(sub, x, q)), max(map(sub, p, x)))
+    return _no_overflow((value,))[0]
+
+
 def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     """Evaluate ``q~ x + x~ p`` at a regular column vector."""
     _require_regular_column(x, "x", prob.dim)
-    sf = prob.p.sf
-    return sf.add(mat_mul(conjugate(prob.q), x), mat_mul(conjugate(x), prob.p))
+    return _objective(x.elements, prob.q.elements, prob.p.elements)
 
 
-def two_sided_terms(
-    prob: TwoSidedProblem, qc: TropVector | None = None
-) -> dict[str, float | None]:
+def two_sided_terms(prob: TwoSidedProblem) -> dict[str, float | None]:
     """The three lower bounds whose maximum is the optimum: the intrinsic
     bound ``delta = sqrt(q~ p)``, the g-driven bound ``q~ g``, and the
-    h-driven bound ``h~ p``.  Absent bounds yield ``None`` entries.
-    ``qc`` is ``q~``, when the caller has already computed it."""
-    sf = prob.p.sf
-    if qc is None:
-        qc = conjugate(prob.q)
-    delta = sf.sqrt(mat_mul(qc, prob.p))
-    g_term = None if prob.g is None else mat_mul(qc, prob.g)
-    h_term = None if prob.h is None else mat_mul(conjugate(prob.h), prob.p)
-    return {"delta": delta, "g_term": g_term, "h_term": h_term}
+    h-driven bound ``h~ p``.  Absent bounds yield ``None`` entries."""
+    p, q = prob.p.elements, prob.q.elements
+    return {
+        "delta": 0.5 * max(map(sub, p, q)) + 0.0,
+        "g_term": None if prob.g is None else max(map(sub, prob.g.elements, q)),
+        "h_term": None if prob.h is None else max(map(sub, p, prob.h.elements)),
+    }
 
 
 def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
@@ -197,46 +207,44 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``, again with the reduced forms
     ``mu^-1 p`` and ``mu q`` when a bound is absent.
     """
-    sf = prob.p.sf
-    qc = conjugate(prob.q)
-    terms = two_sided_terms(prob, qc)
-    mu = terms["delta"]
-    if terms["g_term"] is not None:
-        mu = sf.add(mu, terms["g_term"])
-    if terms["h_term"] is not None:
-        mu = sf.add(mu, terms["h_term"])
-
-    inv_mu = sf.inv(mu)
-    lower = scalar_mul(inv_mu, prob.p)
+    terms = two_sided_terms(prob)
+    mu = max(t for t in terms.values() if t is not None)
+    lower = map(sub, prob.p.elements, repeat(mu))
     if prob.g is not None:
-        lower = mat_add(lower, prob.g)
+        lower = map(max, lower, prob.g.elements)
+    upper = map(add, prob.q.elements, repeat(mu))
     if prob.h is not None:
-        upper = conjugate(mat_add(scalar_mul(inv_mu, qc), conjugate(prob.h)))
-    else:
-        upper = scalar_mul(mu, prob.q)
-    return IntervalSolution(mu, lower, upper, terms["delta"], terms["g_term"], terms["h_term"])
+        upper = map(min, upper, prob.h.elements)
+    return IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
     """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector."""
     _require_regular_column(x, "x", prob.A.cols)
-    sf = prob.p.sf
-    ax = mat_mul(prob.A, x)
-    return sf.add(mat_mul(conjugate(prob.q), ax), mat_mul(conjugate(ax), prob.p))
+    # an overflow in A x also overflows the objective
+    ax = [max(map(add, row, x.elements)) for row in prob.A.entries]
+    return _objective(ax, prob.q.elements, prob.p.elements)
 
 
-def matrix_lower_terms(
-    prob: MatrixLowerProblem, qa: TropVector | None = None
-) -> dict[str, float]:
+def _q_a(prob: MatrixLowerProblem) -> list[float]:
+    """The row ``q~ A``: column maxima of ``a_kl - q_k`` over one
+    transposition of ``A``."""
+    return _no_overflow([max(map(sub, col, prob.q.elements)) for col in zip(*prob.A.entries)])
+
+
+def matrix_lower_terms(prob: MatrixLowerProblem, qa: list[float] | None = None) -> dict[str, float]:
     """The two lower bounds for the matrix problem: the intrinsic bound
     ``delta = sqrt((A (q~ A)~)~ p)`` and the g-driven bound ``q~ A g``.
     ``qa`` is the row ``q~ A``, when the caller has already computed it."""
-    sf = prob.p.sf
     if qa is None:
-        qa = mat_mul(conjugate(prob.q), prob.A)
-    residual = mat_mul(prob.A, conjugate(qa))
-    delta = sf.sqrt(mat_mul(conjugate(residual), prob.p))
-    return {"delta": delta, "g_term": mat_mul(qa, prob.g)}
+        qa = _q_a(prob)
+    # an entry of q~A that overflowed to -inf, in a column that A's
+    # regularity keeps finite somewhere, makes this +inf as well
+    res = _no_overflow([max(map(sub, row, qa)) for row in prob.A.entries])
+    return {
+        "delta": 0.5 * max(map(sub, prob.p.elements, res)) + 0.0,
+        "g_term": max(map(add, qa, prob.g.elements)),
+    }
 
 
 def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
@@ -245,12 +253,10 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     The optimum is ``mu = delta + q~ A g`` and it is attained at
     ``x = mu (q~ A)~``, which automatically satisfies ``x >= g``.
     """
-    sf = prob.p.sf
-    qa = mat_mul(conjugate(prob.q), prob.A)
+    qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
-    mu = sf.add(terms["delta"], terms["g_term"])
-    x = scalar_mul(mu, conjugate(qa))
-    return PointSolution(mu=mu, x=x, delta=terms["delta"], g_term=terms["g_term"])
+    mu = max(terms["delta"], terms["g_term"])
+    return PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
 
 
 def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:
@@ -261,6 +267,13 @@ def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:
     achieves a smaller defect and none exceeds ``x`` componentwise.
     """
     x = max_solution_leq(A, p)
-    ax = mat_mul(A, x)
-    mu = mat_mul(conjugate(ax), p)
-    return PointSolution(mu=mu, x=x, delta=p.sf.sqrt(mu))
+    ax = _no_overflow([max(map(add, row, x.elements)) for row in A.entries])
+    # a row where A x is the zero element bounds nothing
+    mu = max(pk - axk if axk != NEG_INF else NEG_INF for pk, axk in zip(p.elements, ax))
+    return PointSolution(mu=mu, x=x, delta=0.5 * mu + 0.0)
+
+
+def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
+    """Evaluate the approximation defect ``(A x)~ p`` at a column vector."""
+    value = mat_mul(conjugate(mat_mul(prob.A, x)), prob.p)
+    return _no_overflow((value,))[0]

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from tropopt import (
-    MIN_PLUS,
     BestUnderObjective,
     GridSpec,
     MatrixLowerObjective,
@@ -61,14 +60,23 @@ def _doc(kind, rng):
     return {"kind": kind, **doc}
 
 
-def _solved(kind, count=PER_KIND):
+def _halved(doc):
+    """``doc`` with every number halved: half-integer data."""
+    def half(v):
+        return [half(e) for e in v] if isinstance(v, list) else v if v == "-inf" else v / 2
+
+    return {k: v if k == "kind" else half(v) for k, v in doc.items()}
+
+
+def _solved(kind, count=PER_KIND, half=False):
     """``count`` seeded random problems of ``kind`` that solve, as
-    (core problem, solution) pairs."""
-    rng = random.Random(f"certificate-{kind}")
+    (core problem, solution) pairs; ``half`` halves their data."""
+    rng = random.Random(f"certificate-{kind}{'-half' if half else ''}")
     out = []
     while len(out) < count:
+        doc = _doc(kind, rng)
         try:
-            lp = parse_problem(_doc(kind, rng))
+            lp = parse_problem(_halved(doc) if half else doc)
             sol = solve_loaded(lp)
         except TropicalError:  # infeasible bounds, an irregular A
             continue
@@ -76,7 +84,7 @@ def _solved(kind, count=PER_KIND):
     return out
 
 
-def _grid_minimum(core, sol) -> float:
+def _grid_minimum(core, sol, step) -> float:
     if isinstance(core, TwoSidedProblem):
         box = two_sided_box(core, pads=(sol.lower, sol.upper))
         objective = TwoSidedObjective(core)
@@ -86,7 +94,7 @@ def _grid_minimum(core, sol) -> float:
     else:
         box = best_under_box(core.A, core.p, pads=(sol.x,))
         objective = BestUnderObjective(core.A, core.p)
-    return grid_min(objective, GridSpec(*box, 0.5)).min_value
+    return grid_min(objective, GridSpec(*box, step)).min_value
 
 
 def _refutes(core, sol, point: TropVector) -> bool:
@@ -129,10 +137,12 @@ def _shifted(v: TropVector, i: int, d: float) -> TropVector:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_minimum_equals_grid_oracle(kind):
-    for core, sol in _solved(kind):
-        report = certify(core, sol)
-        assert report.min_value == _grid_minimum(core, sol) == sol.mu
-        assert report.agrees_with_solver and report.max_discrepancy == 0.0
+    # the grid is exact at step 1/2 on integer data, 1/4 on half-integer data
+    for step, half in ((0.5, False), (0.25, True)):
+        for core, sol in _solved(kind, half=half):
+            report = certify(core, sol)
+            assert report.min_value == _grid_minimum(core, sol, step) == sol.mu
+            assert report.agrees_with_solver and report.max_discrepancy == 0.0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -252,8 +262,3 @@ def test_binding_on_fixtures(capsys):
     assert main(["verify", str(FIXTURES / "approximation_example.json")]) == 0
     assert json.loads(capsys.readouterr().out)["binding"] == {"term": "g_term", "index": [1, 0]}
 
-
-def test_min_plus_is_refused():
-    prob = TwoSidedProblem(TropVector((1.0,), sf=MIN_PLUS), TropVector((0.0,), sf=MIN_PLUS))
-    with pytest.raises(TropicalError, match="max-plus"):
-        certify(prob, None)

@@ -52,6 +52,12 @@ KIND_DOCS = {
 }
 
 
+HUGE_TWO_SIDED = {"kind": "two_sided", "p": [0], "q": [-1e308]}
+HUGE_MATRIX = {
+    "kind": "matrix_lower", "A": [[1e308, 0], [0, 1e308]], "p": [-1e308, 0], "q": [0, 1e308], "g": [0, 0],
+}
+
+
 def write(tmp_path, doc, name="p.json"):
     path = tmp_path / name
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -310,20 +316,27 @@ class TestStructure:
         assert calls == {"reduce": 1, "terms": 1}
 
     def test_matrix_lower_computes_q_a_once(self, monkeypatch):
-        calls = []
-        mat_mul = solvers.mat_mul
-        monkeypatch.setattr(solvers, "mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
-        solvers.solve_matrix_lower(parse_problem(KIND_DOCS["matrix_lower"]).problem)
-        # q~ A, A (q~ A)~, the delta reduction and the g term
-        assert len(calls) == 4
+        # q~ A feeds delta, the g term and x: one pass computes it, and
+        # the only container the solve builds is x
+        prob = parse_problem(KIND_DOCS["matrix_lower"]).problem
+        calls, built = [], _record_builds(monkeypatch)
+        q_a = solvers._q_a
+        monkeypatch.setattr(solvers, "_q_a", lambda pr: calls.append(pr) or q_a(pr))
+        sol = solvers.solve_matrix_lower(prob)
+        assert calls == [prob]
+        assert len(built) == 1 and built[0] is sol.x
 
     def test_two_sided_conjugates_q_once(self, monkeypatch):
+        # the passes read q itself, so q~ is never formed; the terms are
+        # computed once and the only containers built are the endpoints
         prob = parse_problem(KIND_DOCS["two_sided_bounded"]).problem
-        args = []
-        conjugate = solvers.conjugate
-        monkeypatch.setattr(solvers, "conjugate", lambda v: args.append(v) or conjugate(v))
-        solvers.solve_two_sided(prob)
-        assert sum(v is prob.q for v in args) == 1
+        calls, built = [], _record_builds(monkeypatch)
+        terms, conjugate = solvers.two_sided_terms, solvers.conjugate
+        monkeypatch.setattr(solvers, "two_sided_terms", lambda pr: calls.append(pr) or terms(pr))
+        monkeypatch.setattr(solvers, "conjugate", lambda v: calls.append(v) or conjugate(v))
+        sol = solvers.solve_two_sided(prob)
+        assert calls == [prob]
+        assert len(built) == 2 and built[0] is sol.lower and built[1] is sol.upper
 
     @pytest.mark.parametrize("key", sorted(KIND_DOCS))
     def test_diagnostics_are_the_core_terms(self, key):
@@ -362,6 +375,14 @@ class TestStructure:
             "assert oracle.OracleReport is OracleReport\n"
             "assert oracle.VerificationFailedError is VerificationFailedError\n"
         )
+
+
+def _record_builds(monkeypatch) -> list:
+    """The list of every ``TropVector`` built from now on."""
+    built = []
+    post_init = TropVector.__post_init__
+    monkeypatch.setattr(TropVector, "__post_init__", lambda v: built.append(v) or post_init(v))
+    return built
 
 
 def _run_fresh(code: str) -> None:
@@ -409,6 +430,28 @@ class TestErrors:
         code, out = run(capsys, command, write(tmp_path, doc))
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "overflow"
+
+    @pytest.mark.parametrize(
+        "doc, command",
+        [
+            # x - q overflows in the objective itself
+            (HUGE_TWO_SIDED, ["eval", "--point", "[1e308]"]),
+            # A x overflows at the solver's own x = [0, 1e308]
+            (HUGE_MATRIX, ["verify"]),
+            (HUGE_MATRIX, ["eval", "--point", "[0, 1e308]"]),
+        ],
+        ids=["eval_two_sided", "verify_matrix", "eval_matrix"],
+    )
+    def test_computed_overflow(self, capsys, tmp_path, doc, command):
+        code, out = run(capsys, command[0], write(tmp_path, doc), *command[1:])
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "overflow"
+
+    def test_point_nested_too_deep(self, capsys):
+        point = "[" * 50_000 + "]" * 50_000
+        code, out = run(capsys, "eval", LOCATION, "--point", point)
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "parse_error"
 
 
 # JSON tokens that take each branch of the scalar parse: plain numbers,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tropopt import (
     MAX_PLUS,
-    MIN_PLUS,
     NEG_INF,
     InvalidScalarError,
     NotColumnRegularError,
@@ -25,6 +24,7 @@ from tropopt import (
     scalar_mul,
     vec_leq,
 )
+from tropopt.semifield import check_all
 
 regular_vec = st.lists(
     st.integers(-40, 40).map(lambda k: k / 2), min_size=1, max_size=6
@@ -115,18 +115,6 @@ class TestMatMul:
     def test_inner_dimension_checked(self):
         with pytest.raises(ShapeMismatchError):
             mat_mul(TropMatrix.identity(2), TropVector((1, 2, 3)))
-
-    def test_min_plus_instance(self):
-        # shortest-path style square: (min, +) product
-        D = TropMatrix(((0, 5), (2, 0)), sf=MIN_PLUS)
-        prod = mat_mul(D, D)
-        assert prod == TropMatrix(((0, 5), (2, 0)), sf=MIN_PLUS)
-
-    def test_mixed_semifields_rejected(self):
-        from tropopt import TropicalError
-
-        with pytest.raises(TropicalError):
-            mat_mul(TropMatrix.identity(2), TropVector((1, 2), sf=MIN_PLUS))
 
 
 class TestScalarMul:
@@ -252,13 +240,14 @@ class TestOrderProperties:
 
 
 # Reference: the per-scalar definitions, one sf.add / sf.mul call per term.
+sf = MAX_PLUS
 def _grid(v):
     if isinstance(v, TropVector):
         return [[e] for e in v] if v.orientation == "col" else [list(v)]
     return [list(row) for row in v.entries]
 
 
-def _naive_mul(sf, a, b):
+def _naive_mul(a, b):
     ga, gb = _grid(a), _grid(b)
     out = []
     for i in range(len(ga)):
@@ -283,51 +272,42 @@ def _flat(grid):
     return [e for row in grid for e in row]
 
 
-semifields = st.sampled_from([MAX_PLUS, MIN_PLUS])
-
-
-def scalars(sf):
-    """Half-integers, both signed zeros and the zero element."""
-    return st.one_of(
-        st.integers(-12, 12).map(lambda k: k / 2), st.sampled_from([0.0, -0.0, sf.zero])
-    )
+# half-integers, both signed zeros and the zero element
+scalars = st.one_of(st.integers(-12, 12).map(lambda k: k / 2), st.sampled_from([0.0, -0.0, NEG_INF]))
 
 
 @st.composite
 def product_operands(draw):
-    """A semifield and two conforming operands of one of the five shapes."""
-    sf = draw(semifields)
+    """Two conforming operands of one of the five shapes."""
     m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
     shape = draw(st.sampled_from(["row x col", "col x row", "row x mat", "mat x col", "mat x mat"]))
 
     def vec(d, orientation):
-        return TropVector(tuple(draw(st.lists(scalars(sf), min_size=d, max_size=d))), orientation, sf)
+        return TropVector(tuple(draw(st.lists(scalars, min_size=d, max_size=d))), orientation)
 
     def mat(r, c):
-        rows = draw(st.lists(st.lists(scalars(sf), min_size=c, max_size=c), min_size=r, max_size=r))
-        return TropMatrix(tuple(map(tuple, rows)), sf)
+        rows = draw(st.lists(st.lists(scalars, min_size=c, max_size=c), min_size=r, max_size=r))
+        return TropMatrix(tuple(map(tuple, rows)))
 
     left, right = shape.split(" x ")
     a = vec(k, "row") if left == "row" else vec(m, "col") if left == "col" else mat(m, k)
     b = vec(k, "col") if right == "col" else vec(n, "row") if right == "row" else mat(k, n)
-    return sf, a, b
+    return a, b
 
 
 @st.composite
 def same_shape_pair(draw):
-    sf = draw(semifields)
     r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    cells = st.lists(st.lists(scalars(sf), min_size=c, max_size=c), min_size=r, max_size=r)
-    a, b = (TropMatrix(tuple(map(tuple, draw(cells))), sf) for _ in range(2))
-    return sf, a, b
+    cells = st.lists(st.lists(scalars, min_size=c, max_size=c), min_size=r, max_size=r)
+    return tuple(TropMatrix(tuple(map(tuple, draw(cells)))) for _ in range(2))
 
 
 class TestKernelsMatchScalarDefinitions:
     @given(product_operands())
     def test_mat_mul(self, operands):
-        sf, a, b = operands
+        a, b = operands
         got = mat_mul(a, b)
-        want = _naive_mul(sf, a, b)
+        want = _naive_mul(a, b)
         if isinstance(got, float):
             assert _same([got], _flat(want))
         else:
@@ -335,10 +315,10 @@ class TestKernelsMatchScalarDefinitions:
 
     @given(same_shape_pair())
     def test_mat_add_and_order(self, pair):
-        sf, a, b = pair
+        a, b = pair
         want = [[sf.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
         assert _same(_flat(_grid(mat_add(a, b))), _flat(want))
-        u, v = TropVector(a.entries[0], sf=sf), TropVector(b.entries[0], sf=sf)
+        u, v = TropVector(a.entries[0]), TropVector(b.entries[0])
         assert _same(list(mat_add(u, v)), want[0])
         assert mat_leq(a, b) == all(
             sf.leq(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
@@ -348,11 +328,11 @@ class TestKernelsMatchScalarDefinitions:
 
     @given(same_shape_pair(), st.data())
     def test_scalar_mul_and_conjugate(self, pair, data):
-        sf, a, _ = pair
-        c = data.draw(scalars(sf))
+        a, _ = pair
+        c = data.draw(scalars)
         want = [[sf.mul(c, v) for v in row] for row in a.entries]
         assert _same(_flat(_grid(scalar_mul(c, a))), _flat(want))
-        x = TropVector(a.entries[0], sf=sf)
+        x = TropVector(a.entries[0])
         assert _same(list(scalar_mul(c, x)), want[0])
         if x.is_zero:
             with pytest.raises(ZeroVectorError):
@@ -372,17 +352,16 @@ def _outcome(fn):
 
 class TestCheckAll:
     @given(
-        semifields,
         st.lists(st.integers(-8, 8).map(float), max_size=8),
         st.lists(
             st.tuples(st.integers(0, 8), st.sampled_from([math.nan, math.inf, -math.inf, "x", None])),
             max_size=3,
         ),
     )
-    def test_same_error_as_per_element_check(self, sf, values, bad):
+    def test_same_error_as_per_element_check(self, values, bad):
         for pos, v in bad:
             values.insert(min(pos, len(values)), v)
-        got = _outcome(lambda: sf.check_all(values))
+        got = _outcome(lambda: check_all(values))
         want = _outcome(lambda: tuple(sf.check(v) for v in values))
         if want[0] == "ok":
             assert got[0] == "ok" and _same(got[1], want[1])

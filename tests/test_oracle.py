@@ -162,6 +162,22 @@ class TestVerifyInterval:
         rep = verify_interval(prob, solve_two_sided(prob))
         assert rep.agrees_with_solver and rep.min_value == 2
 
+    def test_half_integer_data_take_a_quarter_step(self):
+        # the optimum 1.25 is off the half-step grid, whose minimum is 1.5
+        prob = TwoSidedProblem(TropVector((1.5, 0)), TropVector((-1, 0)), h=TropVector((0.5, 1)))
+        sol = solve_two_sided(prob)
+        assert sol.mu == 1.25
+        assert verify_interval(prob, sol).min_value == 1.25
+        with pytest.raises(VerificationFailedError, match="grid minimum 1.5"):
+            verify_interval(prob, sol, step=0.5)
+
+    def test_off_lattice_data_need_an_explicit_step(self):
+        prob = TwoSidedProblem(TropVector((0.1, 0.3)), TropVector((0, 0.2)))
+        sol = solve_two_sided(prob)
+        with pytest.raises(TropicalError, match="explicit grid step"):
+            verify_interval(prob, sol)
+        assert verify_interval(prob, sol, step=0.05).agrees_with_solver
+
 
 class TestVerifyPoint:
     def test_approximation_example_passes(self, approx_data):

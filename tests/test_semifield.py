@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tropopt import (
     MAX_PLUS,
-    MIN_PLUS,
     NEG_INF,
     InvalidScalarError,
     UndefinedPowerError,
@@ -100,14 +99,6 @@ class TestCarrier:
     def test_max_plus_accepts_zero_element(self):
         assert sf.check(NEG_INF) == NEG_INF
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
-    def test_min_plus_rejects(self, bad):
-        with pytest.raises(InvalidScalarError):
-            MIN_PLUS.check(bad)
-
-    def test_min_plus_accepts_zero_element(self):
-        assert MIN_PLUS.check(math.inf) == math.inf
-
 
 @given(lattice_or_zero)
 def test_add_idempotent(a):
@@ -146,9 +137,3 @@ def test_monotone_in_each_argument(a, u, b, v):
 def test_pow_round_trip(a, r):
     assert sf.pow(sf.pow(a, r), 1 / r) == a
 
-
-@given(lattice, lattice)
-def test_min_plus_is_dual_on_finite_scalars(a, b):
-    assert MIN_PLUS.add(a, b) == -sf.add(-a, -b)
-    assert MIN_PLUS.mul(a, b) == sf.mul(a, b)
-    assert MIN_PLUS.leq(a, b) == sf.leq(b, a)

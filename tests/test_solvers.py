@@ -3,6 +3,7 @@ import pytest
 
 from tropopt import (
     NEG_INF,
+    BestUnderProblem,
     InfeasibleBoundsError,
     IntervalSolution,
     MatrixLowerProblem,
@@ -15,6 +16,7 @@ from tropopt import (
     TwoSidedProblem,
     best_underestimator,
     mat_mul,
+    objective_best_under,
     objective_matrix,
     objective_two_sided,
     solve_matrix_lower,
@@ -287,6 +289,7 @@ class TestBestUnderestimator:
             sol = best_underestimator(A, p)
             assert vec_leq(mat_mul(A, sol.x), p)
             assert sol.mu == 2 * sol.delta
+            assert objective_best_under(BestUnderProblem(A, p), sol.x) == sol.mu
 
 
 class TestSolutionInvariants:
