@@ -69,7 +69,9 @@ class OracleReport:
 
 
 def _close(a: float, b: float) -> bool:
-    return a == b or abs(a - b) <= _TOL * max(1.0, abs(a), abs(b))
+    # an infinite value is close only to itself
+    scale = max(1.0, abs(a), abs(b))
+    return a == b or (scale < POS_INF and abs(a - b) <= _TOL * scale)
 
 
 def _leq(a: float, b: float) -> bool:

@@ -10,9 +10,10 @@ the solution with the exact certificate of ``certificate.py``; no
 subcommand imports numpy.
 
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
-or nesting too deep to decode), 2 invalid arguments, an invalid or
-infeasible problem, or a failed verification; 2 prints a JSON error
-whose ``reason`` the error class declares.
+or nesting too deep to decode), 2 an invalid or infeasible problem, a
+failed verification, or a command line that argparse rejects.  Every
+``TropicalError`` exits 2 with a JSON error whose ``reason`` the error
+class declares.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class ProblemFormatError(TropicalError):
     """Input does not match the problem-file schema."""
 
     reason = "parse_error"
-
-
-class InvalidArgumentError(TropicalError):
-    """A command-line option is out of its range."""
-
-    reason = "invalid_argument"
 
 
 class Kind(NamedTuple):
@@ -225,10 +220,11 @@ def is_feasible(lp: LoadedProblem, x: TropVector) -> bool:
     return vec_leq(mat_mul(prob.A, x), prob.p)
 
 
-def verify_loaded(lp: LoadedProblem, sol, *, step: float, samples: int):
+def verify_loaded(lp: LoadedProblem, sol, *, step=None, samples=None):
     """Prove ``sol`` optimal with the exact certificate; returns its
-    ``OracleReport``.  ``step`` and ``samples`` were the grid oracle's
-    settings and have no effect on the exact check."""
+    ``OracleReport``.  ``step`` and ``samples`` are unused: they were the
+    grid oracle's settings, and remain only because the benchmark in
+    ``perfbench/`` still passes them."""
     return certify(_core(lp), sol)
 
 
@@ -292,12 +288,8 @@ def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
 
 
 def _verify(lp: LoadedProblem, args: argparse.Namespace) -> dict:
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise InvalidArgumentError(f"--step must be positive and finite, got {args.step!r}")
-    if args.samples < 1:
-        raise InvalidArgumentError(f"--samples must be at least 1, got {args.samples}")
     sol = solve_loaded(lp)
-    return report_to_dict(lp, sol, verify_loaded(lp, sol, step=args.step, samples=args.samples))
+    return report_to_dict(lp, sol, verify_loaded(lp, sol))
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -310,7 +302,7 @@ def run_command(args: argparse.Namespace) -> int:
             return 1
         result, code = args.run(parse_problem(doc), args), 0
     except TropicalError as exc:
-        result, code = _error_payload(exc), exc.exit_code
+        result, code = _error_payload(exc), 2
     _write_json(args.output, result, args.pretty)
     return code
 
@@ -336,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="solve, then prove the answer optimal")
     vp.add_argument("input", help='problem JSON path, or "-" for stdin')
-    # accepted and range-checked for compatibility; the exact check uses neither
-    vp.add_argument("--step", type=float, default=0.5, help="no effect (default 0.5)")
-    vp.add_argument("--samples", type=int, default=1000, help="no effect (default 1000)")
     vp.add_argument("--pretty", action="store_true", help="indent the JSON output")
     vp.set_defaults(run=_verify, output="-")
     return ap

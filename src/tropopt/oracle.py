@@ -1,18 +1,18 @@
-"""Brute-force verification of solver output on bounded grids.
+"""Brute-force minimization over bounded grids: the tests' independent
+reference for the solvers and the certificate.
 
-The solvers are exact, so verification reduces to exhaustively evaluating
-an objective on a lattice and comparing minima.  On integer problem data
-every objective in this package is a pointwise maximum of terms of the
-form ``x_i + c`` and ``-x_i + c``, so its minimum over a box is attained
-on the half-step lattice and the step-1/2 grid check is exact rather than
-approximate; on half-integer data the step-1/4 grid is.
+``grid_min`` evaluates an objective at every point of a lattice over a
+box.  On integer problem data every objective in this package is a
+pointwise maximum of terms of the form ``x_i + c`` and ``-x_i + c``, so
+its minimum over a box is attained on the half-step lattice and the
+step-1/2 grid minimum is exact rather than approximate; on half-integer
+data the step-1/4 grid is.  The ``*_box`` functions give a box certain
+to contain a minimizer.
 
-``tropopt verify`` proves answers with the exact certificate instead
-(``certificate.py``); this oracle is the independent reference that the
-tests compare it with.
-
-Its internals lean on numpy min/max so grids can be evaluated in
-vectorized chunks.
+Nothing in the package calls this module: ``tropopt verify`` proves
+answers with the exact certificate (``certificate.py``).  Import it as
+``tropopt.oracle``; it needs numpy, which evaluates grids in vectorized
+chunks.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificate import _TOL, OracleReport, VerificationFailedError
+from .certificate import _TOL, OracleReport
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
 from .semifield import NEG_INF, TropicalError
-from .solvers import (
-    IntervalSolution,
-    MatrixLowerProblem,
-    PointSolution,
-    TwoSidedProblem,
-    objective_matrix,
-    objective_two_sided,
-)
+from .solvers import MatrixLowerProblem, TwoSidedProblem, objective_matrix, objective_two_sided
 
 GRID_POINT_CAP = 10_000_000
 _CHUNK = 1 << 18
@@ -43,7 +36,6 @@ class GridTooLargeError(TropicalError):
     """Requested grid exceeds the evaluation cap."""
 
     reason = "grid_too_large"
-    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -214,24 +206,11 @@ def _envelope(
     return TropVector(tuple(lo)), TropVector(tuple(hi))
 
 
-def _two_sided_data(prob: TwoSidedProblem) -> list[float]:
-    return _finite(v for vec in (prob.p, prob.q, prob.g, prob.h) if vec is not None for v in vec)
-
-
-def _lattice_step(data: list[float]) -> float:
-    """A grid step that is exact for ``data``.  On the lattice 1/d every
-    optimum and endpoint is a sum or a halving of data values, so it lies
-    on 1/(2d): 0.5 for integer data, 0.25 for half-integer data."""
-    for d in (1, 2):
-        if all((v * d).is_integer() for v in data):
-            return 0.5 / d
-    raise TropicalError("data off the half-integer lattice need an explicit grid step")
-
-
 def two_sided_box(
     prob: TwoSidedProblem, pads: Sequence[TropVector] = ()
 ) -> tuple[TropVector, TropVector]:
-    return _envelope(_two_sided_data(prob), prob.dim, prob.g, prob.h, pads)
+    data = _finite(v for vec in (prob.p, prob.q, prob.g, prob.h) if vec is not None for v in vec)
+    return _envelope(data, prob.dim, prob.g, prob.h, pads)
 
 
 def matrix_lower_box(
@@ -247,116 +226,3 @@ def best_under_box(
 ) -> tuple[TropVector, TropVector]:
     data = _finite(v for row in A.entries for v in row) + _finite(p)
     return _envelope(data, A.cols, None, None, pads)
-
-
-def _lattice_sample(
-    rng: np.random.Generator,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    step: float,
-    count: int,
-) -> np.ndarray:
-    counts = np.floor((upper - lower) / step + _TOL).astype(int) + 1
-    ks = rng.integers(0, counts, size=(count, len(counts)))
-    return lower + step * ks
-
-
-def verify_interval(
-    prob: TwoSidedProblem,
-    sol: IntervalSolution,
-    samples: int = 1000,
-    *,
-    step: float | None = None,
-    rng: int | np.random.Generator | None = None,
-    tol: float = _TOL,
-) -> OracleReport:
-    """Check an interval solution against the brute-force oracle.
-
-    Three checks, any failure raising ``VerificationFailedError`` with a
-    counterexample: the grid minimum over the feasible box must equal the
-    claimed optimum; sampled lattice points inside [lower, upper] must
-    attain it; and sampled feasible points outside the interval must
-    exceed it strictly.  The default ``step`` is exact on integer and
-    half-integer data; other data need an explicit one.
-    """
-    if step is None:
-        step = _lattice_step(_two_sided_data(prob))
-    rng = np.random.default_rng(0 if rng is None else rng)
-    obj = TwoSidedObjective(prob)
-    box_lo, box_hi = two_sided_box(prob, pads=(sol.lower, sol.upper))
-    grid = grid_min(obj, GridSpec(box_lo, box_hi, step))
-    discrepancy = abs(grid.min_value - sol.mu)
-    if discrepancy > tol:
-        raise VerificationFailedError(
-            f"grid minimum {grid.min_value} disagrees with claimed optimum {sol.mu}",
-            counterexample=grid.argmin,
-        )
-    evaluated = grid.points_evaluated
-
-    lo = np.asarray(sol.lower.elements, dtype=float)
-    hi = np.asarray(sol.upper.elements, dtype=float)
-    inside = _lattice_sample(rng, lo, hi, step, samples)
-    vals = obj.batch(inside)
-    worst = int(np.argmax(np.abs(vals - sol.mu)))
-    if abs(vals[worst] - sol.mu) > tol:
-        raise VerificationFailedError(
-            f"point inside the solution interval has objective {vals[worst]}, "
-            f"expected {sol.mu}",
-            counterexample=TropVector(tuple(map(float, inside[worst]))),
-        )
-    discrepancy = max(discrepancy, float(np.max(np.abs(vals - sol.mu))))
-    evaluated += len(inside)
-
-    blo = np.asarray(box_lo.elements, dtype=float)
-    bhi = np.asarray(box_hi.elements, dtype=float)
-    cand = _lattice_sample(rng, blo, bhi, step, 4 * samples)
-    outside = np.any((cand < lo - tol) | (cand > hi + tol), axis=1)
-    cand = cand[outside][:samples]
-    if len(cand):
-        vals = obj.batch(cand)
-        bad = int(np.argmin(vals))
-        if vals[bad] <= sol.mu + tol:
-            raise VerificationFailedError(
-                f"feasible point outside the interval has objective {vals[bad]}, "
-                f"not above {sol.mu}",
-                counterexample=TropVector(tuple(map(float, cand[bad]))),
-            )
-        evaluated += len(cand)
-
-    return OracleReport(
-        min_value=grid.min_value,
-        argmin=grid.argmin,
-        points_evaluated=evaluated,
-        agrees_with_solver=True,
-        max_discrepancy=discrepancy,
-    )
-
-
-def verify_point(
-    objective: Callable[[TropVector], float],
-    sol: PointSolution,
-    spec: GridSpec,
-    *,
-    tol: float = _TOL,
-) -> OracleReport:
-    """Check a point solution: the grid minimum must equal the claimed
-    optimum and the returned vector must attain it."""
-    grid = grid_min(objective, spec)
-    at_solution = float(objective(sol.x))
-    if abs(grid.min_value - sol.mu) > tol:
-        raise VerificationFailedError(
-            f"grid minimum {grid.min_value} disagrees with claimed optimum {sol.mu}",
-            counterexample=grid.argmin,
-        )
-    if abs(at_solution - sol.mu) > tol:
-        raise VerificationFailedError(
-            f"returned vector attains {at_solution}, not the claimed {sol.mu}",
-            counterexample=sol.x,
-        )
-    return OracleReport(
-        min_value=grid.min_value,
-        argmin=grid.argmin,
-        points_evaluated=grid.points_evaluated + 1,
-        agrees_with_solver=True,
-        max_discrepancy=max(abs(grid.min_value - sol.mu), abs(at_solution - sol.mu)),
-    )

@@ -21,14 +21,10 @@ POS_INF = float("inf")
 
 
 class TropicalError(Exception):
-    """Base class for every error raised by this package.
-
-    ``reason`` is the machine-readable tag and ``exit_code`` the process
-    exit status that the command line reports for the error.
-    """
+    """Base class for every error raised by this package; ``reason`` is
+    the machine-readable tag that the command line reports for it."""
 
     reason = "invalid_problem"
-    exit_code = 2
 
 
 class InvalidScalarError(TropicalError):

@@ -43,6 +43,13 @@ class InfeasibleBoundsError(TropicalError):
     reason = "infeasible_bounds"
 
 
+class PrecisionLossError(TropicalError):
+    """Data spanning more binary digits than a float holds, whose
+    rounding broke an invariant that the closed form guarantees."""
+
+    reason = "precision_loss"
+
+
 def _require_regular_column(v: TropVector, name: str, dim: int | None = None) -> None:
     if v.orientation != "col":
         raise ShapeMismatchError(f"{name} must be a column vector")
@@ -205,7 +212,9 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     The optimum is ``mu = delta + q~ g + h~ p`` (terms for absent bounds
     drop out) and the minimizers are exactly the regular vectors in
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``, again with the reduced forms
-    ``mu^-1 p`` and ``mu q`` when a bound is absent.
+    ``mu^-1 p`` and ``mu q`` when a bound is absent.  The interval is
+    never empty in exact arithmetic; one that rounding empties raises
+    ``PrecisionLossError``.
     """
     terms = two_sided_terms(prob)
     mu = max(t for t in terms.values() if t is not None)
@@ -215,7 +224,12 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     upper = map(add, prob.q.elements, repeat(mu))
     if prob.h is not None:
         upper = map(min, upper, prob.h.elements)
-    return IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
+    lower, upper = TropVector(tuple(lower)), TropVector(tuple(upper))
+    if not vec_leq(lower, upper):
+        raise PrecisionLossError(
+            "data span more digits than a float holds; rounding put lower above upper"
+        )
+    return IntervalSolution(mu, lower, upper, **terms)
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
@@ -251,12 +265,18 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     """Solve the lower-bounded matrix problem in closed form.
 
     The optimum is ``mu = delta + q~ A g`` and it is attained at
-    ``x = mu (q~ A)~``, which automatically satisfies ``x >= g``.
+    ``x = mu (q~ A)~``, which satisfies ``x >= g`` in exact arithmetic;
+    an ``x`` that rounding puts below ``g`` raises ``PrecisionLossError``.
     """
     qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
     mu = max(terms["delta"], terms["g_term"])
-    return PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
+    sol = PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
+    if not vec_leq(prob.g, sol.x):
+        raise PrecisionLossError(
+            "data span more digits than a float holds; rounding put x below g"
+        )
+    return sol
 
 
 def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:

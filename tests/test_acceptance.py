@@ -17,21 +17,17 @@ from tropopt import (
     MAX_PLUS,
     NEG_INF,
     ApproximationProblem,
-    GridSpec,
     LocationProblem,
     MatrixLowerProblem,
     TropMatrix,
     TropVector,
-    TwoSidedObjective,
     TwoSidedProblem,
     approximate,
     conjugate,
     distance,
-    grid_min,
     locate,
     mat_leq,
     mat_mul,
-    matrix_lower_box,
     matrix_lower_terms,
     max_solution_leq,
     objective_matrix,
@@ -41,7 +37,13 @@ from tropopt import (
     vec_leq,
 )
 from tropopt.cli import main
-from tropopt.oracle import MatrixLowerObjective
+from tropopt.oracle import (
+    GridSpec,
+    MatrixLowerObjective,
+    TwoSidedObjective,
+    grid_min,
+    matrix_lower_box,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ORACLE_TOL = 1e-9

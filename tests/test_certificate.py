@@ -9,26 +9,31 @@ from pathlib import Path
 import pytest
 
 from tropopt import (
-    BestUnderObjective,
-    GridSpec,
-    MatrixLowerObjective,
     MatrixLowerProblem,
+    PointSolution,
+    TropMatrix,
     TropicalError,
     TropVector,
-    TwoSidedObjective,
     TwoSidedProblem,
     VerificationFailedError,
-    best_under_box,
     certify,
-    grid_min,
-    matrix_lower_box,
     mat_mul,
     objective_matrix,
     objective_two_sided,
-    two_sided_box,
+    solve_two_sided,
     vec_leq,
 )
 from tropopt.cli import main, parse_problem, solve_loaded
+from tropopt.oracle import (
+    BestUnderObjective,
+    GridSpec,
+    MatrixLowerObjective,
+    TwoSidedObjective,
+    best_under_box,
+    grid_min,
+    matrix_lower_box,
+    two_sided_box,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KINDS = ("two_sided", "matrix_lower", "locate", "approximate", "best_under")
@@ -230,6 +235,44 @@ def test_best_under_moved_or_slack_point_is_rejected():
 def _fixture(name):
     lp = parse_problem(json.loads((FIXTURES / name).read_text()))
     return lp.problem.reduced, solve_loaded(lp)
+
+
+def test_corrupted_location_optimum_is_rejected():
+    core, sol = _fixture("location_example.json")
+    _rejected(core, replace(sol, mu=sol.mu + 1))
+
+
+def test_corrupted_approximation_point_is_rejected():
+    # x + 1 attains the claimed mu + 1 = 2, but the optimum is 1
+    core, sol = _fixture("approximation_example.json")
+    x = TropVector(tuple(e + 1 for e in sol.x))
+    _rejected(core, replace(sol, mu=sol.mu + 1, x=x, delta=sol.delta + 1))
+
+
+def test_single_point_interval():
+    # p = q = g = h: one feasible point, which is the whole minimizer set
+    v = TropVector((5, 5, 5))
+    prob = TwoSidedProblem(v, v, v, v)
+    report = certify(prob, solve_two_sided(prob))
+    assert (report.min_value, report.argmin, report.binding) == (0, v, ("delta", 0))
+
+
+def test_unconstrained_location_interval():
+    lp = parse_problem({"kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2]})
+    sol = solve_loaded(lp)
+    report = certify(lp.problem.reduced, sol)
+    assert (report.min_value, report.argmin) == (2, sol.lower)
+    assert report.agrees_with_solver and report.max_discrepancy == 0.0
+
+
+def test_infinite_bound_is_not_close_to_a_finite_optimum():
+    # delta's term (p[0] - res[0])/2 overflows to +inf, so no finite mu
+    # attains the bound, and the counterexample bound - r overflows too
+    A, p, q, g = ((-1e308,), (0,)), (0, 0), (1e308, -1e308), (0,)
+    prob = MatrixLowerProblem(TropMatrix(A), TropVector(p), TropVector(q), TropVector(g))
+    with pytest.raises(TropicalError) as info:
+        certify(prob, PointSolution(mu=1e308, x=TropVector((0,)), delta=0))
+    assert info.value.reason == "overflow"
 
 
 @pytest.mark.parametrize(

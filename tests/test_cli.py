@@ -254,11 +254,6 @@ class TestVerify:
         assert doc["agrees_with_solver"] is True
         assert doc["mu"] == doc["min_value"] == 0.05
 
-    def test_custom_step_and_samples(self, capsys):
-        code, out = run(capsys, "verify", LOCATION, "--step", "1", "--samples", "10")
-        assert code == 0
-        assert json.loads(out)["agrees_with_solver"] is True
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -367,13 +362,12 @@ class TestStructure:
     def test_verify_does_not_import_numpy(self):
         _run_fresh(
             "import sys, tropopt.cli\n"
-            "from tropopt import OracleReport, VerificationFailedError\n"
+            "from tropopt import *\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
             f"assert tropopt.cli.main(['verify', {LOCATION!r}]) == 0\n"
             "assert 'numpy' not in sys.modules, 'verify'\n"
             "from tropopt import oracle\n"
             "assert oracle.OracleReport is OracleReport\n"
-            "assert oracle.VerificationFailedError is VerificationFailedError\n"
         )
 
 
@@ -410,9 +404,12 @@ class TestErrors:
         ids=lambda o: " ".join(o),
     )
     def test_bad_verify_arguments(self, capsys, option):
-        code, out = run(capsys, "verify", LOCATION, *option)
-        assert code == 2
-        assert json.loads(out)["error"]["reason"] == "invalid_argument"
+        # the grid oracle's --step and --samples are gone from verify,
+        # and argparse rejects them
+        with pytest.raises(SystemExit) as info:
+            main(["verify", LOCATION, *option])
+        assert info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",
@@ -446,6 +443,27 @@ class TestErrors:
         code, out = run(capsys, command[0], write(tmp_path, doc), *command[1:])
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "overflow"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # mu = g_term = 1.5e308 + g[0] rounds to 1.5e308, so
+            # x[0] = mu - 1.5e308 = 0 < g[0]
+            {"kind": "approximate", "A": [[0.0, -1e308], [3.0, -1.5e308], [-2.5, -1.0]],
+             "p": [-1.5e308, 4.0, -1.0], "g": [1.5, "-inf"]},
+            # mu = g_term = g[1] + 1e307 rounds to 1e307, so
+            # lower[1] = g[1] = 1 > upper[1] = q[1] + mu = 0
+            {"kind": "locate", "r": [1.0, -1e307], "s": [-2.0, 0.0], "g": ["-inf", 1.0]},
+        ],
+        ids=["approximate", "locate"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_precision_loss(self, capsys, tmp_path, doc, command):
+        # data spanning more than a float's 53 bits: rounding breaks the
+        # closed form's x >= g, or lower <= upper
+        code, out = run(capsys, command, write(tmp_path, doc))
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "precision_loss"
 
     def test_point_nested_too_deep(self, capsys):
         point = "[" * 50_000 + "]" * 50_000

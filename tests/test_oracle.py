@@ -2,27 +2,24 @@ import numpy as np
 import pytest
 
 from tropopt import (
+    NEG_INF,
+    MatrixLowerProblem,
+    TropMatrix,
+    TropVector,
+    TropicalError,
+    TwoSidedProblem,
+    best_underestimator,
+)
+from tropopt.oracle import (
     BestUnderObjective,
     GridSpec,
     GridTooLargeError,
-    IntervalSolution,
     MatrixLowerObjective,
-    MatrixLowerProblem,
-    PointSolution,
-    TropVector,
-    TropicalError,
     TwoSidedObjective,
-    TwoSidedProblem,
-    VerificationFailedError,
     best_under_box,
     grid_min,
     matrix_lower_box,
-    scalar_mul,
-    solve_matrix_lower,
-    solve_two_sided,
     two_sided_box,
-    verify_interval,
-    verify_point,
 )
 
 
@@ -43,8 +40,6 @@ class TestGridSpec:
             GridSpec(TropVector((0,)), TropVector((1,)), 0.0)
 
     def test_bounds_must_be_finite(self):
-        from tropopt import NEG_INF
-
         with pytest.raises(TropicalError):
             GridSpec(TropVector((NEG_INF,)), TropVector((1,)), 0.5)
 
@@ -134,71 +129,7 @@ class TestBoxes:
         assert all(v >= 100 for v in hi)
 
 
-class TestVerifyInterval:
-    def test_location_example_passes(self, location_data):
-        prob = location_two_sided(location_data)
-        sol = solve_two_sided(prob)
-        rep = verify_interval(prob, sol)
-        assert rep.agrees_with_solver
-        assert rep.min_value == 3
-        assert rep.max_discrepancy == 0.0
-
-    def test_corrupted_optimum_is_caught(self, location_data):
-        prob = location_two_sided(location_data)
-        sol = solve_two_sided(prob)
-        corrupted = IntervalSolution(sol.mu + 1, sol.lower, sol.upper, sol.delta)
-        with pytest.raises(VerificationFailedError):
-            verify_interval(prob, corrupted)
-
-    def test_degenerate_single_point_interval(self):
-        v = TropVector((5, 5, 5))
-        prob = TwoSidedProblem(v, v, v, v)
-        rep = verify_interval(prob, solve_two_sided(prob))
-        assert rep.agrees_with_solver
-        assert rep.points_evaluated >= 1
-
-    def test_unconstrained_interval(self):
-        prob = TwoSidedProblem(TropVector((1, 3, 1)), TropVector((-3, 1, -2)))
-        rep = verify_interval(prob, solve_two_sided(prob))
-        assert rep.agrees_with_solver and rep.min_value == 2
-
-    def test_half_integer_data_take_a_quarter_step(self):
-        # the optimum 1.25 is off the half-step grid, whose minimum is 1.5
-        prob = TwoSidedProblem(TropVector((1.5, 0)), TropVector((-1, 0)), h=TropVector((0.5, 1)))
-        sol = solve_two_sided(prob)
-        assert sol.mu == 1.25
-        assert verify_interval(prob, sol).min_value == 1.25
-        with pytest.raises(VerificationFailedError, match="grid minimum 1.5"):
-            verify_interval(prob, sol, step=0.5)
-
-    def test_off_lattice_data_need_an_explicit_step(self):
-        prob = TwoSidedProblem(TropVector((0.1, 0.3)), TropVector((0, 0.2)))
-        sol = solve_two_sided(prob)
-        with pytest.raises(TropicalError, match="explicit grid step"):
-            verify_interval(prob, sol)
-        assert verify_interval(prob, sol, step=0.05).agrees_with_solver
-
-
-class TestVerifyPoint:
-    def test_approximation_example_passes(self, approx_data):
-        prob = MatrixLowerProblem(
-            approx_data["A"], approx_data["p"], approx_data["p"], approx_data["g"]
-        )
-        sol = solve_matrix_lower(prob)
-        lo, hi = matrix_lower_box(prob, pads=(sol.x,))
-        rep = verify_point(MatrixLowerObjective(prob), sol, GridSpec(lo, hi, 0.5))
-        assert rep.agrees_with_solver and rep.min_value == 1
-
-    def test_corrupted_point_solution_is_caught(self, approx_data):
-        prob = MatrixLowerProblem(
-            approx_data["A"], approx_data["p"], approx_data["p"], approx_data["g"]
-        )
-        sol = solve_matrix_lower(prob)
-        corrupted = PointSolution(sol.mu + 1, scalar_mul(1, sol.x), sol.delta + 1)
-        lo, hi = matrix_lower_box(prob, pads=(corrupted.x,))
-        with pytest.raises(VerificationFailedError):
-            verify_point(MatrixLowerObjective(prob), corrupted, GridSpec(lo, hi, 0.5))
-
+class TestBestUnderObjective:
     def test_best_under_objective_respects_constraint(self, approx_data):
         A, p = approx_data["A"], approx_data["p"]
         obj = BestUnderObjective(A, p)
@@ -210,8 +141,6 @@ class TestVerifyPoint:
         assert rep.min_value == 0
 
     def test_best_under_random_instances_match_feasible_grid(self):
-        from tropopt import TropMatrix, best_underestimator
-
         rng = np.random.default_rng(33)
         for _ in range(15):
             m, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
