@@ -10,9 +10,9 @@ is a pass over the data, so the cost is linear in the problem size, for
 any real data and any dimension.  Failures raise
 ``VerificationFailedError`` with a counterexample vector.
 
-Floats are compared with a relative tolerance ``_TOL``, scaled by the
-magnitude of the values compared; on integer data every value compared
-is exact.
+Floats are compared with the relative tolerance ``_TOL`` of
+``semifield``, scaled by the magnitude of the values compared; on
+integer data every value compared is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .linalg import TropVector
-from .semifield import NEG_INF, POS_INF, TropicalError
+from .semifield import NEG_INF, POS_INF, TropicalError, _close, _leq
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -31,9 +31,6 @@ from .solvers import (
     objective_matrix,
     objective_two_sided,
 )
-
-_TOL = 1e-9
-
 
 class VerificationFailedError(TropicalError):
     """Solver output fails its optimality check."""
@@ -66,16 +63,6 @@ class OracleReport:
     def __post_init__(self) -> None:
         if self.points_evaluated < 1:
             raise TropicalError("an oracle report must cover at least one point")
-
-
-def _close(a: float, b: float) -> bool:
-    # an infinite value is close only to itself
-    scale = max(1.0, abs(a), abs(b))
-    return a == b or (scale < POS_INF and abs(a - b) <= _TOL * scale)
-
-
-def _leq(a: float, b: float) -> bool:
-    return a <= b or _close(a, b)
 
 
 def _fail(message: str, point) -> VerificationFailedError:

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificate import _TOL, OracleReport
+from .certificate import OracleReport
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
-from .semifield import NEG_INF, TropicalError
+from .semifield import _TOL, NEG_INF, TropicalError
 from .solvers import MatrixLowerProblem, TwoSidedProblem, objective_matrix, objective_two_sided
 
 GRID_POINT_CAP = 10_000_000

@@ -19,6 +19,20 @@ import math
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+# relative tolerance of the comparisons that absorb float rounding,
+# scaled by the magnitude of the values compared
+_TOL = 1e-9
+
+
+def _close(a: float, b: float) -> bool:
+    # an infinite value is close only to itself
+    scale = max(1.0, abs(a), abs(b))
+    return a == b or (scale < POS_INF and abs(a - b) <= _TOL * scale)
+
+
+def _leq(a: float, b: float) -> bool:
+    return a <= b or _close(a, b)
+
 
 class TropicalError(Exception):
     """Base class for every error raised by this package; ``reason`` is

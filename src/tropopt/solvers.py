@@ -34,7 +34,7 @@ from .linalg import (
     max_solution_leq,
     vec_leq,
 )
-from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError, _leq
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -44,10 +44,13 @@ class InfeasibleBoundsError(TropicalError):
 
 
 class PrecisionLossError(TropicalError):
-    """Data spanning more binary digits than a float holds, whose
-    rounding broke an invariant that the closed form guarantees."""
+    """Rounding broke an invariant of the closed form by more than the tolerance."""
 
     reason = "precision_loss"
+
+
+class IntervalOrderError(TropicalError):
+    """A solution interval whose lower endpoint exceeds its upper one."""
 
 
 def _require_regular_column(v: TropVector, name: str, dim: int | None = None) -> None:
@@ -150,7 +153,11 @@ class IntervalSolution:
     def __post_init__(self) -> None:
         _require_finite_optimum(self.mu)
         if not vec_leq(self.lower, self.upper):
-            raise TropicalError("solution interval has lower > upper")
+            # an upper endpoint short by no more than the tolerance is raised
+            lower, upper = self.lower.elements, self.upper.elements
+            if not all(map(_leq, lower, upper)):
+                raise IntervalOrderError("solution interval has lower > upper")
+            object.__setattr__(self, "upper", TropVector(tuple(map(max, lower, upper))))
         if not self.upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
         if not self.delta <= self.mu:
@@ -213,8 +220,8 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     drop out) and the minimizers are exactly the regular vectors in
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``, again with the reduced forms
     ``mu^-1 p`` and ``mu q`` when a bound is absent.  The interval is
-    never empty in exact arithmetic; one that rounding empties raises
-    ``PrecisionLossError``.
+    never empty in exact arithmetic; one that rounding empties by more
+    than the tolerance raises ``PrecisionLossError``.
     """
     terms = two_sided_terms(prob)
     mu = max(t for t in terms.values() if t is not None)
@@ -224,12 +231,10 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     upper = map(add, prob.q.elements, repeat(mu))
     if prob.h is not None:
         upper = map(min, upper, prob.h.elements)
-    lower, upper = TropVector(tuple(lower)), TropVector(tuple(upper))
-    if not vec_leq(lower, upper):
-        raise PrecisionLossError(
-            "data span more digits than a float holds; rounding put lower above upper"
-        )
-    return IntervalSolution(mu, lower, upper, **terms)
+    try:
+        return IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
+    except IntervalOrderError:
+        raise PrecisionLossError("rounding put lower above upper by more than the tolerance") from None
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
@@ -266,16 +271,15 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
 
     The optimum is ``mu = delta + q~ A g`` and it is attained at
     ``x = mu (q~ A)~``, which satisfies ``x >= g`` in exact arithmetic;
-    an ``x`` that rounding puts below ``g`` raises ``PrecisionLossError``.
+    an ``x`` that rounding puts below ``g`` by more than the tolerance
+    raises ``PrecisionLossError``.
     """
     qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
     mu = max(terms["delta"], terms["g_term"])
     sol = PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
-    if not vec_leq(prob.g, sol.x):
-        raise PrecisionLossError(
-            "data span more digits than a float holds; rounding put x below g"
-        )
+    if not (vec_leq(prob.g, sol.x) or all(map(_leq, prob.g.elements, sol.x.elements))):
+        raise PrecisionLossError("rounding put x below g by more than the tolerance")
     return sol
 
 

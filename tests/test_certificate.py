@@ -11,6 +11,7 @@ import pytest
 from tropopt import (
     MatrixLowerProblem,
     PointSolution,
+    PrecisionLossError,
     TropMatrix,
     TropicalError,
     TropVector,
@@ -168,6 +169,10 @@ def test_float_data_is_certified(kind):
         try:
             lp = parse_problem(doc)
             sol = solve_loaded(lp)
+        except PrecisionLossError:
+            # these data span a few decimal digits; rounding here never
+            # exceeds the tolerance
+            raise
         except TropicalError:
             continue
         report = certify(getattr(lp.problem, "reduced", lp.problem), sol)

@@ -459,11 +459,34 @@ class TestErrors:
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_precision_loss(self, capsys, tmp_path, doc, command):
-        # data spanning more than a float's 53 bits: rounding breaks the
-        # closed form's x >= g, or lower <= upper
+        # magnitudes so far apart that rounding breaks the closed form's
+        # x >= g, or lower <= upper, by more than the tolerance
         code, out = run(capsys, command, write(tmp_path, doc))
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "precision_loss"
+
+    @pytest.mark.parametrize(
+        "doc, solution",
+        [
+            # mu = g_term = fl(1 + 0.2), so x = mu - 1 = 0.19999999999999996 < g = 0.2
+            ({"kind": "matrix_lower", "A": [[1]], "p": [0], "q": [0], "g": [0.2]},
+             {"x": [0.19999999999999996]}),
+            ({"kind": "approximate", "A": [[1]], "p": [0], "g": [0.2]},
+             {"x": [0.19999999999999996]}),
+            # mu = fl(1.2) / 2: lower = 1 - mu = 0.4 and upper = -0.2 + mu =
+            # 0.39999999999999997, raised to the single point 0.4
+            ({"kind": "two_sided", "p": [1], "q": [-0.2]}, {"lower": [0.4], "upper": [0.4]}),
+        ],
+        ids=["matrix_lower", "approximate", "two_sided"],
+    )
+    def test_rounding_within_tolerance_is_not_precision_loss(self, capsys, tmp_path, doc, solution):
+        path = write(tmp_path, doc)
+        code, out = run(capsys, "solve", path)
+        assert code == 0
+        assert json.loads(out)["solution"] == solution
+        code, out = run(capsys, "verify", path)
+        assert code == 0
+        assert json.loads(out)["agrees_with_solver"] is True
 
     def test_point_nested_too_deep(self, capsys):
         point = "[" * 50_000 + "]" * 50_000

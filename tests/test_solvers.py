@@ -297,6 +297,10 @@ class TestSolutionInvariants:
         with pytest.raises(TropicalError):
             IntervalSolution(1.0, TropVector((2, 2)), TropVector((0, 0)), 0.0)
 
+    def test_interval_short_by_a_rounding_error_is_raised_to_lower(self):
+        sol = IntervalSolution(0.6, TropVector((0.4, 1)), TropVector((0.39999999999999997, 2)), 0.6)
+        assert sol.upper == TropVector((0.4, 2))
+
     def test_interval_mu_at_least_delta(self):
         with pytest.raises(TropicalError):
             IntervalSolution(0.0, TropVector((0, 0)), TropVector((1, 1)), 5.0)
