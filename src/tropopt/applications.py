@@ -60,9 +60,12 @@ class ApproximationProblem:
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     """Two-sided instance whose objective equals the larger of the two
     Chebyshev distances at every regular point: ``p = r + s`` is the
-    entrywise max and ``q = (r~ + s~)~`` the entrywise min."""
+    entrywise max and ``q = (r~ + s~)~`` the entrywise min, each one
+    comparison per element, bit for bit ``max``/``min`` on these non-NaN
+    floats."""
     r, s = prob.r.elements, prob.s.elements
-    p, q = TropVector(tuple(map(max, r, s))), TropVector(tuple(map(min, r, s)))
+    p = TropVector(tuple([x if x >= y else y for x, y in zip(r, s)]))
+    q = TropVector(tuple([x if x <= y else y for x, y in zip(r, s)]))
     return TwoSidedProblem(p=p, q=q, g=prob.g, h=prob.h)
 
 

@@ -18,6 +18,7 @@ integer data every value compared is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, sub
 
 from .linalg import TropVector
@@ -108,8 +109,9 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
         "h_term": list(map(sub, p, h)),
     })
     # {x feasible : obj(x) <= bound} is the box [lo, hi]
-    lo = tuple(map(max, (pi - bound for pi in p), g))
-    hi = tuple(map(min, (qi + bound for qi in q), h))
+    # x if x >= y else y is max(x, y) on these non-NaN floats, and cheaper
+    lo = tuple([x if x >= y else y for x, y in zip(map(sub, p, repeat(bound)), g)])
+    hi = tuple([x if x <= y else y for x, y in zip(map(add, q, repeat(bound)), h)])
 
     lower, upper = sol.lower.elements, sol.upper.elements
     for x in (lower, upper):

@@ -100,18 +100,20 @@ def _scalar_out(v: float):
     return int(v) if float(v).is_integer() else v
 
 
-def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
-    """Convert a list of tokens; a list of plain finite numbers takes one
-    bulk pass, any other list ``_scalar_in`` token by token."""
+def _scalars_in(tokens: list, where: str) -> list | tuple[float, ...]:
+    """Vet a list of tokens for a container, whose ``float`` pass is then
+    their only conversion.  A list of plain numbers is returned as it is
+    when its float sum is finite: an infinite number makes the sum
+    infinite or NaN, and an integer literal too long for a float makes
+    it raise ``OverflowError``.  Any other list goes token by token
+    through ``_scalar_in``, which names the element at fault."""
     if {*map(type, tokens)} <= {int, float}:
         try:
-            values = tuple(map(float, tokens))
-        except OverflowError:  # an integer literal too long for a float
+            if math.isfinite(sum(tokens, 0.0)):
+                return tokens
+        except OverflowError:
             pass
-        else:
-            if math.inf not in values and -math.inf not in values:
-                return values
-    return tuple(_scalar_in(t, where) for t in tokens)
+    return tuple(_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens))
 
 
 def _vector_in(obj, where: str) -> TropVector:
@@ -123,15 +125,24 @@ def _vector_in(obj, where: str) -> TropVector:
 def _matrix_in(obj, where: str) -> TropMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    return TropMatrix(tuple(_scalars_in(row, where) for row in obj))
+    return TropMatrix(tuple(_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)))
+
+
+def _scalars_out(values: tuple[float, ...]) -> list:
+    """``_scalar_out`` of each element.  When every element is integral,
+    which rules out both infinities, one ``map(int, ...)`` pass converts
+    them all."""
+    if all(map(float.is_integer, values)):
+        return list(map(int, values))
+    return [_scalar_out(e) for e in values]
 
 
 def _vector_out(v: TropVector) -> list:
-    return [_scalar_out(e) for e in v]
+    return _scalars_out(v.elements)
 
 
 def _matrix_out(a: TropMatrix) -> list:
-    return [[_scalar_out(e) for e in row] for row in a.entries]
+    return [_scalars_out(row) for row in a.entries]
 
 
 def parse_problem(doc) -> LoadedProblem:

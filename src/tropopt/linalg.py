@@ -9,7 +9,9 @@ Every operation is a pass of C-implemented builtins over whole rows and
 columns: a product entry is ``max(map(add, row, col))``, with no method
 call per scalar.  ``max`` keeps the first of equal values, as the scalar
 ``MaxPlus.add`` does, so results are bit for bit those of the scalar
-definitions.
+definitions.  An entrywise sum is ``x if x >= y else y`` per pair, which
+is ``MaxPlus.add`` itself and, on non-NaN floats, exactly ``max(x, y)``
+without the cost of a builtin call per element.
 """
 
 from __future__ import annotations
@@ -140,13 +142,16 @@ def mat_add(a: MatLike, b: MatLike) -> MatLike:
     if isinstance(a, TropVector) and isinstance(b, TropVector):
         if a.orientation != b.orientation or a.dim != b.dim:
             raise ShapeMismatchError("vector sum needs equal length and orientation")
-        return TropVector(tuple(map(max, a.elements, b.elements)), a.orientation)
+        sums = [x if x >= y else y for x, y in zip(a.elements, b.elements)]
+        return TropVector(tuple(sums), a.orientation)
     if isinstance(a, TropMatrix) and isinstance(b, TropMatrix):
         if (a.rows, a.cols) != (b.rows, b.cols):
             raise ShapeMismatchError(
                 f"matrix sum needs equal shapes, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
             )
-        return TropMatrix(tuple(tuple(map(max, ra, rb)) for ra, rb in zip(a.entries, b.entries)))
+        return TropMatrix(tuple(
+            tuple([x if x >= y else y for x, y in zip(ra, rb)]) for ra, rb in zip(a.entries, b.entries)
+        ))
     raise ShapeMismatchError("cannot add a vector to a matrix")
 
 

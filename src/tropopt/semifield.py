@@ -123,17 +123,21 @@ MAX_PLUS = MaxPlus()
 
 
 def check_all(values) -> tuple[float, ...]:
-    """Validate a whole sequence of scalars in three builtin passes;
-    returns its elements as a tuple of floats.
+    """Validate a whole sequence of scalars in two builtin passes, a
+    ``float`` conversion and a float ``sum``; returns its elements as a
+    tuple of floats.
 
-    On any failure the sequence is checked again element by element, so
-    the first bad element raises exactly what ``MAX_PLUS.check`` raises.
+    A NaN or ``+inf`` element makes the sum NaN or ``+inf``, so a sum
+    below ``+inf`` proves every element a carrier scalar.  Any sequence
+    the two passes reject, valid data whose sum overflows among them, is
+    checked again element by element, so the first bad element raises
+    exactly what ``MAX_PLUS.check`` raises.
     """
     values = tuple(values)  # free for a tuple; lets an iterator be checked twice
     try:
         out = tuple(map(float, values))
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or POS_INF in out or any(map(math.isnan, out)):
+    if out is None or not sum(out) < POS_INF:
         return tuple(map(MAX_PLUS.check, values))
     return out

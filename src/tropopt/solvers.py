@@ -10,11 +10,17 @@ Three problems are solved, all in direct form with no iteration:
   ``A x <= p``, solved by residuation.
 
 Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.  Each
-solver evaluates the paper's formulas as a few passes of ``max``, ``min``
-and float arithmetic over the data's tuples, and builds only the
-containers it returns.  A value computed from valid data can still
-overflow; each pass whose result the formulas would hold in a container
-is tested for that, and raises ``ScalarOverflowError``.
+solver evaluates the paper's formulas as a few passes over the data's
+tuples, and builds only the containers it returns.  A reduction is a
+builtin ``max`` or ``min`` over a ``map`` of float arithmetic.  The
+elementwise max or min of two vectors is the comprehension
+``[x if x >= y else y for x, y in zip(a, b)]`` (``<=`` for min): for
+non-NaN floats it returns exactly what ``max(x, y)`` (``min(x, y)``)
+returns, the first of equal values and so the same signed zero, at about
+a quarter of the cost of calling the builtin once per element.  A value
+computed from valid data can still overflow; each pass whose result the
+formulas would hold in a container is tested for that, and raises
+``ScalarOverflowError``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .linalg import (
     max_solution_leq,
     vec_leq,
 )
-from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError, _leq
+from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError, _close, _leq
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -157,7 +163,8 @@ class IntervalSolution:
             lower, upper = self.lower.elements, self.upper.elements
             if not all(map(_leq, lower, upper)):
                 raise IntervalOrderError("solution interval has lower > upper")
-            object.__setattr__(self, "upper", TropVector(tuple(map(max, lower, upper))))
+            clamped = [x if x >= y else y for x, y in zip(lower, upper)]
+            object.__setattr__(self, "upper", TropVector(tuple(clamped)))
         if not self.upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
         if not self.delta <= self.mu:
@@ -219,22 +226,34 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     The optimum is ``mu = delta + q~ g + h~ p`` (terms for absent bounds
     drop out) and the minimizers are exactly the regular vectors in
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``, again with the reduced forms
-    ``mu^-1 p`` and ``mu q`` when a bound is absent.  The interval is
-    never empty in exact arithmetic; one that rounding empties by more
-    than the tolerance raises ``PrecisionLossError``.
+    ``mu^-1 p`` and ``mu q`` when a bound is absent.  In exact arithmetic
+    the interval is never empty and both endpoints attain ``mu``.  An
+    interval that rounding empties, or an endpoint whose objective it
+    moves off ``mu``, by more than the tolerance raises
+    ``PrecisionLossError``; each is compared exactly first.
     """
     terms = two_sided_terms(prob)
     mu = max(t for t in terms.values() if t is not None)
-    lower = map(sub, prob.p.elements, repeat(mu))
+    p, q = prob.p.elements, prob.q.elements
+    lower = map(sub, p, repeat(mu))
     if prob.g is not None:
-        lower = map(max, lower, prob.g.elements)
-    upper = map(add, prob.q.elements, repeat(mu))
+        lower = [x if x >= y else y for x, y in zip(lower, prob.g.elements)]
+    upper = map(add, q, repeat(mu))
     if prob.h is not None:
-        upper = map(min, upper, prob.h.elements)
+        upper = [x if x <= y else y for x, y in zip(upper, prob.h.elements)]
     try:
-        return IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
+        sol = IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
     except IntervalOrderError:
         raise PrecisionLossError("rounding put lower above upper by more than the tolerance") from None
+    for x in (sol.lower.elements, sol.upper.elements):
+        # the certificate's objective and comparison, exact before tolerant
+        value = max(max(map(sub, x, q)), max(map(sub, p, x)))
+        if not _close(value, mu):
+            raise PrecisionLossError(
+                f"rounding made an endpoint attain {value}, not the optimum {mu}, "
+                "by more than the tolerance"
+            )
+    return sol
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:

@@ -165,6 +165,27 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "two_sided", "p": [1, 0, "x"], "q": [0, 0, 0]},
+             """p[2]: expected a number or "-inf", got 'x'"""),
+            ({"kind": "best_under", "A": [[0, 1], [True, 0]], "p": [1, 1]},
+             """A[1][0]: expected a number or "-inf", got True"""),
+            ('{"kind": "two_sided", "p": [0, 1, -1e400], "q": [0, 0, 0]}',
+             "p[2]: number literal exceeds the float range"),
+            ('{"kind": "best_under", "A": [[0], [1' + "0" * 400 + ']], "p": [1, 1]}',
+             "A[1][0]: number literal exceeds the float range"),
+        ],
+        ids=["vector_token", "matrix_token", "vector_literal", "matrix_literal"],
+    )
+    def test_scalar_error_names_the_element(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out = run(capsys, "solve", str(bad))
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == message
+
     def test_pretty_flag(self, capsys):
         code, out = run(capsys, "solve", LOCATION, "-", "--pretty")
         assert code == 0 and "\n  " in out
@@ -454,13 +475,20 @@ class TestErrors:
             # mu = g_term = g[1] + 1e307 rounds to 1e307, so
             # lower[1] = g[1] = 1 > upper[1] = q[1] + mu = 0
             {"kind": "locate", "r": [1.0, -1e307], "s": [-2.0, 0.0], "g": ["-inf", 1.0]},
+            # mu = -0.5, but lower[3] = -1e308 + 0.5 rounds to -1e308, so
+            # p[3] - lower[3] = 0: the lower endpoint attains 0, not mu
+            {"kind": "two_sided", "p": [0.0, -4.0, -2.5, -1e308], "q": [1.0, -2.0, 0.0, 0.0]},
+            # mu = h_term = -3, but lower[0] = -1e307 + 3 rounds to -1e307,
+            # so the lower endpoint attains 0 where the upper attains mu
+            {"kind": "two_sided", "p": [-1e307, 0.0], "q": [-1.5, 1e308], "h": [1e307, 3.0]},
         ],
-        ids=["approximate", "locate"],
+        ids=["approximate", "locate", "two_sided_attains", "two_sided_bounded_attains"],
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_precision_loss(self, capsys, tmp_path, doc, command):
         # magnitudes so far apart that rounding breaks the closed form's
-        # x >= g, or lower <= upper, by more than the tolerance
+        # x >= g, lower <= upper, or an endpoint's attaining the optimum,
+        # by more than the tolerance
         code, out = run(capsys, command, write(tmp_path, doc))
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "precision_loss"
@@ -523,13 +551,15 @@ class TestBulkParse:
     @given(st.lists(tokens, min_size=1, max_size=8))
     def test_vector_matches_per_token_parse(self, toks):
         got = _outcome(lambda: _vector_in(toks, "p"))
-        want = _outcome(lambda: TropVector(tuple(_scalar_in(t, "p") for t in toks)))
+        want = _outcome(lambda: TropVector(tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks))))
         assert got == want
 
     @given(st.lists(st.lists(tokens, min_size=2, max_size=2), min_size=1, max_size=3))
     def test_matrix_matches_per_token_parse(self, rows):
         got = _outcome(lambda: _matrix_in(rows, "A"))
         want = _outcome(
-            lambda: TropMatrix(tuple(tuple(_scalar_in(t, "A") for t in row) for row in rows))
+            lambda: TropMatrix(tuple(
+                tuple(_scalar_in(t, f"A[{i}][{j}]") for j, t in enumerate(row)) for i, row in enumerate(rows)
+            ))
         )
         assert got == want

@@ -351,8 +351,13 @@ def _outcome(fn):
 
 
 class TestCheckAll:
+    # values near the float range make sums that overflow, on valid data
+    # and around a bad element alike
     @given(
-        st.lists(st.integers(-8, 8).map(float), max_size=8),
+        st.lists(
+            st.one_of(st.integers(-8, 8).map(float), st.sampled_from([1e308, -1e308, NEG_INF])),
+            max_size=8,
+        ),
         st.lists(
             st.tuples(st.integers(0, 8), st.sampled_from([math.nan, math.inf, -math.inf, "x", None])),
             max_size=3,
@@ -367,3 +372,11 @@ class TestCheckAll:
             assert got[0] == "ok" and _same(got[1], want[1])
         else:
             assert got == want
+
+    @pytest.mark.parametrize(
+        "values", [[1e308, 1e308], [NEG_INF, 1e308, 1e308], [-1e308, -1e308, 0.5], [1e308, 10**308]]
+    )
+    def test_valid_data_whose_sum_overflows(self, values):
+        assert not math.isfinite(sum(map(float, values)))
+        got = check_all(values)
+        assert _same(got, [sf.check(v) for v in values]) and type(got) is tuple
