@@ -14,13 +14,15 @@ solver evaluates the paper's formulas as a few passes over the data's
 tuples, and builds only the containers it returns.  A reduction is a
 builtin ``max`` or ``min`` over a ``map`` of float arithmetic.  The
 elementwise max or min of two vectors is the comprehension
-``[x if x >= y else y for x, y in zip(a, b)]`` (``<=`` for min): for
-non-NaN floats it returns exactly what ``max(x, y)`` (``min(x, y)``)
-returns, the first of equal values and so the same signed zero, at about
-a quarter of the cost of calling the builtin once per element.  A value
-computed from valid data can still overflow; each pass whose result the
-formulas would hold in a container is tested for that, and raises
-``ScalarOverflowError``.
+``[x if x >= y else y for x, y in zip(a, b)]`` (``<=`` for min): on
+non-NaN floats it is ``max(x, y)`` (``min(x, y)``) bit for bit, signed
+zeros included, at a quarter of the cost of a builtin call per element.
+A value computed from valid data can still overflow, which raises
+``ScalarOverflowError`` where the formulas would hold it in a container.
+Rounding can also move a returned point off the optimum: the two-sided
+and matrix solvers end by evaluating the objective at their points as
+``verify`` does, and raise ``PrecisionLossError`` unless each attains
+``mu`` within the certificate's tolerance.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class PrecisionLossError(TropicalError):
     """Rounding broke an invariant of the closed form by more than the tolerance."""
 
     reason = "precision_loss"
-
-
-class IntervalOrderError(TropicalError):
-    """A solution interval whose lower endpoint exceeds its upper one."""
 
 
 def _require_regular_column(v: TropVector, name: str, dim: int | None = None) -> None:
@@ -142,11 +140,11 @@ def _require_finite_optimum(mu: float) -> None:
 
 @dataclass(frozen=True)
 class IntervalSolution:
-    """Optimum value plus the complete minimizer box [lower, upper].
+    """Optimum value plus the complete minimizer box [lower, upper], which
+    must hold ``lower <= upper`` exactly: the constructor repairs nothing.
 
-    ``g_term`` and ``h_term`` are the bound-driven terms of the optimum
-    (``None`` for an absent bound); they are diagnostics and take no part
-    in comparisons.
+    ``g_term`` and ``h_term``, the bound-driven terms of the optimum
+    (``None`` for an absent bound), are diagnostics outside comparisons.
     """
 
     mu: float
@@ -159,12 +157,7 @@ class IntervalSolution:
     def __post_init__(self) -> None:
         _require_finite_optimum(self.mu)
         if not vec_leq(self.lower, self.upper):
-            # an upper endpoint short by no more than the tolerance is raised
-            lower, upper = self.lower.elements, self.upper.elements
-            if not all(map(_leq, lower, upper)):
-                raise IntervalOrderError("solution interval has lower > upper")
-            clamped = [x if x >= y else y for x, y in zip(lower, upper)]
-            object.__setattr__(self, "upper", TropVector(tuple(clamped)))
+            raise TropicalError("solution interval has lower > upper")
         if not self.upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
         if not self.delta <= self.mu:
@@ -202,6 +195,16 @@ def _objective(x, q, p) -> float:
     return _no_overflow((value,))[0]
 
 
+def _require_attained(mu: float, what: str, values) -> None:
+    """Raise ``PrecisionLossError`` unless every value is ``_close`` to ``mu``."""
+    for value in values:
+        if not _close(value, mu):
+            raise PrecisionLossError(
+                f"rounding made {what} attain {value}, not the optimum {mu}, "
+                "by more than the tolerance"
+            )
+
+
 def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     """Evaluate ``q~ x + x~ p`` at a regular column vector."""
     _require_regular_column(x, "x", prob.dim)
@@ -227,10 +230,11 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     drop out) and the minimizers are exactly the regular vectors in
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``, again with the reduced forms
     ``mu^-1 p`` and ``mu q`` when a bound is absent.  In exact arithmetic
-    the interval is never empty and both endpoints attain ``mu``.  An
-    interval that rounding empties, or an endpoint whose objective it
-    moves off ``mu``, by more than the tolerance raises
-    ``PrecisionLossError``; each is compared exactly first.
+    the interval is never empty and both endpoints attain ``mu``.  Each
+    is compared exactly first, then with the certificate's tolerance: an
+    upper endpoint below the lower one by no more than the tolerance is
+    raised to it, and a greater shortfall, or an endpoint whose objective
+    rounding moves off ``mu``, raises ``PrecisionLossError``.
     """
     terms = two_sided_terms(prob)
     mu = max(t for t in terms.values() if t is not None)
@@ -241,18 +245,13 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     upper = map(add, q, repeat(mu))
     if prob.h is not None:
         upper = [x if x <= y else y for x, y in zip(upper, prob.h.elements)]
-    try:
-        sol = IntervalSolution(mu, TropVector(tuple(lower)), TropVector(tuple(upper)), **terms)
-    except IntervalOrderError:
-        raise PrecisionLossError("rounding put lower above upper by more than the tolerance") from None
-    for x in (sol.lower.elements, sol.upper.elements):
-        # the certificate's objective and comparison, exact before tolerant
-        value = max(max(map(sub, x, q)), max(map(sub, p, x)))
-        if not _close(value, mu):
-            raise PrecisionLossError(
-                f"rounding made an endpoint attain {value}, not the optimum {mu}, "
-                "by more than the tolerance"
-            )
+    lower, upper = TropVector(tuple(lower)), TropVector(tuple(upper))
+    if not vec_leq(lower, upper):
+        if not all(map(_leq, lower, upper)):
+            raise PrecisionLossError("rounding put lower above upper by more than the tolerance")
+        upper = TropVector(tuple([x if x >= y else y for x, y in zip(lower, upper)]))
+    sol = IntervalSolution(mu, lower, upper, **terms)
+    _require_attained(mu, "an endpoint", (_objective(x.elements, q, p) for x in (lower, upper)))
     return sol
 
 
@@ -289,9 +288,9 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     """Solve the lower-bounded matrix problem in closed form.
 
     The optimum is ``mu = delta + q~ A g`` and it is attained at
-    ``x = mu (q~ A)~``, which satisfies ``x >= g`` in exact arithmetic;
-    an ``x`` that rounding puts below ``g`` by more than the tolerance
-    raises ``PrecisionLossError``.
+    ``x = mu (q~ A)~``, which satisfies ``x >= g`` in exact arithmetic.
+    An ``x`` that rounding puts below ``g``, or off ``mu`` (one more pass
+    over ``A``), by more than the tolerance raises ``PrecisionLossError``.
     """
     qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
@@ -299,6 +298,7 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     sol = PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
     if not (vec_leq(prob.g, sol.x) or all(map(_leq, prob.g.elements, sol.x.elements))):
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
+    _require_attained(mu, "x", (objective_matrix(prob, sol.x),))
     return sol
 
 

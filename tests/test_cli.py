@@ -440,8 +440,14 @@ class TestErrors:
             '{"kind": "two_sided", "p": [1' + "0" * 400 + ', 0], "q": [0, 0]}',
             '{"kind": "two_sided", "p": [1e400, 0], "q": [0, 0]}',
             '{"kind": "two_sided", "p": [1, 0], "q": [0, 0], "g": [-1e400, 0]}',
+            # lower[0] = p[0] - mu overflows to -inf, so the lower
+            # endpoint's objective p[0] - lower[0] leaves the float range
+            {"kind": "two_sided", "p": [-1.5e308, 1.5e308], "q": [1e307, 0.0], "h": [1e308, 1e308]},
         ],
-        ids=["optimum", "optimum_with_h", "literal", "float_literal", "negative_float_literal"],
+        ids=[
+            "optimum", "optimum_with_h", "literal", "float_literal", "negative_float_literal",
+            "endpoint_objective",
+        ],
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_overflow(self, capsys, tmp_path, doc, command):
@@ -455,10 +461,11 @@ class TestErrors:
             # x - q overflows in the objective itself
             (HUGE_TWO_SIDED, ["eval", "--point", "[1e308]"]),
             # A x overflows at the solver's own x = [0, 1e308]
+            (HUGE_MATRIX, ["solve"]),
             (HUGE_MATRIX, ["verify"]),
             (HUGE_MATRIX, ["eval", "--point", "[0, 1e308]"]),
         ],
-        ids=["eval_two_sided", "verify_matrix", "eval_matrix"],
+        ids=["eval_two_sided", "solve_matrix", "verify_matrix", "eval_matrix"],
     )
     def test_computed_overflow(self, capsys, tmp_path, doc, command):
         code, out = run(capsys, command[0], write(tmp_path, doc), *command[1:])
@@ -481,8 +488,11 @@ class TestErrors:
             # mu = h_term = -3, but lower[0] = -1e307 + 3 rounds to -1e307,
             # so the lower endpoint attains 0 where the upper attains mu
             {"kind": "two_sided", "p": [-1e307, 0.0], "q": [-1.5, 1e308], "h": [1e307, 3.0]},
+            # mu = 0, but (q~A)[0] = -1e308 + 0.5 rounds to -1e308, so
+            # x[0] = 1e308 and A x = 0 where p = -0.5: x attains 0.5
+            {"kind": "approximate", "A": [[-1e308, -3.0, 0.0]], "p": [-0.5], "g": [1e308, 2.0, -1e307]},
         ],
-        ids=["approximate", "locate", "two_sided_attains", "two_sided_bounded_attains"],
+        ids=["approximate", "locate", "two_sided_attains", "two_sided_bounded_attains", "approximate_attains"],
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_precision_loss(self, capsys, tmp_path, doc, command):

@@ -4,7 +4,9 @@ Every case runs ``solve``, ``verify`` and ``eval`` on one problem, read
 from stdin, and ``tests/fixtures/golden.jsonl`` holds the exit code and
 the exact standard output of each run: solutions, reports and error
 payloads.  The problems are drawn again here from a seeded generator,
-so a changed output shows up as a mismatch against the fixture.
+so a changed output shows up as a mismatch against the fixture.  A
+second test holds ``solve`` to ``verify``: no problem that ``solve``
+answers may fail ``verify``.
 
 Regenerate the fixture, only when an output changes on purpose, with
 
@@ -141,6 +143,19 @@ def test_outputs_match_golden_file():
         got = outputs(doc, point)
         mismatches += [(doc, point, cmd, got[cmd], want[cmd]) for cmd in got if got[cmd] != want[cmd]]
     assert not mismatches, f"{len(mismatches)} outputs differ, first: {mismatches[0]}"
+
+
+def test_every_solved_problem_verifies():
+    # solve never returns a point that verify rejects: in the fixture's
+    # recorded outputs, and on fresh problems from the same generator
+    runs = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    for kind in KINDS:
+        rng = random.Random(f"attains-{kind}")
+        for _ in range(120):
+            text = json.dumps(_case(kind, rng)[0])
+            runs.append({"doc": text, "solve": _run(["solve", "-"], text), "verify": _run(["verify", "-"], text)})
+    bad = [run["doc"] for run in runs if run["solve"][0] == 0 and run["verify"][0] != 0]
+    assert not bad, f"{len(bad)} solved problems fail verify, first: {bad[0]}"
 
 
 if __name__ == "__main__":

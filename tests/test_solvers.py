@@ -297,9 +297,15 @@ class TestSolutionInvariants:
         with pytest.raises(TropicalError):
             IntervalSolution(1.0, TropVector((2, 2)), TropVector((0, 0)), 0.0)
 
-    def test_interval_short_by_a_rounding_error_is_raised_to_lower(self):
-        sol = IntervalSolution(0.6, TropVector((0.4, 1)), TropVector((0.39999999999999997, 2)), 0.6)
-        assert sol.upper == TropVector((0.4, 2))
+    def test_solver_raises_upper_endpoint_short_by_rounding(self):
+        # mu = (1 - -0.2) / 2 = 0.6, and -0.2 + 0.6 rounds below 1 - 0.6 = 0.4
+        sol = solve_two_sided(TwoSidedProblem(p=TropVector((1,)), q=TropVector((-0.2,))))
+        assert sol.lower == sol.upper == TropVector((0.4,))
+
+    def test_interval_short_by_a_rounding_error_is_rejected(self):
+        # the constructor repairs nothing; the solver raises the endpoint
+        with pytest.raises(TropicalError, match="lower > upper"):
+            IntervalSolution(0.6, TropVector((0.4, 1)), TropVector((0.39999999999999997, 2)), 0.6)
 
     def test_interval_mu_at_least_delta(self):
         with pytest.raises(TropicalError):
