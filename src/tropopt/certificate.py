@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, sub
+from typing import Callable, NamedTuple
 
 from .linalg import TropVector
 from .semifield import NEG_INF, POS_INF, TropicalError, _close, _leq
@@ -29,6 +30,7 @@ from .solvers import (
     MatrixLowerProblem,
     PointSolution,
     TwoSidedProblem,
+    objective_best_under,
     objective_matrix,
     objective_two_sided,
 )
@@ -97,6 +99,30 @@ def _check_bound(bound: float, sol, witness) -> None:
         raise _fail(f"the optimum is {bound}, not the claimed {sol.mu}", witness)
 
 
+# the feasibility tests, which the checks and `eval` share, compare
+# within the tolerance; an absent bound bounds nothing
+def _in_box(prob: TwoSidedProblem, x: TropVector) -> bool:
+    above = prob.g is None or all(map(_leq, prob.g.elements, x.elements))
+    return above and (prob.h is None or all(map(_leq, x.elements, prob.h.elements)))
+
+
+def _above_g(prob: MatrixLowerProblem, x: TropVector) -> bool:
+    return all(map(_leq, prob.g.elements, x.elements))
+
+
+def _limit(prob: BestUnderProblem) -> list[float]:
+    """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)``,
+    skipping each ``a_kl = -inf``, which bounds nothing (and whose term
+    is NaN where ``p_k = -inf``)."""
+    p = prob.p.elements
+    return [min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF)
+            for col in zip(*prob.A.entries)]
+
+
+def _under_p(prob: BestUnderProblem, x: TropVector) -> bool:
+    return all(map(_leq, x.elements, _limit(prob)))
+
+
 def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
     # every feasible x has x_i - q_i >= each of (p_i - q_i)/2, g_i - q_i,
     # and p_i - x_i >= p_i - h_i; an absent bound is -inf or +inf
@@ -113,14 +139,13 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
     lo = tuple([x if x >= y else y for x, y in zip(map(sub, p, repeat(bound)), g)])
     hi = tuple([x if x <= y else y for x, y in zip(map(add, q, repeat(bound)), h)])
 
-    lower, upper = sol.lower.elements, sol.upper.elements
-    for x in (lower, upper):
-        if not (all(map(_leq, g, x)) and all(map(_leq, x, h))):
+    for x in (sol.lower, sol.upper):
+        if not _in_box(prob, x):
             raise _fail("returned interval leaves the feasible box", x)
     gap = _check_attains(prob, sol, objective_two_sided, (sol.lower, sol.upper))
     _check_bound(bound, sol, lo)
     for i in range(len(p)):
-        for claimed, true in ((lower, lo), (upper, hi)):
+        for claimed, true in ((sol.lower.elements, lo), (sol.upper.elements, hi)):
             if not _close(claimed[i], true[i]):
                 # a returned endpoint moved to the true one: a minimizer it misses
                 point = claimed[:i] + (true[i],) + claimed[i + 1:]
@@ -146,7 +171,7 @@ def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
     else:
         index = divmod(index, len(g))
 
-    if not all(map(_leq, g, sol.x.elements)):
+    if not _above_g(prob, sol.x):
         raise _fail("returned vector violates the lower bound", sol.x)
     gap = _check_attains(prob, sol, objective_matrix, (sol.x,))
     # x_l = bound - r_l is feasible and attains the bound
@@ -157,12 +182,10 @@ def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
 
 
 def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
-    # A x <= p holds iff x_l <= limit_l for every column l; the returned x
-    # must equal limit, the greatest feasible x, so every feasible x' has
-    # A x' <= A x and a defect no smaller
+    # the returned x must equal the limit, the greatest feasible x, so
+    # every feasible x' has A x' <= A x and a defect no smaller
     A, p, x = prob.A.entries, prob.p.elements, sol.x.elements
-    limit = [min(map(sub, p, col)) for col in zip(*A)]
-    for l, (xl, top) in enumerate(zip(x, limit)):
+    for l, (xl, top) in enumerate(zip(x, _limit(prob))):
         if not _leq(xl, top):
             raise _fail(f"returned vector violates A x <= p in column {l}", x)
         if not _close(xl, top):
@@ -183,6 +206,21 @@ def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
     )
 
 
+class Rule(NamedTuple):
+    objective: Callable[..., float]
+    feasible: Callable[..., bool]
+    check: Callable[..., OracleReport]
+
+
+# per core problem class, the objective and the feasibility test at a
+# point, which `eval` reads, and the check that `verify` runs
+RULES = {
+    TwoSidedProblem: Rule(objective_two_sided, _in_box, _interval),
+    MatrixLowerProblem: Rule(objective_matrix, _above_g, _matrix_lower),
+    BestUnderProblem: Rule(objective_best_under, _under_p, _best_under),
+}
+
+
 def certify(prob, sol) -> OracleReport:
     """Prove ``sol`` optimal for the two-sided, matrix or
     best-underestimator problem ``prob``, or raise
@@ -192,8 +230,4 @@ def certify(prob, sol) -> OracleReport:
     returned point that attains it (an interval's lower endpoint), and
     ``points_evaluated`` the number of objective evaluations.
     """
-    if isinstance(prob, TwoSidedProblem):
-        return _interval(prob, sol)
-    if isinstance(prob, MatrixLowerProblem):
-        return _matrix_lower(prob, sol)
-    return _best_under(prob, sol)
+    return RULES[type(prob)].check(prob, sol)

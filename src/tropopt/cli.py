@@ -10,10 +10,11 @@ the solution with the exact certificate of ``certificate.py``; no
 subcommand imports numpy.
 
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
-or nesting too deep to decode), 2 an invalid or infeasible problem, a
-failed verification, or a command line that argparse rejects.  Every
-``TropicalError`` exits 2 with a JSON error whose ``reason`` the error
-class declares.
+or nesting too deep to decode) or an output that cannot be written, 2 an
+invalid or infeasible problem, a failed verification, or a command line
+that argparse rejects.  Every ``TropicalError`` exits 2 with a JSON error
+whose ``reason`` the error class declares.  ``eval`` judges a point by
+the certificate's ``RULES``, as ``verify`` does.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
 
 from .applications import ApproximationProblem, LocationProblem, approximate, locate
-from .certificate import certify
-from .linalg import TropMatrix, TropVector, mat_mul, vec_leq
+from .certificate import RULES, certify
+from .linalg import TropMatrix, TropVector
 from .semifield import NEG_INF, ScalarOverflowError, TropicalError
 from .solvers import (
     BestUnderProblem,
@@ -35,9 +36,6 @@ from .solvers import (
     MatrixLowerProblem,
     TwoSidedProblem,
     best_underestimator,
-    objective_best_under,
-    objective_matrix,
-    objective_two_sided,
     solve_matrix_lower,
     solve_two_sided,
 )
@@ -77,7 +75,6 @@ class LoadedProblem:
     kind: str
     problem: object
     name: str | None = None
-    description: str | None = None
 
 
 def _scalar_in(token, where: str) -> float:
@@ -141,10 +138,6 @@ def _vector_out(v: TropVector) -> list:
     return _scalars_out(v.elements)
 
 
-def _matrix_out(a: TropMatrix) -> list:
-    return [_scalars_out(row) for row in a.entries]
-
-
 def parse_problem(doc) -> LoadedProblem:
     """Build a problem from a decoded JSON document, validating the schema."""
     if not isinstance(doc, dict):
@@ -164,26 +157,10 @@ def parse_problem(doc) -> LoadedProblem:
     problem = cls(**{
         k: (_matrix_in if k == "A" else _vector_in)(doc[k], k) for k in keys if k in doc
     })
-    name = doc.get("name")
-    description = doc.get("description")
-    for meta, label in ((name, "name"), (description, "description")):
-        if meta is not None and not isinstance(meta, str):
+    for label in ("name", "description"):
+        if doc.get(label) is not None and not isinstance(doc[label], str):
             raise ProblemFormatError(f"{label} must be a string")
-    return LoadedProblem(kind=kind, problem=problem, name=name, description=description)
-
-
-def problem_to_dict(lp: LoadedProblem) -> dict:
-    """Serialize back to the file schema (round-trips with parse_problem)."""
-    out: dict = {"kind": lp.kind}
-    if lp.name is not None:
-        out["name"] = lp.name
-    if lp.description is not None:
-        out["description"] = lp.description
-    for key in _schema(type(lp.problem))[0]:
-        value = getattr(lp.problem, key)
-        if value is not None:
-            out[key] = (_matrix_out if key == "A" else _vector_out)(value)
-    return out
+    return LoadedProblem(kind=kind, problem=problem, name=doc.get("name"))
 
 
 def solve_loaded(lp: LoadedProblem):
@@ -211,24 +188,6 @@ def solution_to_dict(lp: LoadedProblem, sol) -> dict:
 def _core(lp: LoadedProblem):
     """The two-sided, matrix or best-underestimator problem behind ``lp``."""
     return getattr(lp.problem, "reduced", lp.problem)
-
-
-def objective_at(lp: LoadedProblem, x: TropVector) -> float:
-    prob = _core(lp)
-    if isinstance(prob, TwoSidedProblem):
-        return objective_two_sided(prob, x)
-    if isinstance(prob, MatrixLowerProblem):
-        return objective_matrix(prob, x)
-    return objective_best_under(prob, x)
-
-
-def is_feasible(lp: LoadedProblem, x: TropVector) -> bool:
-    prob = _core(lp)
-    if isinstance(prob, TwoSidedProblem):
-        return (prob.g is None or vec_leq(prob.g, x)) and (prob.h is None or vec_leq(x, prob.h))
-    if isinstance(prob, MatrixLowerProblem):
-        return vec_leq(prob.g, x)
-    return vec_leq(mat_mul(prob.A, x), prob.p)
 
 
 def verify_loaded(lp: LoadedProblem, sol, *, step=None, samples=None):
@@ -294,8 +253,10 @@ def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
-    value = _scalar_out(objective_at(lp, x))
-    return {"kind": lp.kind, "value": value, "feasible": is_feasible(lp, x)}
+    prob = _core(lp)
+    rule = RULES[type(prob)]
+    value = _scalar_out(rule.objective(prob, x))
+    return {"kind": lp.kind, "value": value, "feasible": rule.feasible(prob, x)}
 
 
 def _verify(lp: LoadedProblem, args: argparse.Namespace) -> dict:
@@ -314,7 +275,11 @@ def run_command(args: argparse.Namespace) -> int:
         result, code = args.run(parse_problem(doc), args), 0
     except TropicalError as exc:
         result, code = _error_payload(exc), 2
-    _write_json(args.output, result, args.pretty)
+    try:
+        _write_json(args.output, result, args.pretty)
+    except OSError as exc:
+        print(f"error: cannot write result: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

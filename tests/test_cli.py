@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,17 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tropopt
-from tropopt import TropMatrix, TropVector, applications, solvers
+from tropopt import NEG_INF, TropMatrix, TropVector, applications, solvers
 from tropopt.cli import (
     _matrix_in,
     _scalar_in,
     _vector_in,
     main,
     parse_problem,
-    problem_to_dict,
     solution_to_dict,
     solve_loaded,
 )
+from tropopt.semifield import _close
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -134,6 +135,12 @@ class TestSolve:
         code = main(["solve", "/nonexistent/problem.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing_directory", "directory"])
+    def test_unwritable_output_is_io_failure(self, capsys, tmp_path, target):
+        assert main(["solve", LOCATION, str(tmp_path / target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write result: ") and "Traceback" not in err
+
     def test_json_syntax_error_is_io_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -176,8 +183,10 @@ class TestSolve:
              "p[2]: number literal exceeds the float range"),
             ('{"kind": "best_under", "A": [[0], [1' + "0" * 400 + ']], "p": [1, 1]}',
              "A[1][0]: number literal exceeds the float range"),
+            ({"kind": "two_sided", "p": [1], "q": [0], "description": 5},
+             "description must be a string"),
         ],
-        ids=["vector_token", "matrix_token", "vector_literal", "matrix_literal"],
+        ids=["vector_token", "matrix_token", "vector_literal", "matrix_literal", "description"],
     )
     def test_scalar_error_names_the_element(self, capsys, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -229,6 +238,12 @@ class TestEval:
         code, out = run(capsys, "eval", str(prob), "--point", "[2, 4, 3]")
         doc = json.loads(out)
         assert doc["feasible"] is False
+        # a_00 = -inf bounds nothing, though p_0 - a_00 is NaN; x_1 = -inf
+        # meets the limit p_0 - a_01 = -inf
+        prob = write(tmp_path, {"kind": "best_under", "A": [["-inf", 0], [0, 0]], "p": ["-inf", 5]})
+        code, out = run(capsys, "eval", prob, "--point", '[0, "-inf"]')
+        assert code == 0
+        assert json.loads(out) == {"kind": "best_under", "value": 5, "feasible": True}
 
 
 class TestVerify:
@@ -276,13 +291,27 @@ class TestVerify:
         assert doc["mu"] == doc["min_value"] == 0.05
 
 
+def _assert_reads_back(doc):
+    """Each field of a problem file reads back from the parsed problem as
+    the number the file holds, and a field the file omits is ``None``."""
+    lp = parse_problem(doc)
+    assert (lp.kind, lp.name) == (doc["kind"], doc.get("name"))
+    for key in (f.name for f in dataclasses.fields(lp.problem) if f.init):
+        value = getattr(lp.problem, key)
+        if key == "A":
+            assert value.entries == tuple(tuple(map(float, row)) for row in doc[key])
+        elif key in doc:
+            assert value.elements == tuple(map(float, doc[key]))
+        else:
+            assert value is None
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "path", [LOCATION, APPROXIMATION], ids=["location", "approximation"]
     )
     def test_fixture_round_trips(self, path):
-        doc = json.loads(open(path).read())
-        assert problem_to_dict(parse_problem(doc)) == doc
+        _assert_reads_back(json.loads(open(path).read()))
 
     def test_neg_inf_round_trips(self):
         doc = {
@@ -292,16 +321,17 @@ class TestRoundTrip:
             "q": [0, 0],
             "g": ["-inf", 3],
         }
-        assert problem_to_dict(parse_problem(doc)) == doc
+        problem = parse_problem(doc).problem
+        assert problem.A.entries == ((0.0, NEG_INF), (NEG_INF, 0.0))
+        assert problem.g.elements == (NEG_INF, 3.0)
 
     def test_half_integers_round_trip(self):
-        doc = {"kind": "two_sided", "p": [0.5, 3], "q": [-1.5, 0]}
-        assert problem_to_dict(parse_problem(doc)) == doc
+        problem = parse_problem({"kind": "two_sided", "p": [0.5, 3], "q": [-1.5, 0]}).problem
+        assert (problem.p.elements, problem.q.elements) == ((0.5, 3.0), (-1.5, 0.0))
 
     @pytest.mark.parametrize("key", sorted(KIND_DOCS))
     def test_every_kind_round_trips(self, key):
-        doc = KIND_DOCS[key]
-        assert problem_to_dict(parse_problem(doc)) == doc
+        _assert_reads_back(KIND_DOCS[key])
 
 
 def _core(problem):
@@ -521,10 +551,17 @@ class TestErrors:
         path = write(tmp_path, doc)
         code, out = run(capsys, "solve", path)
         assert code == 0
-        assert json.loads(out)["solution"] == solution
+        solved = json.loads(out)
+        assert solved["solution"] == solution
         code, out = run(capsys, "verify", path)
         assert code == 0
         assert json.loads(out)["agrees_with_solver"] is True
+        # eval judges every returned point as verify does
+        for point in solution.values():
+            code, out = run(capsys, "eval", path, "--point", json.dumps(point))
+            assert code == 0
+            evaluated = json.loads(out)
+            assert evaluated["feasible"] is True and _close(evaluated["value"], solved["mu"])
 
     def test_point_nested_too_deep(self, capsys):
         point = "[" * 50_000 + "]" * 50_000

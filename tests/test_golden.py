@@ -5,8 +5,9 @@ from stdin, and ``tests/fixtures/golden.jsonl`` holds the exit code and
 the exact standard output of each run: solutions, reports and error
 payloads.  The problems are drawn again here from a seeded generator,
 so a changed output shows up as a mismatch against the fixture.  A
-second test holds ``solve`` to ``verify``: no problem that ``solve``
-answers may fail ``verify``.
+second test holds ``solve`` to ``verify`` and ``eval``: no problem that
+``solve`` answers may fail ``verify``, and ``eval`` must find every
+point that ``solve`` returns feasible and attaining ``mu``.
 
 Regenerate the fixture, only when an output changes on purpose, with
 
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 from tropopt.cli import main
+from tropopt.semifield import _close
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden.jsonl"
 KINDS = ("two_sided", "matrix_lower", "locate", "approximate", "best_under")
@@ -145,17 +147,36 @@ def test_outputs_match_golden_file():
     assert not mismatches, f"{len(mismatches)} outputs differ, first: {mismatches[0]}"
 
 
+def _eval_disagrees(run) -> bool:
+    """Whether ``eval`` at a point that ``solve`` returned fails, calls
+    it infeasible or finds it off ``mu`` by more than the tolerance."""
+    text = run["doc"] if isinstance(run["doc"], str) else json.dumps(run["doc"])
+    solution = json.loads(run["solve"][1])
+    for point in solution["solution"].values():
+        code, out = _run(["eval", "-", "--point", json.dumps(point)], text)
+        if code != 0:
+            return True
+        evaluated = json.loads(out)
+        if evaluated["feasible"] is not True or not _close(float(evaluated["value"]), solution["mu"]):
+            return True
+    return False
+
+
 def test_every_solved_problem_verifies():
-    # solve never returns a point that verify rejects: in the fixture's
-    # recorded outputs, and on fresh problems from the same generator
+    # solve never returns a point that verify rejects, or that eval calls
+    # infeasible or off the optimum: in the fixture's recorded outputs,
+    # and on fresh problems from the same generator
     runs = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     for kind in KINDS:
         rng = random.Random(f"attains-{kind}")
         for _ in range(120):
             text = json.dumps(_case(kind, rng)[0])
             runs.append({"doc": text, "solve": _run(["solve", "-"], text), "verify": _run(["verify", "-"], text)})
-    bad = [run["doc"] for run in runs if run["solve"][0] == 0 and run["verify"][0] != 0]
+    solved = [run for run in runs if run["solve"][0] == 0]
+    bad = [run["doc"] for run in solved if run["verify"][0] != 0]
     assert not bad, f"{len(bad)} solved problems fail verify, first: {bad[0]}"
+    bad = [run["doc"] for run in solved if _eval_disagrees(run)]
+    assert not bad, f"{len(bad)} solved problems fail eval at a returned point, first: {bad[0]}"
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropopt import MAX_PLUS, NEG_INF, TropMatrix, TropVector, TwoSidedProblem
+from tropopt import MAX_PLUS, NEG_INF, TropVector, TwoSidedProblem
 from tropopt.applications import LocationProblem, reduced_two_sided
-from tropopt.cli import _matrix_out, _scalar_out, _vector_out, main
+from tropopt.cli import _scalar_out, _vector_out, main
 from tropopt.solvers import solve_two_sided
 
 add = MAX_PLUS.add
@@ -83,7 +83,6 @@ class TestBulkSerialization:
     def test_vector_and_matrix_match_per_element(self, values):
         want = json.dumps([_scalar_out(v) for v in values])
         assert json.dumps(_vector_out(TropVector(tuple(values)))) == want
-        assert json.dumps(_matrix_out(TropMatrix((tuple(values),) * 2))) == f"[{want}, {want}]"
 
 
 def _token(v):
