@@ -8,7 +8,9 @@ solutions are also checked for completeness coordinate by coordinate,
 against the sublevel set of the optimum, which is a box.  Every check
 is a pass over the data, so the cost is linear in the problem size, for
 any real data and any dimension.  Failures raise
-``VerificationFailedError`` with a counterexample vector.
+``VerificationFailedError`` with a counterexample vector.  This module
+holds the bounds and the proofs; the objectives and the feasibility
+tests are those of ``solvers``, and ``RULES`` pairs them.
 
 Floats are compared with the relative tolerance ``_TOL`` of
 ``semifield``, scaled by the magnitude of the values compared; on
@@ -34,6 +36,7 @@ from .solvers import (
     objective_matrix,
     objective_two_sided,
 )
+from .solvers import _above_g, _ax, _defect, _in_box, _limit, _require_column, _under_p
 
 class VerificationFailedError(TropicalError):
     """Solver output fails its optimality check."""
@@ -99,30 +102,6 @@ def _check_bound(bound: float, sol, witness) -> None:
         raise _fail(f"the optimum is {bound}, not the claimed {sol.mu}", witness)
 
 
-# the feasibility tests, which the checks and `eval` share, compare
-# within the tolerance; an absent bound bounds nothing
-def _in_box(prob: TwoSidedProblem, x: TropVector) -> bool:
-    above = prob.g is None or all(map(_leq, prob.g.elements, x.elements))
-    return above and (prob.h is None or all(map(_leq, x.elements, prob.h.elements)))
-
-
-def _above_g(prob: MatrixLowerProblem, x: TropVector) -> bool:
-    return all(map(_leq, prob.g.elements, x.elements))
-
-
-def _limit(prob: BestUnderProblem) -> list[float]:
-    """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)``,
-    skipping each ``a_kl = -inf``, which bounds nothing (and whose term
-    is NaN where ``p_k = -inf``)."""
-    p = prob.p.elements
-    return [min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF)
-            for col in zip(*prob.A.entries)]
-
-
-def _under_p(prob: BestUnderProblem, x: TropVector) -> bool:
-    return all(map(_leq, x.elements, _limit(prob)))
-
-
 def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
     # every feasible x has x_i - q_i >= each of (p_i - q_i)/2, g_i - q_i,
     # and p_i - x_i >= p_i - h_i; an absent bound is -inf or +inf
@@ -185,6 +164,7 @@ def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
     # the returned x must equal the limit, the greatest feasible x, so
     # every feasible x' has A x' <= A x and a defect no smaller
     A, p, x = prob.A.entries, prob.p.elements, sol.x.elements
+    _require_column(sol.x, "x", prob.A.cols)
     for l, (xl, top) in enumerate(zip(x, _limit(prob))):
         if not _leq(xl, top):
             raise _fail(f"returned vector violates A x <= p in column {l}", x)
@@ -193,9 +173,8 @@ def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
                 f"column {l} is slack: a greater vector is feasible",
                 (top if j == l else xj for j, xj in enumerate(x)),
             )
-    ax = [max(map(add, row, x)) for row in A]
-    # a row where A x is the zero element bounds nothing
-    defect = [pk - axk if axk != NEG_INF else NEG_INF for pk, axk in zip(p, ax)]
+    ax = _ax(A, x)
+    defect = _defect(p, ax)
     value = max(defect)
     k = defect.index(value)
     if not _close(value, sol.mu):

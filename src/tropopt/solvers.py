@@ -20,9 +20,11 @@ zeros included, at a quarter of the cost of a builtin call per element.
 A value computed from valid data can still overflow, which raises
 ``ScalarOverflowError`` where the formulas would hold it in a container.
 Rounding can also move a returned point off the optimum: the two-sided
-and matrix solvers end by evaluating the objective at their points as
-``verify`` does, and raise ``PrecisionLossError`` unless each attains
-``mu`` within the certificate's tolerance.
+and matrix solvers end by evaluating the objective at their points, and
+raise ``PrecisionLossError`` unless each attains ``mu`` within the
+certificate's tolerance.  Each problem's objective and feasibility test
+are defined here once, for the solvers, ``eval`` and ``verify`` alike;
+``certificate.RULES`` pairs them with the proofs.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, sub
+from operator import add, le, sub
 
 from .linalg import (
     NotRegularError,
     ShapeMismatchError,
     TropMatrix,
     TropVector,
-    conjugate,
-    mat_mul,
+    ZeroVectorError,
     max_solution_leq,
     vec_leq,
 )
@@ -57,12 +58,12 @@ class PrecisionLossError(TropicalError):
     reason = "precision_loss"
 
 
-def _require_regular_column(v: TropVector, name: str, dim: int | None = None) -> None:
+def _require_column(v: TropVector, name: str, dim: int | None = None, regular: bool = False) -> None:
     if v.orientation != "col":
         raise ShapeMismatchError(f"{name} must be a column vector")
     if dim is not None and v.dim != dim:
         raise ShapeMismatchError(f"{name} must have dimension {dim}, got {v.dim}")
-    if not v.is_regular:
+    if regular and not v.is_regular:
         raise NotRegularError(f"{name} must be regular (no zero elements)")
 
 
@@ -82,13 +83,13 @@ class TwoSidedProblem:
     h: TropVector | None = None
 
     def __post_init__(self) -> None:
-        _require_regular_column(self.p, "p")
-        _require_regular_column(self.q, "q", self.p.dim)
+        _require_column(self.p, "p", regular=True)
+        _require_column(self.q, "q", self.p.dim, regular=True)
         n = self.p.dim
         if self.g is not None and (self.g.orientation != "col" or self.g.dim != n):
             raise ShapeMismatchError(f"g must be a column vector of dimension {n}")
         if self.h is not None:
-            _require_regular_column(self.h, "h", n)
+            _require_column(self.h, "h", n, regular=True)
         if self.g is not None and self.h is not None and not vec_leq(self.g, self.h):
             raise InfeasibleBoundsError("lower bound g exceeds upper bound h")
 
@@ -115,8 +116,8 @@ class MatrixLowerProblem:
     def __post_init__(self) -> None:
         if not self.A.is_regular:
             raise NotRegularError("A must be row- and column-regular")
-        _require_regular_column(self.p, "p", self.A.rows)
-        _require_regular_column(self.q, "q", self.A.rows)
+        _require_column(self.p, "p", self.A.rows, regular=True)
+        _require_column(self.q, "q", self.A.rows, regular=True)
         if self.g.orientation != "col" or self.g.dim != self.A.cols:
             raise ShapeMismatchError(f"g must be a column vector of dimension {self.A.cols}")
 
@@ -195,6 +196,16 @@ def _objective(x, q, p) -> float:
     return _no_overflow((value,))[0]
 
 
+def _ax(A, x) -> list[float]:
+    """``A x`` over the tuples of ``A``'s rows and of ``x``, one pass per row."""
+    return _no_overflow([max(map(add, row, x)) for row in A])
+
+
+def _defect(p, ax) -> list[float]:
+    """``p_k - (A x)_k`` per row; a row where ``A x`` is -inf bounds nothing."""
+    return [pk - axk if axk != NEG_INF else NEG_INF for pk, axk in zip(p, ax)]
+
+
 def _require_attained(mu: float, what: str, values) -> None:
     """Raise ``PrecisionLossError`` unless every value is ``_close`` to ``mu``."""
     for value in values:
@@ -207,7 +218,7 @@ def _require_attained(mu: float, what: str, values) -> None:
 
 def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     """Evaluate ``q~ x + x~ p`` at a regular column vector."""
-    _require_regular_column(x, "x", prob.dim)
+    _require_column(x, "x", prob.dim, regular=True)
     return _objective(x.elements, prob.q.elements, prob.p.elements)
 
 
@@ -257,10 +268,8 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
     """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector."""
-    _require_regular_column(x, "x", prob.A.cols)
-    # an overflow in A x also overflows the objective
-    ax = [max(map(add, row, x.elements)) for row in prob.A.entries]
-    return _objective(ax, prob.q.elements, prob.p.elements)
+    _require_column(x, "x", prob.A.cols, regular=True)
+    return _objective(_ax(prob.A.entries, x.elements), prob.q.elements, prob.p.elements)
 
 
 def _q_a(prob: MatrixLowerProblem) -> list[float]:
@@ -296,7 +305,7 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     terms = matrix_lower_terms(prob, qa)
     mu = max(terms["delta"], terms["g_term"])
     sol = PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
-    if not (vec_leq(prob.g, sol.x) or all(map(_leq, prob.g.elements, sol.x.elements))):
+    if not _above_g(prob, sol.x):
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
     _require_attained(mu, "x", (objective_matrix(prob, sol.x),))
     return sol
@@ -310,13 +319,40 @@ def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:
     achieves a smaller defect and none exceeds ``x`` componentwise.
     """
     x = max_solution_leq(A, p)
-    ax = _no_overflow([max(map(add, row, x.elements)) for row in A.entries])
-    # a row where A x is the zero element bounds nothing
-    mu = max(pk - axk if axk != NEG_INF else NEG_INF for pk, axk in zip(p.elements, ax))
+    mu = max(_defect(p.elements, _ax(A.entries, x.elements)))
     return PointSolution(mu=mu, x=x, delta=0.5 * mu + 0.0)
 
 
 def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
-    """Evaluate the approximation defect ``(A x)~ p`` at a column vector."""
-    value = mat_mul(conjugate(mat_mul(prob.A, x)), prob.p)
-    return _no_overflow((value,))[0]
+    """Evaluate the approximation defect ``(A x)~ p`` (a zero as 0.0) at a column vector."""
+    _require_column(x, "x", prob.A.cols)
+    ax = _ax(prob.A.entries, x.elements)
+    if ax.count(NEG_INF) == len(ax):
+        raise ZeroVectorError("the zero vector has no conjugate")
+    return _no_overflow((max(_defect(prob.p.elements, ax)) + 0.0,))[0]
+
+
+# the feasibility tests, which `solve`, `eval` and `verify` share, compare
+# exactly first, then within the tolerance; an absent bound bounds nothing
+def _all_leq(a, b) -> bool:
+    return all(map(le, a, b)) or all(map(_leq, a, b))
+
+
+def _in_box(prob: TwoSidedProblem, x: TropVector) -> bool:
+    above = prob.g is None or _all_leq(prob.g.elements, x.elements)
+    return above and (prob.h is None or _all_leq(x.elements, prob.h.elements))
+
+
+def _above_g(prob: MatrixLowerProblem, x: TropVector) -> bool:
+    return _all_leq(prob.g.elements, x.elements)
+
+
+def _limit(prob: BestUnderProblem) -> list[float]:
+    """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)`` over
+    the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing), else ``+inf``."""
+    return [min((pk - a for pk, a in zip(prob.p.elements, col) if a != NEG_INF), default=POS_INF)
+            for col in zip(*prob.A.entries)]
+
+
+def _under_p(prob: BestUnderProblem, x: TropVector) -> bool:
+    return _all_leq(x.elements, _limit(prob))

@@ -12,6 +12,7 @@ from tropopt import (
     MatrixLowerProblem,
     PointSolution,
     PrecisionLossError,
+    ShapeMismatchError,
     TropMatrix,
     TropicalError,
     TropVector,
@@ -240,6 +241,25 @@ def test_best_under_moved_or_slack_point_is_rejected():
 def _fixture(name):
     lp = parse_problem(json.loads((FIXTURES / name).read_text()))
     return lp.problem.reduced, solve_loaded(lp)
+
+
+def _resized(v: TropVector, change: int) -> TropVector:
+    return TropVector(v.elements[:change] if change < 0 else v.elements + (v.elements[-1],) * change)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "name", ["location_example.json", "matrix_lower_example.json", "best_under_example.json"]
+)
+def test_point_of_the_wrong_dimension_is_rejected(name, change):
+    lp = parse_problem(json.loads((FIXTURES / name).read_text()))
+    core, sol = getattr(lp.problem, "reduced", lp.problem), solve_loaded(lp)
+    if isinstance(sol, PointSolution):
+        sol = replace(sol, x=_resized(sol.x, change))
+    else:
+        sol = replace(sol, lower=_resized(sol.lower, change), upper=_resized(sol.upper, change))
+    with pytest.raises(ShapeMismatchError, match=f"x must have dimension 3, got {3 + change}$"):
+        certify(core, sol)
 
 
 def test_corrupted_location_optimum_is_rejected():

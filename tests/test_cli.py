@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tropopt
-from tropopt import NEG_INF, TropMatrix, TropVector, applications, solvers
+from tropopt import NEG_INF, TropMatrix, TropVector, applications, linalg, solvers
 from tropopt.cli import (
     _matrix_in,
     _scalar_in,
@@ -377,12 +377,29 @@ class TestStructure:
         # computed once and the only containers built are the endpoints
         prob = parse_problem(KIND_DOCS["two_sided_bounded"]).problem
         calls, built = [], _record_builds(monkeypatch)
-        terms, conjugate = solvers.two_sided_terms, solvers.conjugate
+        terms, conjugate = solvers.two_sided_terms, linalg.conjugate
         monkeypatch.setattr(solvers, "two_sided_terms", lambda pr: calls.append(pr) or terms(pr))
-        monkeypatch.setattr(solvers, "conjugate", lambda v: calls.append(v) or conjugate(v))
+        monkeypatch.setattr(linalg, "conjugate", lambda v: calls.append(v) or conjugate(v))
         sol = solvers.solve_two_sided(prob)
         assert calls == [prob]
         assert len(built) == 2 and built[0] is sol.lower and built[1] is sol.upper
+
+    def test_best_under_objective_builds_no_vector(self, monkeypatch):
+        # the defect is one pass over A's rows and one over p, with no
+        # A x or (A x)~ container
+        lp = parse_problem(KIND_DOCS["best_under"])
+        x = TropVector((2.0, 4.0, 3.0))
+        built = _record_builds(monkeypatch)
+        assert solvers.objective_best_under(lp.problem, x) == -1.0
+        assert built == []
+
+    def test_matrix_lower_checks_x_above_g_with_the_shared_test(self, monkeypatch, tmp_path, capsys):
+        # the solver's x >= g check is the feasibility test that eval and
+        # verify apply, so rejecting it there makes solve fail
+        monkeypatch.setattr(solvers, "_above_g", lambda prob, x: False)
+        code, out = run(capsys, "solve", write(tmp_path, KIND_DOCS["matrix_lower"]))
+        assert code == 2
+        assert json.loads(out)["error"]["reason"] == "precision_loss"
 
     @pytest.mark.parametrize("key", sorted(KIND_DOCS))
     def test_diagnostics_are_the_core_terms(self, key):

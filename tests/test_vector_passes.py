@@ -4,8 +4,10 @@ The solvers take the elementwise max or min of two vectors as one
 comparison per element, and the command line serializes an integral
 vector with one ``map(int, ...)`` pass.  Each must give bit for bit what
 the scalar definitions give: ``MAX_PLUS.add`` and ``min`` per pair, and
-``_scalar_out`` per element.  ``check_all``'s one-sum filter is tested
-against ``MAX_PLUS.check`` in ``test_linalg.py``.
+``_scalar_out`` per element.  The best-under objective is one pass over
+``A``'s rows and one over ``p``, and must give what the product
+``(A x)~ p`` of two ``mat_mul`` calls gives.  ``check_all``'s one-sum
+filter is tested against ``MAX_PLUS.check`` in ``test_linalg.py``.
 """
 
 import json
@@ -17,10 +19,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropopt import MAX_PLUS, NEG_INF, TropVector, TwoSidedProblem
+from tropopt import (
+    MAX_PLUS,
+    NEG_INF,
+    BestUnderProblem,
+    ScalarOverflowError,
+    TropicalError,
+    TropMatrix,
+    TropVector,
+    TwoSidedProblem,
+    conjugate,
+    mat_mul,
+)
 from tropopt.applications import LocationProblem, reduced_two_sided
 from tropopt.cli import _scalar_out, _vector_out, main
-from tropopt.solvers import solve_two_sided
+from tropopt.solvers import objective_best_under, solve_two_sided
 
 add = MAX_PLUS.add
 
@@ -138,3 +151,64 @@ def test_large_solve_matches_scalar_reference(capsys, tmp_path, kind):
     path.write_text(json.dumps({k: v if k == "kind" else list(map(_token, v)) for k, v in doc.items()}))
     assert main(["solve", str(path)]) == 0
     assert capsys.readouterr().out == json.dumps(_reference_solution(doc)) + "\n"
+
+
+def _product_defect(prob, x):
+    """The best-under objective as the product ``(A x)~ p``, with the
+    overflow test of the objective: the reference for the passes."""
+    value = mat_mul(conjugate(mat_mul(prob.A, x)), prob.p)
+    if value == math.inf:
+        raise ScalarOverflowError("value exceeds the float range")
+    return value
+
+
+def _outcome(objective, prob, x):
+    """The ``repr`` of the value, which shows the sign of a zero, or the
+    reason and message of the error."""
+    try:
+        return repr(objective(prob, x))
+    except TropicalError as exc:
+        return exc.reason, str(exc)
+
+
+class TestBestUnderDefect:
+    def test_passes_match_the_product(self):
+        rng = random.Random("best-under-defect")
+        special = [0.0, -0.0, NEG_INF, 1e308, -1e308, 1.5e308, -1.5e308]
+
+        def vec(n):
+            return tuple(rng.choice(special) if rng.random() < 0.4 else rng.randint(-12, 12) / 2
+                         for _ in range(n))
+
+        outcomes = set()
+        for _ in range(4000):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = tuple((NEG_INF,) * n if rng.random() < 0.15 else vec(n) for _ in range(m))
+            prob, x = BestUnderProblem(TropMatrix(rows), TropVector(vec(m))), TropVector(vec(n))
+            want = _outcome(_product_defect, prob, x)
+            assert _outcome(objective_best_under, prob, x) == want, (rows, prob.p, x)
+            outcomes.add(want if isinstance(want, tuple) else want in ("0.0", "-0.0"))
+        # the draws reach a zero defect, both errors and the other values
+        assert outcomes >= {True, False, ("zero_vector", "the zero vector has no conjugate"),
+                            ("overflow", "value exceeds the float range")}
+
+    def test_zero_defect_is_positive_zero(self):
+        # p - A x is -0.0 - 0.0 = -0.0; the product's (0.0 - 0.0) + -0.0 is 0.0
+        prob = BestUnderProblem(TropMatrix(((0.0,),)), TropVector((-0.0,)))
+        assert repr(objective_best_under(prob, TropVector((0.0,)))) == "0.0"
+
+    @pytest.mark.parametrize(
+        "doc, point, reason",
+        [
+            ({"kind": "best_under", "A": [["-inf", 0], ["-inf", 1]], "p": [0, 0]}, [0, "-inf"],
+             "zero_vector"),
+            ({"kind": "best_under", "A": [[1e308, 0]], "p": [0]}, [1e308, 0], "overflow"),
+            ({"kind": "best_under", "A": [[-1e308]], "p": [1e308]}, [0], "overflow"),
+        ],
+        ids=["all_of_a_x_is_zero", "a_x_overflows", "defect_overflows"],
+    )
+    def test_eval_errors(self, capsys, tmp_path, doc, point, reason):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "--point", json.dumps(point)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["reason"] == reason
