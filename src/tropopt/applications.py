@@ -10,9 +10,8 @@ instance once, on construction, and keeps it in ``reduced``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector
+from .semifield import Record
 from .solvers import (
     IntervalSolution,
     MatrixLowerProblem,
@@ -23,37 +22,34 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class LocationProblem:
+class LocationProblem(Record):
     """Place x to minimize the larger Chebyshev distance to r and s,
-    within the optional box ``g <= x <= h``."""
+    within the optional box ``g <= x <= h``.  ``reduced``, not a field,
+    stays out of ``repr`` and comparisons."""
 
-    r: TropVector
-    s: TropVector
-    g: TropVector | None = None
-    h: TropVector | None = None
-    reduced: TwoSidedProblem = field(init=False, compare=False, repr=False)
+    __slots__ = ("r", "s", "g", "h", "reduced")
 
-    def __post_init__(self) -> None:
-        for name, v in (("r", self.r), ("s", self.s)):
+    def __init__(
+        self, r: TropVector, s: TropVector, g: TropVector | None = None, h: TropVector | None = None
+    ) -> None:
+        for name, v in (("r", r), ("s", s)):
             if v.orientation != "col":
                 raise ShapeMismatchError(f"{name} must be a column vector")
             if not v.is_regular:
                 raise NotRegularError(f"{name} must be regular")
+        self._set(r, s, g, h)
         # bound invariants match the reduced problem
         object.__setattr__(self, "reduced", reduced_two_sided(self))
 
 
-@dataclass(frozen=True)
-class ApproximationProblem:
-    """Approximate p by A x in Chebyshev distance, subject to ``x >= g``."""
+class ApproximationProblem(Record):
+    """Approximate p by A x in Chebyshev distance, subject to ``x >= g``,
+    with ``reduced`` as in ``LocationProblem``."""
 
-    A: TropMatrix
-    p: TropVector
-    g: TropVector
-    reduced: MatrixLowerProblem = field(init=False, compare=False, repr=False)
+    __slots__ = ("A", "p", "g", "reduced")
 
-    def __post_init__(self) -> None:
+    def __init__(self, A: TropMatrix, p: TropVector, g: TropVector) -> None:
+        self._set(A, p, g)
         object.__setattr__(self, "reduced", reduced_matrix_lower(self))
 
 

@@ -19,13 +19,12 @@ integer data every value compared is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import add, sub
-from typing import Callable, NamedTuple
 
 from .linalg import TropVector
-from .semifield import NEG_INF, POS_INF, TropicalError, _close, _leq
+from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -48,8 +47,7 @@ class VerificationFailedError(TropicalError):
         self.counterexample = counterexample
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Outcome of a check: the certified (or grid) minimum, a point
     attaining it, and how many objective evaluations were made.
 
@@ -59,16 +57,18 @@ class OracleReport:
     ``None``.
     """
 
-    min_value: float
-    argmin: TropVector
-    points_evaluated: int
-    agrees_with_solver: bool = True
-    max_discrepancy: float = 0.0
-    binding: tuple[str, int | tuple[int, int]] | None = None
+    __slots__ = (
+        "min_value", "argmin", "points_evaluated", "agrees_with_solver", "max_discrepancy", "binding"
+    )
 
-    def __post_init__(self) -> None:
-        if self.points_evaluated < 1:
+    def __init__(
+        self, min_value: float, argmin: TropVector, points_evaluated: int,
+        agrees_with_solver: bool = True, max_discrepancy: float = 0.0,
+        binding: tuple[str, int | tuple[int, int]] | None = None,
+    ) -> None:
+        if points_evaluated < 1:
             raise TropicalError("an oracle report must cover at least one point")
+        self._set(min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding)
 
 
 def _fail(message: str, point) -> VerificationFailedError:
@@ -185,14 +185,9 @@ def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
     )
 
 
-class Rule(NamedTuple):
-    objective: Callable[..., float]
-    feasible: Callable[..., bool]
-    check: Callable[..., OracleReport]
-
-
 # per core problem class, the objective and the feasibility test at a
 # point, which `eval` reads, and the check that `verify` runs
+Rule = namedtuple("Rule", "objective feasible check")
 RULES = {
     TwoSidedProblem: Rule(objective_two_sided, _in_box, _interval),
     MatrixLowerProblem: Rule(objective_matrix, _above_g, _matrix_lower),

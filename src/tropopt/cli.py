@@ -1,7 +1,7 @@
 """Command-line interface: solve, eval, and verify tropical problem files.
 
 Problem files are JSON objects with a ``kind`` discriminator, the fields
-of that kind's problem dataclass under their field names (``A`` is the
+of that kind's problem class under their field names (``A`` is the
 only matrix), and optional ``name``/``description`` metadata.  Scalars
 are JSON numbers, with the string ``"-inf"`` standing in for the tropical
 zero.  ``_KINDS`` maps each kind to its problem class and solver; every
@@ -23,13 +23,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .applications import ApproximationProblem, LocationProblem, approximate, locate
 from .certificate import RULES, certify
 from .linalg import TropMatrix, TropVector
-from .semifield import NEG_INF, ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -47,10 +46,7 @@ class ProblemFormatError(TropicalError):
     reason = "parse_error"
 
 
-class Kind(NamedTuple):
-    cls: type
-    solve: Callable
-
+Kind = namedtuple("Kind", "cls solve")
 
 # The solvers are called through the module's names, not held here, so
 # that wrappers installed on those names (timers, counters) see the calls.
@@ -63,18 +59,11 @@ _KINDS = {
 }
 
 
-def _schema(cls: type) -> tuple[list[str], set[str]]:
-    """The payload keys of a problem class, in field order, and the
-    required ones (fields without a default)."""
-    init = [f for f in fields(cls) if f.init]
-    return [f.name for f in init], {f.name for f in init if f.default is MISSING}
+class LoadedProblem(Record):
+    __slots__ = ("kind", "problem", "name")
 
-
-@dataclass(frozen=True)
-class LoadedProblem:
-    kind: str
-    problem: object
-    name: str | None = None
+    def __init__(self, kind: str, problem: object, name: str | None = None) -> None:
+        self._set(kind, problem, name)
 
 
 def _scalar_in(token, where: str) -> float:
@@ -143,10 +132,12 @@ def parse_problem(doc) -> LoadedProblem:
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ProblemFormatError(f"unknown problem kind {kind!r}")
     cls = _KINDS[kind].cls
-    keys, required = _schema(cls)
+    # the payload keys are the fields; those without a default are required
+    keys = cls._fields
+    required = set(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
     unknown = set(doc) - {*keys, "kind", "name", "description"}
     if unknown:
         raise ProblemFormatError(f"unexpected fields for kind {kind}: {sorted(unknown)}")

@@ -16,12 +16,11 @@ without the cost of a builtin call per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import repeat
 from operator import add, le, sub
-from typing import Iterator, Union
 
-from .semifield import MAX_PLUS, NEG_INF, ScalarOverflowError, TropicalError, check_all
+from .semifield import MAX_PLUS, NEG_INF, Record, ScalarOverflowError, TropicalError, check_all
 
 
 class ShapeMismatchError(TropicalError):
@@ -49,12 +48,15 @@ class ZeroVectorError(TropicalError):
     reason = "zero_vector"
 
 
-@dataclass(frozen=True)
-class TropVector:
+class TropVector(Record):
     """Dense vector of max-plus scalars with a column/row orientation."""
 
-    elements: tuple[float, ...]
-    orientation: str = "col"
+    __slots__ = ("elements", "orientation")
+
+    def __init__(self, elements: tuple[float, ...], orientation: str = "col") -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "orientation", orientation)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.orientation not in ("col", "row"):
@@ -91,11 +93,14 @@ class TropVector:
         return self.elements[i]
 
 
-@dataclass(frozen=True)
-class TropMatrix:
+class TropMatrix(Record):
     """Dense row-major matrix of max-plus scalars."""
 
-    entries: tuple[tuple[float, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[float, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(map(check_all, self.entries))
@@ -134,7 +139,7 @@ class TropMatrix:
         return self.is_row_regular and self.is_column_regular
 
 
-MatLike = Union[TropVector, TropMatrix]
+MatLike = "TropVector | TropMatrix"
 
 
 def mat_add(a: MatLike, b: MatLike) -> MatLike:

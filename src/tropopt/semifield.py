@@ -34,6 +34,50 @@ def _leq(a: float, b: float) -> bool:
     return a <= b or _close(a, b)
 
 
+class Record:
+    """Base of the immutable value types: slotted classes, which import
+    nothing (a dataclass loads ``dataclasses`` and ``inspect``).  The
+    fields are the parameters of ``__init__``, which sets each once with
+    ``object.__setattr__`` (``_set`` sets them all, in order).  ``repr``
+    shows every field; equality and hashing read those named in
+    ``_compare``, all of them by default."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._compare = cls.__dict__.get("_compare", cls._fields)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self, names) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compare) == other._values(other._compare)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compare))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values(self._fields)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values(self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class TropicalError(Exception):
     """Base class for every error raised by this package; ``reason`` is
     the machine-readable tag that the command line reports for it."""

@@ -30,7 +30,6 @@ are defined here once, for the solvers, ``eval`` and ``verify`` alike;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, le, sub
 
@@ -43,7 +42,7 @@ from .linalg import (
     max_solution_leq,
     vec_leq,
 )
-from .semifield import NEG_INF, POS_INF, ScalarOverflowError, TropicalError, _close, _leq
+from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -67,8 +66,7 @@ def _require_column(v: TropVector, name: str, dim: int | None = None, regular: b
         raise NotRegularError(f"{name} must be regular (no zero elements)")
 
 
-@dataclass(frozen=True)
-class TwoSidedProblem:
+class TwoSidedProblem(Record):
     """Minimize ``q~ x + x~ p`` subject to ``g <= x <= h``.
 
     ``g`` and ``h`` are each optional; an absent bound means that side is
@@ -77,29 +75,28 @@ class TwoSidedProblem:
     from below).
     """
 
-    p: TropVector
-    q: TropVector
-    g: TropVector | None = None
-    h: TropVector | None = None
+    __slots__ = ("p", "q", "g", "h")
 
-    def __post_init__(self) -> None:
-        _require_column(self.p, "p", regular=True)
-        _require_column(self.q, "q", self.p.dim, regular=True)
-        n = self.p.dim
-        if self.g is not None and (self.g.orientation != "col" or self.g.dim != n):
+    def __init__(
+        self, p: TropVector, q: TropVector, g: TropVector | None = None, h: TropVector | None = None
+    ) -> None:
+        _require_column(p, "p", regular=True)
+        _require_column(q, "q", p.dim, regular=True)
+        n = p.dim
+        if g is not None and (g.orientation != "col" or g.dim != n):
             raise ShapeMismatchError(f"g must be a column vector of dimension {n}")
-        if self.h is not None:
-            _require_column(self.h, "h", n, regular=True)
-        if self.g is not None and self.h is not None and not vec_leq(self.g, self.h):
+        if h is not None:
+            _require_column(h, "h", n, regular=True)
+        if g is not None and h is not None and not vec_leq(g, h):
             raise InfeasibleBoundsError("lower bound g exceeds upper bound h")
+        self._set(p, q, g, h)
 
     @property
     def dim(self) -> int:
         return self.p.dim
 
 
-@dataclass(frozen=True)
-class MatrixLowerProblem:
+class MatrixLowerProblem(Record):
     """Minimize ``q~ A x + (A x)~ p`` subject to ``x >= g``.
 
     ``A`` must be regular in both senses and ``p``, ``q`` regular of the
@@ -108,30 +105,27 @@ class MatrixLowerProblem:
     unconstrained problem).
     """
 
-    A: TropMatrix
-    p: TropVector
-    q: TropVector
-    g: TropVector
+    __slots__ = ("A", "p", "q", "g")
 
-    def __post_init__(self) -> None:
-        if not self.A.is_regular:
+    def __init__(self, A: TropMatrix, p: TropVector, q: TropVector, g: TropVector) -> None:
+        if not A.is_regular:
             raise NotRegularError("A must be row- and column-regular")
-        _require_column(self.p, "p", self.A.rows, regular=True)
-        _require_column(self.q, "q", self.A.rows, regular=True)
-        if self.g.orientation != "col" or self.g.dim != self.A.cols:
-            raise ShapeMismatchError(f"g must be a column vector of dimension {self.A.cols}")
+        _require_column(p, "p", A.rows, regular=True)
+        _require_column(q, "q", A.rows, regular=True)
+        if g.orientation != "col" or g.dim != A.cols:
+            raise ShapeMismatchError(f"g must be a column vector of dimension {A.cols}")
+        self._set(A, p, q, g)
 
 
-@dataclass(frozen=True)
-class BestUnderProblem:
+class BestUnderProblem(Record):
     """Maximize ``A x`` subject to ``A x <= p``."""
 
-    A: TropMatrix
-    p: TropVector
+    __slots__ = ("A", "p")
 
-    def __post_init__(self) -> None:
-        if self.p.orientation != "col" or self.A.rows != self.p.dim:
+    def __init__(self, A: TropMatrix, p: TropVector) -> None:
+        if p.orientation != "col" or A.rows != p.dim:
             raise ShapeMismatchError("A and p dimensions do not conform")
+        self._set(A, p)
 
 
 def _require_finite_optimum(mu: float) -> None:
@@ -139,8 +133,7 @@ def _require_finite_optimum(mu: float) -> None:
         raise ScalarOverflowError(f"optimum {mu!r} exceeds the float range")
 
 
-@dataclass(frozen=True)
-class IntervalSolution:
+class IntervalSolution(Record):
     """Optimum value plus the complete minimizer box [lower, upper], which
     must hold ``lower <= upper`` exactly: the constructor repairs nothing.
 
@@ -148,38 +141,38 @@ class IntervalSolution:
     (``None`` for an absent bound), are diagnostics outside comparisons.
     """
 
-    mu: float
-    lower: TropVector
-    upper: TropVector
-    delta: float
-    g_term: float | None = field(default=None, compare=False)
-    h_term: float | None = field(default=None, compare=False)
+    __slots__ = ("mu", "lower", "upper", "delta", "g_term", "h_term")
+    _compare = ("mu", "lower", "upper", "delta")
 
-    def __post_init__(self) -> None:
-        _require_finite_optimum(self.mu)
-        if not vec_leq(self.lower, self.upper):
+    def __init__(
+        self, mu: float, lower: TropVector, upper: TropVector, delta: float,
+        g_term: float | None = None, h_term: float | None = None,
+    ) -> None:
+        _require_finite_optimum(mu)
+        if not vec_leq(lower, upper):
             raise TropicalError("solution interval has lower > upper")
-        if not self.upper.is_regular:
+        if not upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
-        if not self.delta <= self.mu:
+        if not delta <= mu:
             raise TropicalError("optimum cannot be below its intrinsic bound")
+        self._set(mu, lower, upper, delta, g_term, h_term)
 
 
-@dataclass(frozen=True)
-class PointSolution:
+class PointSolution(Record):
     """Optimum value plus one attaining vector, with the same diagnostic
     terms as ``IntervalSolution``."""
 
-    mu: float
-    x: TropVector
-    delta: float
-    g_term: float | None = field(default=None, compare=False)
-    h_term: float | None = field(default=None, compare=False)
+    __slots__ = ("mu", "x", "delta", "g_term", "h_term")
+    _compare = ("mu", "x", "delta")
 
-    def __post_init__(self) -> None:
-        _require_finite_optimum(self.mu)
-        if not self.x.is_regular:
+    def __init__(
+        self, mu: float, x: TropVector, delta: float,
+        g_term: float | None = None, h_term: float | None = None,
+    ) -> None:
+        _require_finite_optimum(mu)
+        if not x.is_regular:
             raise NotRegularError("attaining vector must be regular")
+        self._set(mu, x, delta, g_term, h_term)
 
 
 def _no_overflow(values):

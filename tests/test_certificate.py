@@ -1,9 +1,9 @@
 """The exact certificate against the grid oracle, and against corrupted
 solutions."""
 
+import inspect
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +38,14 @@ from tropopt.oracle import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def replace(value, **changes):
+    """``value`` built again by its constructor, with ``changes`` to its fields."""
+    fields = inspect.signature(type(value)).parameters
+    return type(value)(**{**{name: getattr(value, name) for name in fields}, **changes})
+
+
 KINDS = ("two_sided", "matrix_lower", "locate", "approximate", "best_under")
 PER_KIND = 40
 

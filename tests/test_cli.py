@@ -1,4 +1,5 @@
-import dataclasses
+import ast
+import inspect
 import io
 import json
 import math
@@ -165,6 +166,25 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "kind", [["two_sided"], {"a": 1}, 1, None], ids=["list", "object", "number", "null"]
+    )
+    @pytest.mark.parametrize("command", ["solve", "eval", "verify"])
+    def test_non_string_kind_is_parse_error(self, capsys, tmp_path, kind, command):
+        path = write(tmp_path, {"kind": kind, "p": [1], "q": [0]})
+        point = ["--point", "[0]"] if command == "eval" else []
+        code, out = run(capsys, command, path, *point)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {"reason": "parse_error", "message": f"unknown problem kind {kind!r}"}
+
+    def test_list_kind_exits_2_without_a_traceback(self, tmp_path):
+        path = write(tmp_path, {"kind": ["two_sided"], "p": [1], "q": [0]})
+        proc = _run_command_line("solve", path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"]["reason"] == "parse_error"
+
     def test_nonstandard_constants_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "two_sided", "p": [NaN, 1], "q": [0, 0]}')
@@ -296,7 +316,7 @@ def _assert_reads_back(doc):
     the number the file holds, and a field the file omits is ``None``."""
     lp = parse_problem(doc)
     assert (lp.kind, lp.name) == (doc["kind"], doc.get("name"))
-    for key in (f.name for f in dataclasses.fields(lp.problem) if f.init):
+    for key in inspect.signature(type(lp.problem)).parameters:
         value = getattr(lp.problem, key)
         if key == "A":
             assert value.entries == tuple(tuple(map(float, row)) for row in doc[key])
@@ -427,6 +447,17 @@ class TestStructure:
             "assert 'numpy' not in sys.modules, 'solve'\n"
         )
 
+    def test_command_path_imports_no_introspection_modules(self):
+        # -S: the site module can import typing itself, through a .pth hook
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, tropopt.cli; print(sorted(sys.modules))"],
+            env=_fresh_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "tropopt.cli" in loaded
+        assert not {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"} & loaded
+
     def test_verify_does_not_import_numpy(self):
         _run_fresh(
             "import sys, tropopt.cli\n"
@@ -447,15 +478,27 @@ def _record_builds(monkeypatch) -> list:
     return built
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(tropopt.__file__).resolve().parent.parent)}
+
+
 def _run_fresh(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this checkout;
     its assertions fail the test."""
-    src = str(Path(tropopt.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_command_line(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``tropopt`` with ``argv`` in a fresh interpreter, as the console
+    script does (``python -m tropopt`` calls the same ``cli.main``)."""
+    return subprocess.run(
+        [sys.executable, "-m", "tropopt", *argv],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestErrors:
