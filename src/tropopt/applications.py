@@ -37,6 +37,8 @@ class LocationProblem(Record):
                 raise ShapeMismatchError(f"{name} must be a column vector")
             if not v.is_regular:
                 raise NotRegularError(f"{name} must be regular")
+        if s.dim != r.dim:
+            raise ShapeMismatchError(f"s must have dimension {r.dim}, got {s.dim}")
         self._set(r, s, g, h)
         # bound invariants match the reduced problem
         object.__setattr__(self, "reduced", reduced_two_sided(self))

@@ -123,12 +123,17 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
             raise _fail("returned interval leaves the feasible box", x)
     gap = _check_attains(prob, sol, objective_two_sided, (sol.lower, sol.upper))
     _check_bound(bound, sol, lo)
-    for i in range(len(p)):
-        for claimed, true in ((sol.lower.elements, lo), (sol.upper.elements, hi)):
-            if not _close(claimed[i], true[i]):
-                # a returned endpoint moved to the true one: a minimizer it misses
-                point = claimed[:i] + (true[i],) + claimed[i + 1:]
-                raise _fail(f"the minimizer set differs from the interval at coordinate {i}", point)
+    # equal endpoints are close at every coordinate; only unequal ones
+    # are walked with the tolerance, to find the first that is not
+    if (sol.lower.elements, sol.upper.elements) != (lo, hi):
+        for i in range(len(p)):
+            for claimed, true in ((sol.lower.elements, lo), (sol.upper.elements, hi)):
+                if not _close(claimed[i], true[i]):
+                    # a returned endpoint moved to the true one: a minimizer it misses
+                    point = claimed[:i] + (true[i],) + claimed[i + 1:]
+                    raise _fail(
+                        f"the minimizer set differs from the interval at coordinate {i}", point
+                    )
     return OracleReport(
         bound, sol.lower, 2, max_discrepancy=max(gap, abs(bound - sol.mu)), binding=(term, index)
     )

@@ -12,16 +12,17 @@ subcommand imports numpy.
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
 or nesting too deep to decode) or an output that cannot be written, 2 an
 invalid or infeasible problem, a failed verification, or a command line
-that argparse rejects.  Every ``TropicalError`` exits 2 with a JSON error
-whose ``reason`` the error class declares.  ``eval`` judges a point by
-the certificate's ``RULES``, as ``verify`` does.
+in none of ``USAGE``'s forms.  Every ``TropicalError`` exits 2 with a
+JSON error whose ``reason`` the error class declares.  ``eval`` judges a
+point by the certificate's ``RULES``, as ``verify`` does.  ``run``, the
+process entry point, ends with ``os._exit`` once the output is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -46,7 +47,15 @@ class ProblemFormatError(TropicalError):
     reason = "parse_error"
 
 
+class UsageError(TropicalError):
+    """The command line matches none of the forms in ``USAGE``."""
+
+    reason = "usage_error"
+
+
 Kind = namedtuple("Kind", "cls solve")
+# a parsed command line: ``run`` is the subcommand's function
+Command = namedtuple("Command", "run input output pretty point")
 
 # The solvers are called through the module's names, not held here, so
 # that wrappers installed on those names (timers, counters) see the calls.
@@ -209,6 +218,8 @@ def _reject_constant(token: str) -> float:
 
 def _read_json(path: str):
     if path == "-":
+        if sys.stdin is None:  # the process started with fd 0 closed
+            raise OSError("stdin is closed")
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
@@ -216,13 +227,28 @@ def _read_json(path: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-def _write_json(path: str, obj, pretty: bool) -> None:
-    text = json.dumps(obj, indent=2 if pretty else None) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(path: str, text: str) -> int:
+    """Write ``text`` to ``path``, or to stdout for "-", and flush it;
+    returns 0, or 1 with a one-line error when it cannot be written.
+    The flush is here, not at exit, so that a closed pipe is an exit 1
+    like any other unwritable output, and ``run`` loses nothing."""
+    try:
+        if path != "-":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write result: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _write_json(path: str, obj, pretty: bool) -> int:
+    return _write(path, json.dumps(obj, indent=2 if pretty else None) + "\n")
 
 
 def _error_payload(exc: TropicalError) -> dict:
@@ -234,11 +260,11 @@ def _error_payload(exc: TropicalError) -> dict:
     return payload
 
 
-def _solve(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+def _solve(lp: LoadedProblem, args: Command) -> dict:
     return solution_to_dict(lp, solve_loaded(lp))
 
 
-def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+def _eval(lp: LoadedProblem, args: Command) -> dict:
     try:
         point_doc = json.loads(args.point, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -250,12 +276,12 @@ def _eval(lp: LoadedProblem, args: argparse.Namespace) -> dict:
     return {"kind": lp.kind, "value": value, "feasible": rule.feasible(prob, x)}
 
 
-def _verify(lp: LoadedProblem, args: argparse.Namespace) -> dict:
+def _verify(lp: LoadedProblem, args: Command) -> dict:
     sol = solve_loaded(lp)
     return report_to_dict(lp, sol, verify_loaded(lp, sol))
 
 
-def run_command(args: argparse.Namespace) -> int:
+def run_command(args: Command) -> int:
     """Read the problem, run the subcommand, write its result or error."""
     try:
         try:
@@ -266,43 +292,92 @@ def run_command(args: argparse.Namespace) -> int:
         result, code = args.run(parse_problem(doc), args), 0
     except TropicalError as exc:
         result, code = _error_payload(exc), 2
-    try:
-        _write_json(args.output, result, args.pretty)
-    except OSError as exc:
-        print(f"error: cannot write result: {exc}", file=sys.stderr)
-        return 1
-    return code
+    return _write_json(args.output, result, args.pretty) or code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="tropopt",
-        description="Solve constrained max-plus optimization problems in closed form.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: tropopt solve INPUT [OUTPUT] [--pretty]
+       tropopt eval INPUT --point JSON [--pretty]
+       tropopt verify INPUT [--pretty]
 
-    sp = sub.add_parser("solve", help="solve a problem file and write the solution")
-    sp.add_argument("input", help='problem JSON path, or "-" for stdin')
-    sp.add_argument("output", nargs="?", default="-", help='solution path, or "-" for stdout')
-    sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sp.set_defaults(run=_solve)
+Solve constrained max-plus optimization problems in closed form.
 
-    ep = sub.add_parser("eval", help="evaluate the objective at a point")
-    ep.add_argument("input", help='problem JSON path, or "-" for stdin')
-    ep.add_argument("--point", required=True, help='JSON array, e.g. "[0, 0, 0]"')
-    ep.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    ep.set_defaults(run=_eval, output="-")
+  solve    solve a problem file and write the solution
+  eval     evaluate the objective at a point
+  verify   solve, then prove the answer optimal
 
-    vp = sub.add_parser("verify", help="solve, then prove the answer optimal")
-    vp.add_argument("input", help='problem JSON path, or "-" for stdin')
-    vp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    vp.set_defaults(run=_verify, output="-")
-    return ap
+INPUT is a problem JSON path and OUTPUT a solution path; "-", the
+default OUTPUT, means stdin or stdout.  --point takes a JSON array,
+e.g. "[0, 0, 0]", and --pretty indents the JSON output.  Options may
+come before, between or after the paths.
+"""
+
+# per subcommand: its runner and how many paths it takes at most
+_COMMANDS = {"solve": (_solve, 2), "eval": (_eval, 1), "verify": (_verify, 1)}
+
+
+def parse_args(argv: list[str]) -> Command | None:
+    """The command that ``argv`` spells in one of ``USAGE``'s forms, or
+    None when it asks for help; any other command line raises
+    ``UsageError``."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        raise UsageError(f"expected a command (solve, eval or verify), got {command!r}")
+    runner, most = _COMMANDS[command]
+    tokens = iter(argv[1:])
+    paths, extra, pretty, point = [], [], False, None
+    for tok in tokens:
+        if tok == "--pretty":
+            pretty = True
+        elif command == "eval" and tok == "--point":
+            point = next(tokens, None)
+            if point is None:
+                raise UsageError("argument --point: expected one argument")
+        elif command == "eval" and tok.startswith("--point="):
+            point = tok[len("--point="):]
+        elif (tok.startswith("-") and tok != "-") or len(paths) == most:
+            extra.append(tok)
+        else:
+            paths.append(tok)
+    missing = [] if paths else ["INPUT"]
+    if command == "eval" and point is None:
+        missing.append("--point")
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return Command(runner, paths[0], paths[1] if len(paths) > 1 else "-", pretty, point)
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_command(build_parser().parse_args(argv))
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code; the result, or a JSON error, is written and flushed."""
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        return _write_json("-", _error_payload(exc), False) or 2
+    if args is None:
+        return _write("-", USAGE)
+    return run_command(args)
+
+
+def run() -> None:
+    """The process entry point: ``main``, then ``os._exit`` with its
+    code.  Everything the command writes is flushed by then, so the
+    interpreter's teardown (module and object finalization, a few to
+    tens of ms) would buy nothing.  An exception that escapes ``main``
+    propagates and ends the process the usual way, with its traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:  # a write that already failed and was reported
+            code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -212,6 +212,57 @@ def test_moved_interval_endpoint_is_rejected(kind):
     assert rejected >= 40
 
 
+@pytest.mark.parametrize("kind", ("two_sided", "locate"))
+def test_endpoint_moved_within_the_tolerance_certifies(kind):
+    # unequal endpoints are compared coordinate by coordinate with the
+    # tolerance; only bit-equal ones skip that walk
+    for core, sol in _solved(kind, 10):
+        for end in ("lower", "upper"):
+            for i in range(core.dim):
+                for d in (1e-10, -1e-10):
+                    try:
+                        near = replace(sol, **{end: _shifted(getattr(sol, end), i, d)})
+                    except TropicalError:  # lower above upper: not an interval
+                        continue
+                    assert getattr(near, end) != getattr(sol, end)
+                    assert certify(core, near).min_value == sol.mu
+
+
+def _first_difference(sol, moved) -> tuple[int, TropVector]:
+    """The coordinate and the counterexample of the tolerant walk over
+    ``moved``'s endpoints against ``sol``'s: coordinates in order, the
+    lower endpoint before the upper one at each."""
+    for i in range(sol.lower.dim):
+        for end in ("lower", "upper"):
+            claimed, true = getattr(moved, end).elements, getattr(sol, end).elements
+            if abs(claimed[i] - true[i]) > 1e-9 * max(1.0, abs(claimed[i]), abs(true[i])):
+                return i, TropVector(claimed[:i] + (true[i],) + claimed[i + 1:])
+    raise AssertionError("the endpoints are close")
+
+
+@pytest.mark.parametrize("kind", ("two_sided", "locate"))
+def test_endpoint_moved_beyond_the_tolerance_names_the_first_coordinate(kind):
+    walked = 0
+    for core, sol in _solved(kind, 20):
+        assert certify(core, sol).min_value == sol.mu
+        for i in range(core.dim):
+            for j in range(core.dim):
+                # the lower endpoint moved at i, the upper one at j
+                lower, upper = _shifted(sol.lower, i, 0.5), _shifted(sol.upper, j, -0.5)
+                try:
+                    moved = replace(sol, lower=lower, upper=upper)
+                except TropicalError:  # lower above upper: not an interval
+                    continue
+                error = _rejected(core, moved)
+                if "differs from the interval" not in str(error):
+                    continue  # caught before the walk: out of the box or off the optimum
+                index, point = _first_difference(sol, moved)
+                assert str(error).endswith(f"at coordinate {index}")
+                assert error.counterexample == point
+                walked += 1
+    assert walked >= 25
+
+
 @pytest.mark.parametrize("kind", ("matrix_lower", "approximate"))
 def test_moved_point_is_rejected_unless_still_optimal(kind):
     rejected = 0

@@ -1,19 +1,22 @@
 import ast
+import contextlib
 import inspect
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropopt
-from tropopt import NEG_INF, TropMatrix, TropVector, applications, linalg, solvers
+from tropopt import NEG_INF, TropMatrix, TropVector, applications, cli, linalg, solvers
 from tropopt.cli import (
     _matrix_in,
     _scalar_in,
@@ -456,7 +459,9 @@ class TestStructure:
         assert proc.returncode == 0, proc.stderr
         loaded = set(ast.literal_eval(proc.stdout))
         assert "tropopt.cli" in loaded
-        assert not {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"} & loaded
+        assert not {
+            "argparse", "gettext", "dataclasses", "inspect", "typing", "ast", "dis", "tokenize"
+        } & loaded
 
     def test_verify_does_not_import_numpy(self):
         _run_fresh(
@@ -479,8 +484,11 @@ def _record_builds(monkeypatch) -> list:
 
 
 def _fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout."""
-    return {**os.environ, "PYTHONPATH": str(Path(tropopt.__file__).resolve().parent.parent)}
+    """The environment of a fresh interpreter that imports this checkout,
+    with stdout buffered as in a plain run, so that a missing flush shows."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tropopt.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _run_fresh(code: str) -> None:
@@ -492,13 +500,189 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def _run_command_line(*argv: str) -> subprocess.CompletedProcess:
+def _run_command_line(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run ``tropopt`` with ``argv`` in a fresh interpreter, as the console
-    script does (``python -m tropopt`` calls the same ``cli.main``)."""
+    script does (``python -m tropopt`` calls the same ``cli.run``)."""
     return subprocess.run(
         [sys.executable, "-m", "tropopt", *argv],
-        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+        env=_fresh_env(), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
+
+
+class TestProcess:
+    """The process ends with ``os._exit`` once its output is flushed:
+    nothing written may be lost, and the exit code is ``main``'s."""
+
+    # a small output stays in stdout's buffer until it is flushed; one
+    # larger than the buffer (8 KiB) goes to the file descriptor at once
+    @pytest.mark.parametrize("n", [3, 10_000])
+    def test_output_is_complete(self, capsys, tmp_path, n):
+        rng = random.Random(f"output-{n}")
+        doc = {
+            "kind": "two_sided",
+            "p": [rng.randint(-1000, 1000) / 2 for _ in range(n)],
+            "q": [rng.randint(-1000, 1000) / 2 for _ in range(n)],
+        }
+        path = write(tmp_path, doc)
+        code, want = run(capsys, "solve", path)
+        assert code == 0
+        target = tmp_path / "stdout.json"
+        with open(target, "w") as fh:
+            assert _run_command_line("solve", path, stdout=fh).returncode == 0
+        assert target.read_text() == want
+        proc = _run_command_line("solve", path)
+        assert (proc.returncode, proc.stdout) == (0, want)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", LOCATION], 0),
+            (["verify", LOCATION], 0),
+            (["--help"], 0),
+            (["solve", "/nonexistent/problem.json"], 1),
+            (["verify", INFEASIBLE], 2),
+            (["eval", LOCATION, "--point", "[0, 0]"], 2),
+            (["verify"], 2),
+        ],
+        ids=["solve", "verify", "help", "unreadable", "infeasible", "shape_mismatch", "usage_error"],
+    )
+    def test_exit_code_is_mains(self, capsys, argv, code):
+        proc = _run_command_line(*argv)
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("closed", ["pipe", "descriptor"])
+    def test_closed_stdout_is_an_unwritable_output(self, closed):
+        if closed == "pipe":  # a reader that is gone: the write fails with EPIPE
+            reader, writer = os.pipe()
+            os.close(reader)
+            try:
+                proc = _run_command_line("solve", LOCATION, stdout=writer)
+            finally:
+                os.close(writer)
+        else:  # no file descriptor 1 at all
+            proc = subprocess.run(
+                ["sh", "-c", 'exec "$0" -m tropopt solve "$1" >&-', sys.executable, LOCATION],
+                env=_fresh_env(), stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write result: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_stdin_is_an_unreadable_input(self):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m tropopt solve - <&-', sys.executable],
+            env=_fresh_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot read problem: stdin is closed\n"
+
+
+def _main_in(directory: Path, argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` run in ``directory``, holding a copy of the fixtures
+    in ``in/``, with the location fixture on stdin; returns its exit code,
+    stdout and stderr."""
+    (directory / "in").mkdir()
+    for path in FIXTURES.glob("*.json"):
+        (directory / "in" / path.name).write_bytes(path.read_bytes())
+    out, err, cwd, stdin = io.StringIO(), io.StringIO(), os.getcwd(), sys.stdin
+    sys.stdin = io.StringIO(Path(LOCATION).read_text())
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+# command-line tokens: the subcommands, their options, the copied
+# fixtures, and junk (an unknown option, bare words, and short names
+# without a directory separator), so that every path a command reads or
+# writes lies in its working directory
+inputs = st.sampled_from(["-", *sorted(f"in/{p.name}" for p in FIXTURES.glob("*.json"))])
+argv_tokens = st.one_of(
+    st.sampled_from(
+        ["solve", "eval", "verify", "-", "--pretty", "--point", "--point=[0, 0, 0]", "[0, 0, 0]",
+         "[1]", "-h", "--help", "--step", "0", "-1", "--", "-x", "", ".", "in", "out.json"]
+    ),
+    inputs,
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00/"), max_size=6),
+)
+# mostly a subcommand and an input, then anything
+command_lines = st.builds(
+    lambda head, rest: [*head, *rest],
+    st.one_of(
+        st.tuples(st.sampled_from(["solve", "eval", "verify"]), inputs), st.lists(argv_tokens, max_size=2)
+    ),
+    st.lists(argv_tokens, max_size=4),
+)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--pretty", LOCATION],
+            ["solve", LOCATION, "--pretty", "-"],
+            ["solve", LOCATION, "-", "--pretty", "--pretty"],
+        ],
+    )
+    def test_options_anywhere(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, "solve", LOCATION, "-", "--pretty")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--point", "[1, 1, 1]", LOCATION],
+            ["eval", "--point=[1, 1, 1]", LOCATION],
+            ["eval", LOCATION, "--point", "[5, 5, 5]", "--point", "[1, 1, 1]"],
+        ],
+    )
+    def test_point_forms(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, "eval", LOCATION, "--point", "[1, 1, 1]")
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["solve", "-h"], ["eval", LOCATION, "--help"], ["verify", "--bad", "-h"]]
+    )
+    def test_help(self, capsys, argv):
+        assert run(capsys, *argv) == (0, cli.USAGE)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "expected a command (solve, eval or verify), got ''"),
+            (["frobnicate", LOCATION], "expected a command (solve, eval or verify), got 'frobnicate'"),
+            (["--pretty", "solve", LOCATION], "expected a command (solve, eval or verify), got '--pretty'"),
+            (["solve"], "the following arguments are required: INPUT"),
+            (["eval"], "the following arguments are required: INPUT, --point"),
+            (["eval", LOCATION], "the following arguments are required: --point"),
+            (["eval", LOCATION, "--point"], "argument --point: expected one argument"),
+            (["solve", LOCATION, "-", "extra"], "unrecognized arguments: extra"),
+            (["verify", LOCATION, "-"], "unrecognized arguments: -"),
+            (["verify", LOCATION, "--point", "[0]"], "unrecognized arguments: --point [0]"),
+            (["solve", LOCATION, "--pre"], "unrecognized arguments: --pre"),
+            (["solve", "-x", LOCATION, "--"], "unrecognized arguments: -x --"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"reason": "usage_error", "message": message}}
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines)
+    def test_any_command_line_ends_in_an_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as directory:
+            code, out, err = _main_in(Path(directory), argv)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.startswith(("error: cannot read problem: ", "error: cannot write result: "))
+            if code == 2 and not out:  # solve wrote the error to its OUTPUT
+                out = (Path(directory) / cli.parse_args(argv).output).read_text()
+            if code == 2:
+                assert json.loads(out)["error"]["reason"]
 
 
 class TestErrors:
@@ -516,11 +700,12 @@ class TestErrors:
     )
     def test_bad_verify_arguments(self, capsys, option):
         # the grid oracle's --step and --samples are gone from verify,
-        # and argparse rejects them
-        with pytest.raises(SystemExit) as info:
-            main(["verify", LOCATION, *option])
-        assert info.value.code == 2
-        assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+        # and the command line parser rejects them
+        code, out = run(capsys, "verify", LOCATION, *option)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["reason"] == "usage_error"
+        assert error["message"] == "unrecognized arguments: " + " ".join(option)
 
     @pytest.mark.parametrize(
         "doc",
@@ -622,6 +807,16 @@ class TestErrors:
             assert code == 0
             evaluated = json.loads(out)
             assert evaluated["feasible"] is True and _close(evaluated["value"], solved["mu"])
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["eval", "--point", "[0]"]])
+    def test_location_points_of_unequal_length(self, capsys, tmp_path, command):
+        # s_2 = 2 must not be dropped: the problem is rejected, not solved in one dimension
+        path = write(tmp_path, {"kind": "locate", "r": [1], "s": [5, 2]})
+        code, out = run(capsys, command[0], path, *command[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "reason": "shape_mismatch", "message": "s must have dimension 1, got 2"
+        }
 
     def test_point_nested_too_deep(self, capsys):
         point = "[" * 50_000 + "]" * 50_000

@@ -226,6 +226,7 @@ class TestDiagnosticsAndReducedAreNotCompared:
         (lambda: LocationProblem(v(1, orientation="row"), v(1)), ShapeMismatchError,
          "r must be a column vector"),
         (lambda: LocationProblem(v(1), v(NEG_INF)), NotRegularError, "s must be regular"),
+        (lambda: LocationProblem(v(1), v(5, 2)), ShapeMismatchError, "s must have dimension 1, got 2"),
         (lambda: LocationProblem(v(1, 2), v(2, 1), h=v(3)), ShapeMismatchError,
          "h must have dimension 2, got 1"),
         (lambda: ApproximationProblem(A, v(1, 2, 3), v(0)), ShapeMismatchError,
