@@ -10,7 +10,7 @@ instance once, on construction, and keeps it in ``reduced``.
 
 from __future__ import annotations
 
-from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector
+from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
 from .semifield import Record
 from .solvers import (
     IntervalSolution,
@@ -60,10 +60,11 @@ def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     Chebyshev distances at every regular point: ``p = r + s`` is the
     entrywise max and ``q = (r~ + s~)~`` the entrywise min, each one
     comparison per element, bit for bit ``max``/``min`` on these non-NaN
-    floats."""
+    floats.  Each is an element of ``r`` or ``s``, so a carrier scalar
+    already."""
     r, s = prob.r.elements, prob.s.elements
-    p = TropVector(tuple([x if x >= y else y for x, y in zip(r, s)]))
-    q = TropVector(tuple([x if x <= y else y for x, y in zip(r, s)]))
+    p = _vector(tuple([x if x >= y else y for x, y in zip(r, s)]))
+    q = _vector(tuple([x if x <= y else y for x, y in zip(r, s)]))
     return TwoSidedProblem(p=p, q=q, g=prob.g, h=prob.h)
 
 

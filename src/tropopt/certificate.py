@@ -77,9 +77,11 @@ def _fail(message: str, point) -> VerificationFailedError:
 
 def _bound(terms: dict[str, list[float]]) -> tuple[float, str, int]:
     """The greatest value over all terms, and the first term and index
-    attaining it."""
-    bound = max(map(max, terms.values()))
-    name = next(name for name, values in terms.items() if bound in values)
+    attaining it: one ``max`` per term, and one ``index`` on the term
+    that binds."""
+    tops = {name: max(values) for name, values in terms.items()}
+    bound = max(tops.values())
+    name = next(name for name, top in tops.items() if top == bound)
     return bound, name, terms[name].index(bound)
 
 
@@ -142,18 +144,19 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
 def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
     # r = q~A: obj >= (A x)_k - q_k forces x_l <= obj - r_l, so
     # (A x)_k <= obj + res_k and obj >= p_k - (A x)_k gives (p_k - res_k)/2;
-    # x >= g gives obj >= (A x)_i - q_i >= a_ij - q_i + g_j
+    # x >= g gives obj >= (A x)_i - q_i >= a_ij - q_i + g_j, one max per
+    # row i here, and the binding row's terms again for its column
     A, p, q, g = prob.A.entries, prob.p.elements, prob.q.elements, prob.g.elements
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
-    bound, term, index = _bound({
+    bound, term, i = _bound({
         "delta": [(pk - rk) / 2 for pk, rk in zip(p, res)],
-        "g_term": [a - qi + gj for row, qi in zip(A, q) for a, gj in zip(row, g)],
+        "g_term": [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)],
     })
     if term == "delta":
-        index = (index, list(map(sub, A[index], r)).index(res[index]))
+        index = (i, list(map(sub, A[i], r)).index(res[i]))
     else:
-        index = divmod(index, len(g))
+        index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
 
     if not _above_g(prob, sol.x):
         raise _fail("returned vector violates the lower bound", sol.x)

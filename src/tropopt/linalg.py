@@ -12,6 +12,16 @@ call per scalar.  ``max`` keeps the first of equal values, as the scalar
 definitions.  An entrywise sum is ``x if x >= y else y`` per pair, which
 is ``MaxPlus.add`` itself and, on non-NaN floats, exactly ``max(x, y)``
 without the cost of a builtin call per element.
+
+Each scalar is validated once, where it enters the program.  The public
+``TropVector(...)`` and ``TropMatrix(...)`` check every element with
+``check_all``; the command line's parser validates its input itself and
+builds through ``_vector`` and ``_matrix``, which take their floats as
+they are.  So do the solvers for the vectors they compute, after
+``_no_overflow``: from valid data a computed value can leave the carrier
+only by overflowing to ``+inf``.  Every vector, by either path, is set
+by ``TropVector._set`` (``Record._set``), every matrix by
+``TropMatrix._set``.
 """
 
 from __future__ import annotations
@@ -20,7 +30,9 @@ from collections.abc import Iterator
 from itertools import repeat
 from operator import add, le, sub
 
-from .semifield import MAX_PLUS, NEG_INF, Record, ScalarOverflowError, TropicalError, check_all
+from .semifield import MAX_PLUS, NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, check_all
+
+_new = object.__new__
 
 
 class ShapeMismatchError(TropicalError):
@@ -54,8 +66,7 @@ class TropVector(Record):
     __slots__ = ("elements", "orientation")
 
     def __init__(self, elements: tuple[float, ...], orientation: str = "col") -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "orientation", orientation)
+        self._set(elements, orientation)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -99,15 +110,12 @@ class TropMatrix(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[float, ...], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(map(check_all, self.entries))
-        if not rows or not rows[0]:
-            raise ShapeMismatchError("matrices must be nonempty")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ShapeMismatchError("matrix rows have unequal lengths")
+        _require_rectangular(rows)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -137,6 +145,38 @@ class TropMatrix(Record):
     @property
     def is_regular(self) -> bool:
         return self.is_row_regular and self.is_column_regular
+
+
+def _require_rectangular(rows: tuple[tuple[float, ...], ...]) -> None:
+    if not rows or not rows[0]:
+        raise ShapeMismatchError("matrices must be nonempty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ShapeMismatchError("matrix rows have unequal lengths")
+
+
+def _vector(elements: tuple[float, ...], orientation: str = "col") -> TropVector:
+    """The vector of ``elements``, a nonempty tuple of carrier floats that
+    the caller has validated or computed, taken as they are."""
+    v = _new(TropVector)
+    v._set(elements, orientation)
+    return v
+
+
+def _matrix(rows: tuple[tuple[float, ...], ...]) -> TropMatrix:
+    """The matrix of ``rows``, tuples of validated carrier floats, taken
+    as they are once their shape is checked."""
+    _require_rectangular(rows)
+    a = _new(TropMatrix)
+    a._set(rows)
+    return a
+
+
+def _no_overflow(values):
+    """Return computed ``values`` unless one overflowed to +inf: the test,
+    and the message, of a validated container."""
+    if POS_INF in values:
+        raise ScalarOverflowError("value exceeds the float range")
+    return values
 
 
 MatLike = "TropVector | TropMatrix"
@@ -251,11 +291,12 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
     if not A.is_column_regular:
         raise NotColumnRegularError("matrix must be column-regular")
     # x_l = min_k(p_k - a_kl), the conjugate of p~A, which is -inf only
-    # when p~A overflowed to +inf
-    x = [min(map(sub, p.elements, col)) for col in zip(*A.entries)]
+    # when p~A overflowed to +inf, and +inf only when p_k - a_kl overflowed
+    # to +inf at every finite a_kl
+    x = tuple([min(map(sub, p.elements, col)) for col in zip(*A.entries)])
     if NEG_INF in x:
         raise ScalarOverflowError("value exceeds the float range")
-    return TropVector(tuple(x))
+    return _vector(_no_overflow(x))
 
 
 def vec_leq(x: TropVector, y: TropVector) -> bool:

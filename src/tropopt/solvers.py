@@ -17,8 +17,10 @@ elementwise max or min of two vectors is the comprehension
 ``[x if x >= y else y for x, y in zip(a, b)]`` (``<=`` for min): on
 non-NaN floats it is ``max(x, y)`` (``min(x, y)``) bit for bit, signed
 zeros included, at a quarter of the cost of a builtin call per element.
-A value computed from valid data can still overflow, which raises
-``ScalarOverflowError`` where the formulas would hold it in a container.
+The data are validated when they enter the program, so a solver checks
+nothing of them again.  A value computed from them can still overflow,
+which ``_no_overflow``, the one test a computed vector gets, raises as
+``ScalarOverflowError`` before the vector is built.
 Rounding can also move a returned point off the optimum: the two-sided
 and matrix solvers end by evaluating the objective at their points, and
 raise ``PrecisionLossError`` unless each attains ``mu`` within the
@@ -39,6 +41,8 @@ from .linalg import (
     TropMatrix,
     TropVector,
     ZeroVectorError,
+    _no_overflow,
+    _vector,
     max_solution_leq,
     vec_leq,
 )
@@ -151,6 +155,18 @@ class IntervalSolution(Record):
         _require_finite_optimum(mu)
         if not vec_leq(lower, upper):
             raise TropicalError("solution interval has lower > upper")
+        self._fill(mu, lower, upper, delta, g_term, h_term)
+
+    @classmethod
+    def _ordered(cls, mu, lower, upper, delta, g_term=None, h_term=None) -> "IntervalSolution":
+        """The solution for endpoints that the caller has already found in
+        order, ``lower <= upper``: every other check of ``__init__``."""
+        _require_finite_optimum(mu)
+        sol = object.__new__(cls)
+        sol._fill(mu, lower, upper, delta, g_term, h_term)
+        return sol
+
+    def _fill(self, mu, lower, upper, delta, g_term, h_term) -> None:
         if not upper.is_regular:
             raise NotRegularError("solution interval upper endpoint must be regular")
         if not delta <= mu:
@@ -173,14 +189,6 @@ class PointSolution(Record):
         if not x.is_regular:
             raise NotRegularError("attaining vector must be regular")
         self._set(mu, x, delta, g_term, h_term)
-
-
-def _no_overflow(values):
-    """Return computed ``values`` unless one overflowed to +inf: the test,
-    and the message, of a validated container."""
-    if POS_INF in values:
-        raise ScalarOverflowError("value exceeds the float range")
-    return values
 
 
 def _objective(x, q, p) -> float:
@@ -249,12 +257,12 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     upper = map(add, q, repeat(mu))
     if prob.h is not None:
         upper = [x if x <= y else y for x, y in zip(upper, prob.h.elements)]
-    lower, upper = TropVector(tuple(lower)), TropVector(tuple(upper))
+    lower, upper = _vector(_no_overflow(tuple(lower))), _vector(_no_overflow(tuple(upper)))
     if not vec_leq(lower, upper):
         if not all(map(_leq, lower, upper)):
             raise PrecisionLossError("rounding put lower above upper by more than the tolerance")
-        upper = TropVector(tuple([x if x >= y else y for x, y in zip(lower, upper)]))
-    sol = IntervalSolution(mu, lower, upper, **terms)
+        upper = _vector(tuple([x if x >= y else y for x, y in zip(lower, upper)]))
+    sol = IntervalSolution._ordered(mu, lower, upper, **terms)
     _require_attained(mu, "an endpoint", (_objective(x.elements, q, p) for x in (lower, upper)))
     return sol
 
@@ -297,7 +305,7 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
     mu = max(terms["delta"], terms["g_term"])
-    sol = PointSolution(mu, TropVector(tuple(map(sub, repeat(mu), qa))), **terms)
+    sol = PointSolution(mu, _vector(_no_overflow(tuple(map(sub, repeat(mu), qa)))), **terms)
     if not _above_g(prob, sol.x):
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
     _require_attained(mu, "x", (objective_matrix(prob, sol.x),))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropopt
-from tropopt import NEG_INF, TropMatrix, TropVector, applications, cli, linalg, solvers
+from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications, cli, linalg, solvers
 from tropopt.cli import (
     _matrix_in,
     _scalar_in,
@@ -72,6 +72,16 @@ def write(tmp_path, doc, name="p.json"):
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def io_error(err: str, reason: str) -> dict:
+    """The error of an exit 1: one JSON line on stderr with ``reason``."""
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err, err
+    error = json.loads(err)["error"]
+    assert error["reason"] == reason
+    prefix = {"unreadable_input": "cannot read problem: ", "unwritable_output": "cannot write result: "}
+    assert error["message"].startswith(prefix[reason])
+    return error
 
 
 class TestSolve:
@@ -138,17 +148,20 @@ class TestSolve:
     def test_missing_file_is_io_failure(self, capsys):
         code = main(["solve", "/nonexistent/problem.json"])
         assert code == 1
+        io_error(capsys.readouterr().err, "unreadable_input")
 
     @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing_directory", "directory"])
     def test_unwritable_output_is_io_failure(self, capsys, tmp_path, target):
         assert main(["solve", LOCATION, str(tmp_path / target)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write result: ") and "Traceback" not in err
+        assert set(io_error(capsys.readouterr().err, "unwritable_output")) == {"reason", "message"}
 
     def test_json_syntax_error_is_io_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text('{"kind": "two_sided",\n "p": [1, 2,]}')
         assert main(["solve", str(bad)]) == 1
+        error = io_error(capsys.readouterr().err, "unreadable_input")
+        assert error["location"] == "2:13"
+        assert error["message"] == "cannot read problem: Expecting value: line 2 column 13 (char 34)"
 
     @pytest.mark.parametrize(
         "content",
@@ -159,8 +172,7 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         assert main(["solve", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read problem: ") and "Traceback" not in err
+        assert "location" not in io_error(capsys.readouterr().err, "unreadable_input")
 
     def test_unknown_kind_is_invalid_problem(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -476,10 +488,12 @@ class TestStructure:
 
 
 def _record_builds(monkeypatch) -> list:
-    """The list of every ``TropVector`` built from now on."""
+    """The list of every ``TropVector`` built from now on: each one, by
+    the public constructor or the private ``linalg._vector``, has its
+    fields set by ``_set``."""
     built = []
-    post_init = TropVector.__post_init__
-    monkeypatch.setattr(TropVector, "__post_init__", lambda v: built.append(v) or post_init(v))
+    set_fields = TropVector._set
+    monkeypatch.setattr(TropVector, "_set", lambda v, *values: built.append(v) or set_fields(v, *values))
     return built
 
 
@@ -566,8 +580,7 @@ class TestProcess:
                 env=_fresh_env(), stderr=subprocess.PIPE, text=True, timeout=60,
             )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: cannot write result: ")
-        assert "Traceback" not in proc.stderr
+        io_error(proc.stderr, "unwritable_output")
 
     def test_closed_stdin_is_an_unreadable_input(self):
         proc = subprocess.run(
@@ -575,7 +588,9 @@ class TestProcess:
             env=_fresh_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: cannot read problem: stdin is closed\n"
+        assert json.loads(proc.stderr) == {
+            "error": {"reason": "unreadable_input", "message": "cannot read problem: stdin is closed"}
+        }
 
 
 def _main_in(directory: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -678,7 +693,7 @@ class TestCommandLine:
             code, out, err = _main_in(Path(directory), argv)
             assert code in (0, 1, 2)
             if code == 1:
-                assert err.startswith(("error: cannot read problem: ", "error: cannot write result: "))
+                assert json.loads(err)["error"]["reason"] in ("unreadable_input", "unwritable_output")
             if code == 2 and not out:  # solve wrote the error to its OUTPUT
                 out = (Path(directory) / cli.parse_args(argv).output).read_text()
             if code == 2:
@@ -718,10 +733,14 @@ class TestErrors:
             # lower[0] = p[0] - mu overflows to -inf, so the lower
             # endpoint's objective p[0] - lower[0] leaves the float range
             {"kind": "two_sided", "p": [-1.5e308, 1.5e308], "q": [1e307, 0.0], "h": [1e308, 1e308]},
+            # the upper endpoint q + mu overflows to +inf
+            {"kind": "two_sided", "p": [1e308, 0], "q": [1e308, -1e307], "g": ["-inf", 1e308]},
+            # the residuation x_0 = min_k(p_k - a_k0) overflows
+            {"kind": "best_under", "A": [[-1e308], [-1e308]], "p": [1e308, 1e308]},
         ],
         ids=[
             "optimum", "optimum_with_h", "literal", "float_literal", "negative_float_literal",
-            "endpoint_objective",
+            "endpoint_objective", "upper_endpoint", "residuation",
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -849,14 +868,49 @@ def _rows(value):
     return value.entries if isinstance(value, TropMatrix) else (value.elements,)
 
 
+# every kind of element a decoded problem file can hold: numbers, among
+# them signed zeros, values near the float limit whose sum overflows and
+# literals beyond it (json reads 1e400 as inf, and keeps 400-digit
+# integers exact); bools, null, "-inf", numeric and other strings, and
+# arrays
+numbers = st.one_of(
+    st.integers(-50, 50),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.5e308, -1.5e308, sys.float_info.max, -sys.float_info.max]),
+    st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024), 2**1023]),
+)
+any_tokens = st.one_of(
+    numbers,
+    st.sampled_from([True, False, None, "-inf", "1", "-1.5", "1e3", "NaN", "-Infinity", "", "p"]),
+    st.recursive(st.lists(numbers, max_size=2), lambda inner: st.lists(inner, max_size=2), max_leaves=4),
+)
+
+
+def _parsed(fn):
+    """The floats ``fn`` returns, each with its type and the sign of a
+    zero, or the class, reason and message of the error it raises."""
+    try:
+        values = fn()
+    except TropicalError as exc:
+        return type(exc), exc.reason, str(exc)
+    return [(type(e), e, math.copysign(1.0, e)) for e in values]
+
+
 class TestBulkParse:
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(numbers, min_size=1, max_size=8), st.lists(any_tokens, min_size=1, max_size=8)))
+    def test_one_pass_parse_is_the_per_token_parse(self, toks):
+        got = _parsed(lambda: _vector_in(toks, "p").elements)
+        want = _parsed(lambda: tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks)))
+        assert got == want
+
     @given(st.lists(tokens, min_size=1, max_size=8))
     def test_vector_matches_per_token_parse(self, toks):
         got = _outcome(lambda: _vector_in(toks, "p"))
         want = _outcome(lambda: TropVector(tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks))))
         assert got == want
 
-    @given(st.lists(st.lists(tokens, min_size=2, max_size=2), min_size=1, max_size=3))
+    @given(st.lists(st.lists(tokens, max_size=3), min_size=1, max_size=3))
     def test_matrix_matches_per_token_parse(self, rows):
         got = _outcome(lambda: _matrix_in(rows, "A"))
         want = _outcome(

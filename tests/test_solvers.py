@@ -9,6 +9,7 @@ from tropopt import (
     MatrixLowerProblem,
     NotRegularError,
     PointSolution,
+    ScalarOverflowError,
     ShapeMismatchError,
     TropMatrix,
     TropVector,
@@ -16,6 +17,7 @@ from tropopt import (
     TwoSidedProblem,
     best_underestimator,
     mat_mul,
+    max_solution_leq,
     objective_best_under,
     objective_matrix,
     objective_two_sided,
@@ -290,6 +292,14 @@ class TestBestUnderestimator:
             assert vec_leq(mat_mul(A, sol.x), p)
             assert sol.mu == 2 * sol.delta
             assert objective_best_under(BestUnderProblem(A, p), sol.x) == sol.mu
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["to_inf", "to_minus_inf"])
+    def test_residuation_overflow_raises(self, sign):
+        # x_0 = min_k(p_k - a_k0) = sign * 2e308 leaves the float range
+        A = TropMatrix(((-sign * 1e308,), (-sign * 1e308,)))
+        p = TropVector((sign * 1e308, sign * 1e308))
+        with pytest.raises(ScalarOverflowError, match="^value exceeds the float range$"):
+            max_solution_leq(A, p)
 
 
 class TestSolutionInvariants:
