@@ -11,7 +11,7 @@ instance once, on construction, and keeps it in ``reduced``.
 from __future__ import annotations
 
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
-from .semifield import Record
+from .semifield import NEG_INF, Record, _store
 from .solvers import (
     IntervalSolution,
     MatrixLowerProblem,
@@ -35,13 +35,16 @@ class LocationProblem(Record):
         for name, v in (("r", r), ("s", s)):
             if v.orientation != "col":
                 raise ShapeMismatchError(f"{name} must be a column vector")
-            if not v.is_regular:
+            if NEG_INF in v.elements:
                 raise NotRegularError(f"{name} must be regular")
-        if s.dim != r.dim:
+        if len(s.elements) != len(r.elements):
             raise ShapeMismatchError(f"s must have dimension {r.dim}, got {s.dim}")
-        self._set(r, s, g, h)
+        _store(self, "r", r)
+        _store(self, "s", s)
+        _store(self, "g", g)
+        _store(self, "h", h)
         # bound invariants match the reduced problem
-        object.__setattr__(self, "reduced", reduced_two_sided(self))
+        _store(self, "reduced", reduced_two_sided(self))
 
 
 class ApproximationProblem(Record):
@@ -51,8 +54,10 @@ class ApproximationProblem(Record):
     __slots__ = ("A", "p", "g", "reduced")
 
     def __init__(self, A: TropMatrix, p: TropVector, g: TropVector) -> None:
-        self._set(A, p, g)
-        object.__setattr__(self, "reduced", reduced_matrix_lower(self))
+        _store(self, "A", A)
+        _store(self, "p", p)
+        _store(self, "g", g)
+        _store(self, "reduced", reduced_matrix_lower(self))
 
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
@@ -65,7 +70,7 @@ def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     r, s = prob.r.elements, prob.s.elements
     p = _vector(tuple([x if x >= y else y for x, y in zip(r, s)]))
     q = _vector(tuple([x if x <= y else y for x, y in zip(r, s)]))
-    return TwoSidedProblem(p=p, q=q, g=prob.g, h=prob.h)
+    return TwoSidedProblem(p, q, prob.g, prob.h)
 
 
 def locate(prob: LocationProblem) -> IntervalSolution:
@@ -78,7 +83,7 @@ def locate(prob: LocationProblem) -> IntervalSolution:
 
 
 def reduced_matrix_lower(prob: ApproximationProblem) -> MatrixLowerProblem:
-    return MatrixLowerProblem(A=prob.A, p=prob.p, q=prob.p, g=prob.g)
+    return MatrixLowerProblem(prob.A, prob.p, prob.p, prob.g)
 
 
 def approximate(prob: ApproximationProblem) -> PointSolution:

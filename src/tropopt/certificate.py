@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, sub
 
 from .linalg import TropVector
-from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq
+from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq, _store
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -68,21 +68,16 @@ class OracleReport(Record):
     ) -> None:
         if points_evaluated < 1:
             raise TropicalError("an oracle report must cover at least one point")
-        self._set(min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding)
+        _store(self, "min_value", min_value)
+        _store(self, "argmin", argmin)
+        _store(self, "points_evaluated", points_evaluated)
+        _store(self, "agrees_with_solver", agrees_with_solver)
+        _store(self, "max_discrepancy", max_discrepancy)
+        _store(self, "binding", binding)
 
 
 def _fail(message: str, point) -> VerificationFailedError:
     return VerificationFailedError(message, counterexample=TropVector(tuple(point)))
-
-
-def _bound(terms: dict[str, list[float]]) -> tuple[float, str, int]:
-    """The greatest value over all terms, and the first term and index
-    attaining it: one ``max`` per term, and one ``index`` on the term
-    that binds."""
-    tops = {name: max(values) for name, values in terms.items()}
-    bound = max(tops.values())
-    name = next(name for name, top in tops.items() if top == bound)
-    return bound, name, terms[name].index(bound)
 
 
 def _check_attains(prob, sol, objective, points) -> float:
@@ -110,11 +105,18 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
     p, q = prob.p.elements, prob.q.elements
     g = (NEG_INF,) * len(p) if prob.g is None else prob.g.elements
     h = (POS_INF,) * len(p) if prob.h is None else prob.h.elements
-    bound, term, index = _bound({
-        "delta": [(pi - qi) / 2 for pi, qi in zip(p, q)],
-        "g_term": list(map(sub, g, q)),
-        "h_term": list(map(sub, p, h)),
-    })
+    # the bound is the greatest term, and the first term attaining it
+    # binds at its first index attaining it; halving is monotone, so the
+    # greatest (p_i - q_i)/2 is the greatest p_i - q_i halved, bit for bit
+    top_delta, top_g, top_h = max(map(sub, p, q)) / 2, max(map(sub, g, q)), max(map(sub, p, h))
+    bound = max(top_delta, top_g, top_h)
+    if top_delta == bound:
+        term, values = "delta", [(pi - qi) / 2 for pi, qi in zip(p, q)]
+    elif top_g == bound:
+        term, values = "g_term", list(map(sub, g, q))
+    else:
+        term, values = "h_term", list(map(sub, p, h))
+    index = values.index(bound)
     # {x feasible : obj(x) <= bound} is the box [lo, hi]
     # x if x >= y else y is max(x, y) on these non-NaN floats, and cheaper
     lo = tuple([x if x >= y else y for x, y in zip(map(sub, p, repeat(bound)), g)])
@@ -149,13 +151,15 @@ def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
     A, p, q, g = prob.A.entries, prob.p.elements, prob.q.elements, prob.g.elements
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
-    bound, term, i = _bound({
-        "delta": [(pk - rk) / 2 for pk, rk in zip(p, res)],
-        "g_term": [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)],
-    })
-    if term == "delta":
+    delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
+    g_term = [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)]
+    # the greater top binds, delta on a tie, at its first row attaining it
+    top_delta, top_g = max(delta), max(g_term)
+    if top_delta >= top_g:
+        bound, term, i = top_delta, "delta", delta.index(top_delta)
         index = (i, list(map(sub, A[i], r)).index(res[i]))
     else:
+        bound, term, i = top_g, "g_term", g_term.index(top_g)
         index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
 
     if not _above_g(prob, sol.x):
@@ -172,7 +176,7 @@ def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
     # the returned x must equal the limit, the greatest feasible x, so
     # every feasible x' has A x' <= A x and a defect no smaller
     A, p, x = prob.A.entries, prob.p.elements, sol.x.elements
-    _require_column(sol.x, "x", prob.A.cols)
+    _require_column(sol.x, "x", len(A[0]))
     for l, (xl, top) in enumerate(zip(x, _limit(prob))):
         if not _leq(xl, top):
             raise _fail(f"returned vector violates A x <= p in column {l}", x)

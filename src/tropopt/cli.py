@@ -32,11 +32,12 @@ import math
 import os
 import sys
 from collections import namedtuple
+from itertools import repeat
 
 from .applications import ApproximationProblem, LocationProblem, approximate, locate
 from .certificate import RULES, certify
 from .linalg import TropMatrix, TropVector, _matrix, _vector
-from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError, _store
 from .solvers import (
     BestUnderProblem,
     IntervalSolution,
@@ -60,26 +61,31 @@ class UsageError(TropicalError):
     reason = "usage_error"
 
 
-Kind = namedtuple("Kind", "cls solve")
+# a problem kind: its class, its solver, and its file's schema: the
+# payload keys, each with its reader, the keys that must be present and
+# every key that may be
+Kind = namedtuple("Kind", "cls solve readers required allowed")
 # a parsed command line: ``run`` is the subcommand's function
 Command = namedtuple("Command", "run input output pretty point")
 
-# The solvers are called through the module's names, not held here, so
-# that wrappers installed on those names (timers, counters) see the calls.
-_KINDS = {
-    "two_sided": Kind(TwoSidedProblem, lambda pr: solve_two_sided(pr)),
-    "matrix_lower": Kind(MatrixLowerProblem, lambda pr: solve_matrix_lower(pr)),
-    "locate": Kind(LocationProblem, lambda pr: locate(pr)),
-    "approximate": Kind(ApproximationProblem, lambda pr: approximate(pr)),
-    "best_under": Kind(BestUnderProblem, lambda pr: best_underestimator(pr.A, pr.p)),
-}
+
+def _kind(cls, solve) -> Kind:
+    """The kind of problem class ``cls``, its schema read off the class
+    once: the payload keys are the fields, and those without a default
+    are required."""
+    keys = cls._fields
+    readers = tuple((key, _matrix_in if key == "A" else _vector_in) for key in keys)
+    required = frozenset(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
+    return Kind(cls, solve, readers, required, frozenset({*keys, "kind", "name", "description"}))
 
 
 class LoadedProblem(Record):
     __slots__ = ("kind", "problem", "name")
 
     def __init__(self, kind: str, problem: object, name: str | None = None) -> None:
-        self._set(kind, problem, name)
+        _store(self, "kind", kind)
+        _store(self, "problem", problem)
+        _store(self, "name", name)
 
 
 def _scalar_in(token, where: str) -> float:
@@ -96,6 +102,9 @@ def _scalar_in(token, where: str) -> float:
     return value
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _scalar_out(v: float):
     if v == NEG_INF:
         return "-inf"
@@ -110,7 +119,7 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
     literal too long for a float, and a float sum, which is finite only
     when every element is.  Any other list goes token by token through
     ``_scalar_in``, which names the element at fault."""
-    if {*map(type, tokens)} <= {int, float}:
+    if {*map(type, tokens)} <= _NUMBER_TYPES:
         try:
             values = tuple(map(float, tokens))
         except OverflowError:
@@ -128,9 +137,9 @@ def _vector_in(obj, where: str) -> TropVector:
 
 
 def _matrix_in(obj, where: str) -> TropMatrix:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+    if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    return _matrix(tuple(_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)))
+    return _matrix(tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)]))
 
 
 def _scalars_out(values: tuple[float, ...]) -> list:
@@ -146,6 +155,17 @@ def _vector_out(v: TropVector) -> list:
     return _scalars_out(v.elements)
 
 
+# The solvers are called through the module's names, not held here, so
+# that wrappers installed on those names (timers, counters) see the calls.
+_KINDS = {
+    "two_sided": _kind(TwoSidedProblem, lambda pr: solve_two_sided(pr)),
+    "matrix_lower": _kind(MatrixLowerProblem, lambda pr: solve_matrix_lower(pr)),
+    "locate": _kind(LocationProblem, lambda pr: locate(pr)),
+    "approximate": _kind(ApproximationProblem, lambda pr: approximate(pr)),
+    "best_under": _kind(BestUnderProblem, lambda pr: best_underestimator(pr.A, pr.p)),
+}
+
+
 def parse_problem(doc) -> LoadedProblem:
     """Build a problem from a decoded JSON document, validating the schema."""
     if not isinstance(doc, dict):
@@ -153,24 +173,19 @@ def parse_problem(doc) -> LoadedProblem:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ProblemFormatError(f"unknown problem kind {kind!r}")
-    cls = _KINDS[kind].cls
-    # the payload keys are the fields; those without a default are required
-    keys = cls._fields
-    required = set(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
-    unknown = set(doc) - {*keys, "kind", "name", "description"}
+    spec = _KINDS[kind]
+    unknown = doc.keys() - spec.allowed
     if unknown:
         raise ProblemFormatError(f"unexpected fields for kind {kind}: {sorted(unknown)}")
-    missing = required - set(doc)
+    missing = spec.required - doc.keys()
     if missing:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(missing)}")
 
-    problem = cls(**{
-        k: (_matrix_in if k == "A" else _vector_in)(doc[k], k) for k in keys if k in doc
-    })
+    problem = spec.cls(**{key: read(doc[key], key) for key, read in spec.readers if key in doc})
     for label in ("name", "description"):
         if doc.get(label) is not None and not isinstance(doc[label], str):
             raise ProblemFormatError(f"{label} must be a string")
-    return LoadedProblem(kind=kind, problem=problem, name=doc.get("name"))
+    return LoadedProblem(kind, problem, doc.get("name"))
 
 
 def solve_loaded(lp: LoadedProblem):
@@ -182,15 +197,16 @@ def solution_to_dict(lp: LoadedProblem, sol) -> dict:
     if lp.name is not None:
         out["name"] = lp.name
     out["mu"] = _scalar_out(sol.mu)
-    out["delta"] = _scalar_out(sol.delta)
+    out["delta"] = delta = _scalar_out(sol.delta)
     if isinstance(sol, IntervalSolution):
         out["solution"] = {"lower": _vector_out(sol.lower), "upper": _vector_out(sol.upper)}
     else:
         out["solution"] = {"x": _vector_out(sol.x)}
-    diagnostics = {"delta_term": _scalar_out(sol.delta)}
-    for key in ("g_term", "h_term"):
-        if getattr(sol, key) is not None:
-            diagnostics[key] = _scalar_out(getattr(sol, key))
+    diagnostics = {"delta_term": delta}
+    if sol.g_term is not None:
+        diagnostics["g_term"] = _scalar_out(sol.g_term)
+    if sol.h_term is not None:
+        diagnostics["h_term"] = _scalar_out(sol.h_term)
     out["diagnostics"] = diagnostics
     return out
 

@@ -19,9 +19,8 @@ Each scalar is validated once, where it enters the program.  The public
 builds through ``_vector`` and ``_matrix``, which take their floats as
 they are.  So do the solvers for the vectors they compute, after
 ``_no_overflow``: from valid data a computed value can leave the carrier
-only by overflowing to ``+inf``.  Every vector, by either path, is set
-by ``TropVector._set`` (``Record._set``), every matrix by
-``TropMatrix._set``.
+only by overflowing to ``+inf``.  Either path stores the slots itself,
+one ``_store`` per slot.
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ from collections.abc import Iterator
 from itertools import repeat
 from operator import add, le, sub
 
-from .semifield import MAX_PLUS, NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, check_all
+from .semifield import (
+    MAX_PLUS, NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _store, check_all,
+)
 
 _new = object.__new__
 
@@ -66,7 +67,8 @@ class TropVector(Record):
     __slots__ = ("elements", "orientation")
 
     def __init__(self, elements: tuple[float, ...], orientation: str = "col") -> None:
-        self._set(elements, orientation)
+        _store(self, "elements", elements)
+        _store(self, "orientation", orientation)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -75,7 +77,7 @@ class TropVector(Record):
         elems = check_all(self.elements)
         if not elems:
             raise ShapeMismatchError("vectors must be nonempty")
-        object.__setattr__(self, "elements", elems)
+        _store(self, "elements", elems)
 
     @classmethod
     def zeros(cls, n: int, orientation: str = "col") -> "TropVector":
@@ -110,13 +112,13 @@ class TropMatrix(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[float, ...], ...]) -> None:
-        self._set(entries)
+        _store(self, "entries", entries)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(map(check_all, self.entries))
         _require_rectangular(rows)
-        object.__setattr__(self, "entries", rows)
+        _store(self, "entries", rows)
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
@@ -150,7 +152,7 @@ class TropMatrix(Record):
 def _require_rectangular(rows: tuple[tuple[float, ...], ...]) -> None:
     if not rows or not rows[0]:
         raise ShapeMismatchError("matrices must be nonempty")
-    if any(len(row) != len(rows[0]) for row in rows):
+    if {*map(len, rows)} != {len(rows[0])}:
         raise ShapeMismatchError("matrix rows have unequal lengths")
 
 
@@ -158,7 +160,8 @@ def _vector(elements: tuple[float, ...], orientation: str = "col") -> TropVector
     """The vector of ``elements``, a nonempty tuple of carrier floats that
     the caller has validated or computed, taken as they are."""
     v = _new(TropVector)
-    v._set(elements, orientation)
+    _store(v, "elements", elements)
+    _store(v, "orientation", orientation)
     return v
 
 
@@ -167,7 +170,7 @@ def _matrix(rows: tuple[tuple[float, ...], ...]) -> TropMatrix:
     as they are once their shape is checked."""
     _require_rectangular(rows)
     a = _new(TropMatrix)
-    a._set(rows)
+    _store(a, "entries", rows)
     return a
 
 
@@ -288,12 +291,13 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
         raise ShapeMismatchError(f"matrix has {A.rows} rows but bound has {p.dim}")
     if not p.is_regular:
         raise NotRegularError("bound vector must be regular")
-    if not A.is_column_regular:
+    cols = list(zip(*A.entries))  # one transposition, for both passes
+    if (NEG_INF,) * A.rows in cols:
         raise NotColumnRegularError("matrix must be column-regular")
     # x_l = min_k(p_k - a_kl), the conjugate of p~A, which is -inf only
     # when p~A overflowed to +inf, and +inf only when p_k - a_kl overflowed
     # to +inf at every finite a_kl
-    x = tuple([min(map(sub, p.elements, col)) for col in zip(*A.entries)])
+    x = tuple([min(map(sub, p.elements, col)) for col in cols])
     if NEG_INF in x:
         raise ScalarOverflowError("value exceeds the float range")
     return _vector(_no_overflow(x))

@@ -26,21 +26,28 @@ _TOL = 1e-9
 
 def _close(a: float, b: float) -> bool:
     # an infinite value is close only to itself
+    if a == b:
+        return True
     scale = max(1.0, abs(a), abs(b))
-    return a == b or (scale < POS_INF and abs(a - b) <= _TOL * scale)
+    return scale < POS_INF and abs(a - b) <= _TOL * scale
 
 
 def _leq(a: float, b: float) -> bool:
     return a <= b or _close(a, b)
 
 
+# sets one slot of a value under construction
+_store = object.__setattr__
+
+
 class Record:
     """Base of the immutable value types: slotted classes, which import
     nothing (a dataclass loads ``dataclasses`` and ``inspect``).  The
-    fields are the parameters of ``__init__``, which sets each once with
-    ``object.__setattr__`` (``_set`` sets them all, in order).  ``repr``
-    shows every field; equality and hashing read those named in
-    ``_compare``, all of them by default."""
+    fields are the parameters of ``__init__``, which stores each once,
+    one ``_store`` (``object.__setattr__``) per slot, past the
+    ``__setattr__`` that refuses every other assignment.  ``repr`` shows
+    every field; equality and hashing read those named in ``_compare``,
+    all of them by default."""
 
     __slots__ = ()
 
@@ -48,10 +55,6 @@ class Record:
         code = cls.__init__.__code__
         cls.__match_args__ = cls._fields = code.co_varnames[1:code.co_argcount]
         cls._compare = cls.__dict__.get("_compare", cls._fields)
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def _values(self, names) -> tuple:
         return tuple([getattr(self, name) for name in names])

@@ -46,7 +46,7 @@ from .linalg import (
     max_solution_leq,
     vec_leq,
 )
-from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq
+from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _store
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -64,9 +64,9 @@ class PrecisionLossError(TropicalError):
 def _require_column(v: TropVector, name: str, dim: int | None = None, regular: bool = False) -> None:
     if v.orientation != "col":
         raise ShapeMismatchError(f"{name} must be a column vector")
-    if dim is not None and v.dim != dim:
-        raise ShapeMismatchError(f"{name} must have dimension {dim}, got {v.dim}")
-    if regular and not v.is_regular:
+    if dim is not None and len(v.elements) != dim:
+        raise ShapeMismatchError(f"{name} must have dimension {dim}, got {len(v.elements)}")
+    if regular and NEG_INF in v.elements:
         raise NotRegularError(f"{name} must be regular (no zero elements)")
 
 
@@ -85,15 +85,19 @@ class TwoSidedProblem(Record):
         self, p: TropVector, q: TropVector, g: TropVector | None = None, h: TropVector | None = None
     ) -> None:
         _require_column(p, "p", regular=True)
-        _require_column(q, "q", p.dim, regular=True)
-        n = p.dim
-        if g is not None and (g.orientation != "col" or g.dim != n):
+        n = len(p.elements)
+        _require_column(q, "q", n, regular=True)
+        if g is not None and (g.orientation != "col" or len(g.elements) != n):
             raise ShapeMismatchError(f"g must be a column vector of dimension {n}")
         if h is not None:
             _require_column(h, "h", n, regular=True)
-        if g is not None and h is not None and not vec_leq(g, h):
+        # both bounds are columns of dimension n by now
+        if g is not None and h is not None and not all(map(le, g.elements, h.elements)):
             raise InfeasibleBoundsError("lower bound g exceeds upper bound h")
-        self._set(p, q, g, h)
+        _store(self, "p", p)
+        _store(self, "q", q)
+        _store(self, "g", g)
+        _store(self, "h", h)
 
     @property
     def dim(self) -> int:
@@ -114,11 +118,15 @@ class MatrixLowerProblem(Record):
     def __init__(self, A: TropMatrix, p: TropVector, q: TropVector, g: TropVector) -> None:
         if not A.is_regular:
             raise NotRegularError("A must be row- and column-regular")
-        _require_column(p, "p", A.rows, regular=True)
-        _require_column(q, "q", A.rows, regular=True)
-        if g.orientation != "col" or g.dim != A.cols:
+        m = len(A.entries)
+        _require_column(p, "p", m, regular=True)
+        _require_column(q, "q", m, regular=True)
+        if g.orientation != "col" or len(g.elements) != len(A.entries[0]):
             raise ShapeMismatchError(f"g must be a column vector of dimension {A.cols}")
-        self._set(A, p, q, g)
+        _store(self, "A", A)
+        _store(self, "p", p)
+        _store(self, "q", q)
+        _store(self, "g", g)
 
 
 class BestUnderProblem(Record):
@@ -127,9 +135,10 @@ class BestUnderProblem(Record):
     __slots__ = ("A", "p")
 
     def __init__(self, A: TropMatrix, p: TropVector) -> None:
-        if p.orientation != "col" or A.rows != p.dim:
+        if p.orientation != "col" or len(A.entries) != len(p.elements):
             raise ShapeMismatchError("A and p dimensions do not conform")
-        self._set(A, p)
+        _store(self, "A", A)
+        _store(self, "p", p)
 
 
 def _require_finite_optimum(mu: float) -> None:
@@ -167,11 +176,16 @@ class IntervalSolution(Record):
         return sol
 
     def _fill(self, mu, lower, upper, delta, g_term, h_term) -> None:
-        if not upper.is_regular:
+        if NEG_INF in upper.elements:
             raise NotRegularError("solution interval upper endpoint must be regular")
         if not delta <= mu:
             raise TropicalError("optimum cannot be below its intrinsic bound")
-        self._set(mu, lower, upper, delta, g_term, h_term)
+        _store(self, "mu", mu)
+        _store(self, "lower", lower)
+        _store(self, "upper", upper)
+        _store(self, "delta", delta)
+        _store(self, "g_term", g_term)
+        _store(self, "h_term", h_term)
 
 
 class PointSolution(Record):
@@ -186,15 +200,21 @@ class PointSolution(Record):
         g_term: float | None = None, h_term: float | None = None,
     ) -> None:
         _require_finite_optimum(mu)
-        if not x.is_regular:
+        if NEG_INF in x.elements:
             raise NotRegularError("attaining vector must be regular")
-        self._set(mu, x, delta, g_term, h_term)
+        _store(self, "mu", mu)
+        _store(self, "x", x)
+        _store(self, "delta", delta)
+        _store(self, "g_term", g_term)
+        _store(self, "h_term", h_term)
 
 
 def _objective(x, q, p) -> float:
     """``q~ x + x~ p`` over float sequences: ``max_i max(x_i - q_i, p_i - x_i)``."""
     value = max(max(map(sub, x, q)), max(map(sub, p, x)))
-    return _no_overflow((value,))[0]
+    if value == POS_INF:
+        raise ScalarOverflowError("value exceeds the float range")
+    return value
 
 
 def _ax(A, x) -> list[float]:
@@ -207,20 +227,20 @@ def _defect(p, ax) -> list[float]:
     return [pk - axk if axk != NEG_INF else NEG_INF for pk, axk in zip(p, ax)]
 
 
-def _require_attained(mu: float, what: str, values) -> None:
-    """Raise ``PrecisionLossError`` unless every value is ``_close`` to ``mu``."""
-    for value in values:
-        if not _close(value, mu):
-            raise PrecisionLossError(
-                f"rounding made {what} attain {value}, not the optimum {mu}, "
-                "by more than the tolerance"
-            )
+def _require_attained(mu: float, what: str, value: float) -> None:
+    """Raise ``PrecisionLossError`` unless ``value`` is ``_close`` to ``mu``."""
+    if not _close(value, mu):
+        raise PrecisionLossError(
+            f"rounding made {what} attain {value}, not the optimum {mu}, "
+            "by more than the tolerance"
+        )
 
 
 def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     """Evaluate ``q~ x + x~ p`` at a regular column vector."""
-    _require_column(x, "x", prob.dim, regular=True)
-    return _objective(x.elements, prob.q.elements, prob.p.elements)
+    p = prob.p.elements
+    _require_column(x, "x", len(p), regular=True)
+    return _objective(x.elements, prob.q.elements, p)
 
 
 def two_sided_terms(prob: TwoSidedProblem) -> dict[str, float | None]:
@@ -249,7 +269,9 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     rounding moves off ``mu``, raises ``PrecisionLossError``.
     """
     terms = two_sided_terms(prob)
-    mu = max(t for t in terms.values() if t is not None)
+    delta, g_term, h_term = terms["delta"], terms["g_term"], terms["h_term"]
+    # an absent bound's term is None, and -inf leaves the max as it is
+    mu = max(delta, NEG_INF if g_term is None else g_term, NEG_INF if h_term is None else h_term)
     p, q = prob.p.elements, prob.q.elements
     lower = map(sub, p, repeat(mu))
     if prob.g is not None:
@@ -257,20 +279,22 @@ def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     upper = map(add, q, repeat(mu))
     if prob.h is not None:
         upper = [x if x <= y else y for x, y in zip(upper, prob.h.elements)]
-    lower, upper = _vector(_no_overflow(tuple(lower))), _vector(_no_overflow(tuple(upper)))
-    if not vec_leq(lower, upper):
+    lower, upper = _no_overflow(tuple(lower)), _no_overflow(tuple(upper))
+    if not all(map(le, lower, upper)):
         if not all(map(_leq, lower, upper)):
             raise PrecisionLossError("rounding put lower above upper by more than the tolerance")
-        upper = _vector(tuple([x if x >= y else y for x, y in zip(lower, upper)]))
-    sol = IntervalSolution._ordered(mu, lower, upper, **terms)
-    _require_attained(mu, "an endpoint", (_objective(x.elements, q, p) for x in (lower, upper)))
+        upper = tuple([x if x >= y else y for x, y in zip(lower, upper)])
+    sol = IntervalSolution._ordered(mu, _vector(lower), _vector(upper), delta, g_term, h_term)
+    _require_attained(mu, "an endpoint", _objective(lower, q, p))
+    _require_attained(mu, "an endpoint", _objective(upper, q, p))
     return sol
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
     """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector."""
-    _require_column(x, "x", prob.A.cols, regular=True)
-    return _objective(_ax(prob.A.entries, x.elements), prob.q.elements, prob.p.elements)
+    A = prob.A.entries
+    _require_column(x, "x", len(A[0]), regular=True)
+    return _objective(_ax(A, x.elements), prob.q.elements, prob.p.elements)
 
 
 def _q_a(prob: MatrixLowerProblem) -> list[float]:
@@ -304,11 +328,12 @@ def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     """
     qa = _q_a(prob)
     terms = matrix_lower_terms(prob, qa)
-    mu = max(terms["delta"], terms["g_term"])
-    sol = PointSolution(mu, _vector(_no_overflow(tuple(map(sub, repeat(mu), qa)))), **terms)
+    delta, g_term = terms["delta"], terms["g_term"]
+    mu = max(delta, g_term)
+    sol = PointSolution(mu, _vector(_no_overflow(tuple(map(sub, repeat(mu), qa)))), delta, g_term)
     if not _above_g(prob, sol.x):
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
-    _require_attained(mu, "x", (objective_matrix(prob, sol.x),))
+    _require_attained(mu, "x", objective_matrix(prob, sol.x))
     return sol
 
 
@@ -321,16 +346,20 @@ def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:
     """
     x = max_solution_leq(A, p)
     mu = max(_defect(p.elements, _ax(A.entries, x.elements)))
-    return PointSolution(mu=mu, x=x, delta=0.5 * mu + 0.0)
+    return PointSolution(mu, x, 0.5 * mu + 0.0)
 
 
 def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
     """Evaluate the approximation defect ``(A x)~ p`` (a zero as 0.0) at a column vector."""
-    _require_column(x, "x", prob.A.cols)
-    ax = _ax(prob.A.entries, x.elements)
+    A = prob.A.entries
+    _require_column(x, "x", len(A[0]))
+    ax = _ax(A, x.elements)
     if ax.count(NEG_INF) == len(ax):
         raise ZeroVectorError("the zero vector has no conjugate")
-    return _no_overflow((max(_defect(prob.p.elements, ax)) + 0.0,))[0]
+    value = max(_defect(prob.p.elements, ax)) + 0.0
+    if value == POS_INF:
+        raise ScalarOverflowError("value exceeds the float range")
+    return value
 
 
 # the feasibility tests, which `solve`, `eval` and `verify` share, compare

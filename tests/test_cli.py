@@ -56,6 +56,15 @@ KIND_DOCS = {
     "best_under": {"kind": "best_under", "A": A3, "p": [3, 4, 4], "name": "b", "description": "d"},
 }
 
+# the payload keys that each kind's problem file must hold
+REQUIRED_KEYS = {
+    "two_sided": ["p", "q"],
+    "matrix_lower": ["A", "p", "q", "g"],
+    "locate": ["r", "s"],
+    "approximate": ["A", "p", "g"],
+    "best_under": ["A", "p"],
+}
+
 
 HUGE_TWO_SIDED = {"kind": "two_sided", "p": [0], "q": [-1e308]}
 HUGE_MATRIX = {
@@ -180,6 +189,23 @@ class TestSolve:
         code, out = run(capsys, "solve", str(bad))
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_KEYS))
+    def test_unknown_field_is_parse_error(self, capsys, tmp_path, kind):
+        code, out = run(capsys, "solve", write(tmp_path, {**KIND_DOCS[kind], "z": 0}))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {"reason": "parse_error", "message": f"unexpected fields for kind {kind}: ['z']"}
+
+    @pytest.mark.parametrize(
+        "kind, key", [(kind, key) for kind, keys in sorted(REQUIRED_KEYS.items()) for key in keys]
+    )
+    def test_missing_field_is_parse_error(self, capsys, tmp_path, kind, key):
+        doc = {k: v for k, v in KIND_DOCS[kind].items() if k != key}
+        code, out = run(capsys, "solve", write(tmp_path, doc))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error == {"reason": "parse_error", "message": f"missing fields for kind {kind}: [{key!r}]"}
 
     @pytest.mark.parametrize(
         "kind", [["two_sided"], {"a": 1}, 1, None], ids=["list", "object", "number", "null"]
@@ -346,7 +372,7 @@ class TestRoundTrip:
         "path", [LOCATION, APPROXIMATION], ids=["location", "approximation"]
     )
     def test_fixture_round_trips(self, path):
-        _assert_reads_back(json.loads(open(path).read()))
+        _assert_reads_back(json.loads(Path(path).read_text()))
 
     def test_neg_inf_round_trips(self):
         doc = {
@@ -488,12 +514,24 @@ class TestStructure:
 
 
 def _record_builds(monkeypatch) -> list:
-    """The list of every ``TropVector`` built from now on: each one, by
-    the public constructor or the private ``linalg._vector``, has its
-    fields set by ``_set``."""
+    """The list of every ``TropVector`` built from now on.  The program
+    builds each one by the private ``linalg._vector``, hooked here under
+    every name that a ``tropopt`` module holds it by, or by the public
+    constructor, hooked too."""
     built = []
-    set_fields = TropVector._set
-    monkeypatch.setattr(TropVector, "_set", lambda v, *values: built.append(v) or set_fields(v, *values))
+    vector, init = linalg._vector, TropVector.__init__
+
+    def recorded(*args, **kwargs):
+        v = vector(*args, **kwargs)
+        built.append(v)
+        return v
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tropopt":
+            for key, value in list(vars(module).items()):
+                if value is vector:
+                    monkeypatch.setattr(module, key, recorded)
+    monkeypatch.setattr(TropVector, "__init__", lambda v, *a, **kw: built.append(v) or init(v, *a, **kw))
     return built
 
 
