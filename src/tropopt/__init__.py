@@ -21,12 +21,8 @@ from .linalg import (
     TropVector,
     ZeroVectorError,
     conjugate,
-    distance,
-    mat_add,
-    mat_leq,
     mat_mul,
     max_solution_leq,
-    scalar_mul,
     vec_leq,
 )
 from .semifield import (
@@ -89,10 +85,7 @@ __all__ = [
     "best_underestimator",
     "certify",
     "conjugate",
-    "distance",
     "locate",
-    "mat_add",
-    "mat_leq",
     "mat_mul",
     "matrix_lower_terms",
     "max_solution_leq",
@@ -101,7 +94,6 @@ __all__ = [
     "objective_two_sided",
     "reduced_matrix_lower",
     "reduced_two_sided",
-    "scalar_mul",
     "solve_matrix_lower",
     "solve_two_sided",
     "two_sided_terms",

@@ -3,9 +3,10 @@
 Both applications are substitutions into the core solvers: the two-point
 location problem reduces to the two-sided bounded problem with
 ``p = r + s`` and ``q~ = r~ + s~``, and the approximation problem is the
-matrix problem with ``q = p``.  Callers needing the general ``q`` should
-use ``solve_matrix_lower`` directly.  Each problem builds its reduced
-instance once, on construction, and keeps it in ``reduced``.
+matrix problem with ``q = p``.  Each problem builds its reduced instance
+once, on construction, and keeps it in ``reduced``; the command line
+reduces a location file's float tuples by ``location_data``, through the
+same checks and the same ``_reduce``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,34 @@ from __future__ import annotations
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
 from .semifield import NEG_INF, Record, _store
 from .solvers import (
-    IntervalSolution,
-    MatrixLowerProblem,
-    PointSolution,
-    TwoSidedProblem,
-    solve_matrix_lower,
-    solve_two_sided,
+    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _require_column,
+    solve_matrix_lower, solve_two_sided, two_sided_data,
 )
+
+
+def _require_points(r, s) -> None:
+    """The two points must be regular and of one dimension."""
+    if NEG_INF in r:
+        raise NotRegularError("r must be regular")
+    if NEG_INF in s:
+        raise NotRegularError("s must be regular")
+    if len(s) != len(r):
+        raise ShapeMismatchError(f"s must have dimension {len(r)}, got {len(s)}")
+
+
+def _reduce(r, s) -> tuple:
+    """``p = r + s`` and ``q = (r~ + s~)~``: the entrywise max and min,
+    one comparison per element, each an element of ``r`` or ``s``."""
+    return (
+        tuple([x if x >= y else y for x, y in zip(r, s)]),
+        tuple([x if x <= y else y for x, y in zip(r, s)]),
+    )
+
+
+def location_data(r, s, g=None, h=None) -> tuple:
+    """The two-sided data of a location problem given as float tuples."""
+    _require_points(r, s)
+    return two_sided_data(*_reduce(r, s), g, h)
 
 
 class LocationProblem(Record):
@@ -32,17 +54,8 @@ class LocationProblem(Record):
     def __init__(
         self, r: TropVector, s: TropVector, g: TropVector | None = None, h: TropVector | None = None
     ) -> None:
-        for name, v in (("r", r), ("s", s)):
-            if v.orientation != "col":
-                raise ShapeMismatchError(f"{name} must be a column vector")
-            if NEG_INF in v.elements:
-                raise NotRegularError(f"{name} must be regular")
-        if len(s.elements) != len(r.elements):
-            raise ShapeMismatchError(f"s must have dimension {r.dim}, got {s.dim}")
-        _store(self, "r", r)
-        _store(self, "s", s)
-        _store(self, "g", g)
-        _store(self, "h", h)
+        _require_points(_require_column(r, "r"), _require_column(s, "s"))
+        self._init(r, s, g, h)
         # bound invariants match the reduced problem
         _store(self, "reduced", reduced_two_sided(self))
 
@@ -54,23 +67,15 @@ class ApproximationProblem(Record):
     __slots__ = ("A", "p", "g", "reduced")
 
     def __init__(self, A: TropMatrix, p: TropVector, g: TropVector) -> None:
-        _store(self, "A", A)
-        _store(self, "p", p)
-        _store(self, "g", g)
+        self._init(A, p, g)
         _store(self, "reduced", reduced_matrix_lower(self))
 
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     """Two-sided instance whose objective equals the larger of the two
-    Chebyshev distances at every regular point: ``p = r + s`` is the
-    entrywise max and ``q = (r~ + s~)~`` the entrywise min, each one
-    comparison per element, bit for bit ``max``/``min`` on these non-NaN
-    floats.  Each is an element of ``r`` or ``s``, so a carrier scalar
-    already."""
-    r, s = prob.r.elements, prob.s.elements
-    p = _vector(tuple([x if x >= y else y for x, y in zip(r, s)]))
-    q = _vector(tuple([x if x <= y else y for x, y in zip(r, s)]))
-    return TwoSidedProblem(p, q, prob.g, prob.h)
+    Chebyshev distances at every regular point (``_reduce``)."""
+    p, q = _reduce(prob.r.elements, prob.s.elements)
+    return TwoSidedProblem(_vector(p), _vector(q), prob.g, prob.h)
 
 
 def locate(prob: LocationProblem) -> IntervalSolution:

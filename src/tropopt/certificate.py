@@ -8,9 +8,16 @@ solutions are also checked for completeness coordinate by coordinate,
 against the sublevel set of the optimum, which is a box.  Every check
 is a pass over the data, so the cost is linear in the problem size, for
 any real data and any dimension.  Failures raise
-``VerificationFailedError`` with a counterexample vector.  This module
-holds the bounds and the proofs; the objectives and the feasibility
-tests are those of ``solvers``, and ``RULES`` pairs them.
+``VerificationFailedError`` with a counterexample vector.
+
+Like the solvers, a check is a function of a problem's data tuple and
+the core's answer (``solvers.Interval`` or ``solvers.Point``), and
+returns a ``Report``; ``certify(prob, sol)``, the library's front, runs
+it on the classes and returns an ``OracleReport``.  The bound comes from
+the raw data alone, never from the solver's values (the matrix check
+computes ``q~A`` again).
+``RULES`` pairs each core problem's solver, objective and feasibility
+test, all from ``solvers``, with its check.
 
 Floats are compared with the relative tolerance ``_TOL`` of
 ``semifield``, scaled by the magnitude of the values compared; on
@@ -21,21 +28,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import repeat
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .linalg import TropVector
-from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq, _store
+from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq
 from .solvers import (
-    BestUnderProblem,
-    IntervalSolution,
-    MatrixLowerProblem,
-    PointSolution,
-    TwoSidedProblem,
-    objective_best_under,
-    objective_matrix,
-    objective_two_sided,
+    BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
+    _above_g, _answer, _ax, _best_under_value, _defect, _in_box, _limit, _matrix_value,
+    _require_column, _require_dim, _two_sided_value, _under_p, best_under, matrix_lower, two_sided,
 )
-from .solvers import _above_g, _ax, _defect, _in_box, _limit, _require_column, _under_p
+
 
 class VerificationFailedError(TropicalError):
     """Solver output fails its optimality check."""
@@ -50,12 +52,9 @@ class VerificationFailedError(TropicalError):
 class OracleReport(Record):
     """Outcome of a check: the certified (or grid) minimum, a point
     attaining it, and how many objective evaluations were made.
-
     ``binding`` names the term of the bound that attains the minimum and
-    the first index attaining it: an int for a vector problem, a
-    ``(row, col)`` pair for a matrix problem.  The grid oracle leaves it
-    ``None``.
-    """
+    its first index, an int or a ``(row, col)`` pair; the grid oracle
+    leaves it ``None``."""
 
     __slots__ = (
         "min_value", "argmin", "points_evaluated", "agrees_with_solver", "max_discrepancy", "binding"
@@ -68,43 +67,39 @@ class OracleReport(Record):
     ) -> None:
         if points_evaluated < 1:
             raise TropicalError("an oracle report must cover at least one point")
-        _store(self, "min_value", min_value)
-        _store(self, "argmin", argmin)
-        _store(self, "points_evaluated", points_evaluated)
-        _store(self, "agrees_with_solver", agrees_with_solver)
-        _store(self, "max_discrepancy", max_discrepancy)
-        _store(self, "binding", binding)
+        self._init(min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding)
+
+
+class Report(tuple):
+    """The outcome of a core check: ``OracleReport``'s fields, the argmin a float tuple."""
+    __slots__ = ()
+    min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding = map(
+        property, map(itemgetter, range(6))
+    )
 
 
 def _fail(message: str, point) -> VerificationFailedError:
     return VerificationFailedError(message, counterexample=TropVector(tuple(point)))
 
 
-def _check_attains(prob, sol, objective, points) -> float:
-    """Evaluate the objective at each returned point; each must attain
-    the claimed optimum.  Returns the largest discrepancy."""
+def _check_attains(data, mu: float, value, points) -> float:
+    """The largest discrepancy of the objective ``value`` from the claimed
+    ``mu`` at the returned points, each of which must attain it."""
     gap = 0.0
     for x in points:
-        value = objective(prob, x)
-        if not _close(value, sol.mu):
-            raise _fail(f"returned vector attains {value}, not the claimed {sol.mu}", x)
-        gap = max(gap, abs(value - sol.mu))
+        v = value(data, x)
+        if v != mu and not _close(v, mu):
+            raise _fail(f"returned vector attains {v}, not the claimed {mu}", x)
+        gap = max(gap, abs(v - mu))
     return gap
 
 
-def _check_bound(bound: float, sol, witness) -> None:
-    """The claimed optimum must equal the bound; ``witness`` is a
-    feasible point attaining the bound."""
-    if not _close(bound, sol.mu):
-        raise _fail(f"the optimum is {bound}, not the claimed {sol.mu}", witness)
-
-
-def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
+def _interval(data, sol: Interval) -> Report:
     # every feasible x has x_i - q_i >= each of (p_i - q_i)/2, g_i - q_i,
     # and p_i - x_i >= p_i - h_i; an absent bound is -inf or +inf
-    p, q = prob.p.elements, prob.q.elements
-    g = (NEG_INF,) * len(p) if prob.g is None else prob.g.elements
-    h = (POS_INF,) * len(p) if prob.h is None else prob.h.elements
+    p, q, g, h = data
+    g = (NEG_INF,) * len(p) if g is None else g
+    h = (POS_INF,) * len(p) if h is None else h
     # the bound is the greatest term, and the first term attaining it
     # binds at its first index attaining it; halving is monotone, so the
     # greatest (p_i - q_i)/2 is the greatest p_i - q_i halved, bit for bit
@@ -122,33 +117,34 @@ def _interval(prob: TwoSidedProblem, sol: IntervalSolution) -> OracleReport:
     lo = tuple([x if x >= y else y for x, y in zip(map(sub, p, repeat(bound)), g)])
     hi = tuple([x if x <= y else y for x, y in zip(map(add, q, repeat(bound)), h)])
 
-    for x in (sol.lower, sol.upper):
-        if not _in_box(prob, x):
+    mu, lower, upper = sol.mu, sol.lower, sol.upper
+    for x in (lower, upper):
+        if not _in_box(data, x):
             raise _fail("returned interval leaves the feasible box", x)
-    gap = _check_attains(prob, sol, objective_two_sided, (sol.lower, sol.upper))
-    _check_bound(bound, sol, lo)
+    gap = _check_attains(data, mu, _two_sided_value, (lower, upper))
+    # the claimed optimum must equal the bound, which lo attains
+    if bound != mu and not _close(bound, mu):
+        raise _fail(f"the optimum is {bound}, not the claimed {mu}", lo)
     # equal endpoints are close at every coordinate; only unequal ones
     # are walked with the tolerance, to find the first that is not
-    if (sol.lower.elements, sol.upper.elements) != (lo, hi):
+    if (lower, upper) != (lo, hi):
         for i in range(len(p)):
-            for claimed, true in ((sol.lower.elements, lo), (sol.upper.elements, hi)):
+            for claimed, true in ((lower, lo), (upper, hi)):
                 if not _close(claimed[i], true[i]):
                     # a returned endpoint moved to the true one: a minimizer it misses
                     point = claimed[:i] + (true[i],) + claimed[i + 1:]
                     raise _fail(
                         f"the minimizer set differs from the interval at coordinate {i}", point
                     )
-    return OracleReport(
-        bound, sol.lower, 2, max_discrepancy=max(gap, abs(bound - sol.mu)), binding=(term, index)
-    )
+    return _answer(Report, (bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
 
 
-def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
+def _matrix_lower(data, sol: Point) -> Report:
     # r = q~A: obj >= (A x)_k - q_k forces x_l <= obj - r_l, so
     # (A x)_k <= obj + res_k and obj >= p_k - (A x)_k gives (p_k - res_k)/2;
     # x >= g gives obj >= (A x)_i - q_i >= a_ij - q_i + g_j, one max per
     # row i here, and the binding row's terms again for its column
-    A, p, q, g = prob.A.entries, prob.p.elements, prob.q.elements, prob.g.elements
+    A, p, q, g = data
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
     delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
@@ -162,58 +158,61 @@ def _matrix_lower(prob: MatrixLowerProblem, sol: PointSolution) -> OracleReport:
         bound, term, i = top_g, "g_term", g_term.index(top_g)
         index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
 
-    if not _above_g(prob, sol.x):
-        raise _fail("returned vector violates the lower bound", sol.x)
-    gap = _check_attains(prob, sol, objective_matrix, (sol.x,))
-    # x_l = bound - r_l is feasible and attains the bound
-    _check_bound(bound, sol, (bound - rl for rl in r))
-    return OracleReport(
-        bound, sol.x, 1, max_discrepancy=max(gap, abs(bound - sol.mu)), binding=(term, index)
-    )
+    mu, x = sol.mu, sol.x
+    if not _above_g(data, x):
+        raise _fail("returned vector violates the lower bound", x)
+    gap = _check_attains(data, mu, _matrix_value, (x,))
+    # the claimed optimum must equal the bound, which x_l = bound - r_l attains
+    if bound != mu and not _close(bound, mu):
+        raise _fail(f"the optimum is {bound}, not the claimed {mu}", [bound - rl for rl in r])
+    return _answer(Report, (bound, x, 1, True, max(gap, abs(bound - mu)), (term, index)))
 
 
-def _best_under(prob: BestUnderProblem, sol: PointSolution) -> OracleReport:
+def _best_under(data, sol: Point) -> Report:
     # the returned x must equal the limit, the greatest feasible x, so
     # every feasible x' has A x' <= A x and a defect no smaller
-    A, p, x = prob.A.entries, prob.p.elements, sol.x.elements
-    _require_column(sol.x, "x", len(A[0]))
-    for l, (xl, top) in enumerate(zip(x, _limit(prob))):
-        if not _leq(xl, top):
-            raise _fail(f"returned vector violates A x <= p in column {l}", x)
-        if not _close(xl, top):
-            raise _fail(
-                f"column {l} is slack: a greater vector is feasible",
-                (top if j == l else xj for j, xj in enumerate(x)),
-            )
+    A, p = data
+    mu, x = sol.mu, sol.x
+    _require_dim(x, "x", len(A[0]), regular=False)
+    limit = _limit(data)
+    # an x equal to the limit is close to it at every column; only an
+    # unequal one is walked with the tolerance
+    if list(x) != limit:
+        for l, (xl, top) in enumerate(zip(x, limit)):
+            if not _leq(xl, top):
+                raise _fail(f"returned vector violates A x <= p in column {l}", x)
+            if not _close(xl, top):
+                raise _fail(
+                    f"column {l} is slack: a greater vector is feasible",
+                    (top if j == l else xj for j, xj in enumerate(x)),
+                )
     ax = _ax(A, x)
     defect = _defect(p, ax)
     value = max(defect)
     k = defect.index(value)
-    if not _close(value, sol.mu):
-        raise _fail(f"returned vector attains {value}, not the claimed {sol.mu}", x)
-    return OracleReport(
-        value, sol.x, 1, max_discrepancy=abs(value - sol.mu),
-        binding=("delta", (k, list(map(add, A[k], x)).index(ax[k]))),
-    )
+    if value != mu and not _close(value, mu):
+        raise _fail(f"returned vector attains {value}, not the claimed {mu}", x)
+    binding = ("delta", (k, list(map(add, A[k], x)).index(ax[k])))
+    return _answer(Report, (value, x, 1, True, abs(value - mu), binding))
 
 
-# per core problem class, the objective and the feasibility test at a
-# point, which `eval` reads, and the check that `verify` runs
-Rule = namedtuple("Rule", "objective feasible check")
+# per core problem class: its tuple solver, the objective and the
+# feasibility test at a point, which `eval` reads, and the check that
+# `verify` runs, each a function of the problem's data tuple
+Rule = namedtuple("Rule", "solve objective feasible check")
 RULES = {
-    TwoSidedProblem: Rule(objective_two_sided, _in_box, _interval),
-    MatrixLowerProblem: Rule(objective_matrix, _above_g, _matrix_lower),
-    BestUnderProblem: Rule(objective_best_under, _under_p, _best_under),
+    TwoSidedProblem: Rule(two_sided, _two_sided_value, _in_box, _interval),
+    MatrixLowerProblem: Rule(matrix_lower, _matrix_value, _above_g, _matrix_lower),
+    BestUnderProblem: Rule(best_under, _best_under_value, _under_p, _best_under),
 }
 
 
 def certify(prob, sol) -> OracleReport:
-    """Prove ``sol`` optimal for the two-sided, matrix or
-    best-underestimator problem ``prob``, or raise
-    ``VerificationFailedError`` with a counterexample.
-
-    ``min_value`` of the report is the certified minimum, ``argmin`` the
-    returned point that attains it (an interval's lower endpoint), and
-    ``points_evaluated`` the number of objective evaluations.
-    """
-    return RULES[type(prob)].check(prob, sol)
+    """Prove ``sol`` optimal for the two-sided, matrix or best-underestimator
+    problem ``prob``, or raise ``VerificationFailedError`` with a
+    counterexample.  The report's ``argmin`` is the returned point that
+    attains the certified minimum (an interval's lower endpoint)."""
+    points = (sol.lower, sol.upper) if isinstance(sol, IntervalSolution) else (sol.x,)
+    answer = (sol.mu, *[_require_column(v, "x") for v in points], sol.delta, sol.g_term, sol.h_term)
+    report = RULES[type(prob)].check(prob._data, _answer(Interval if len(points) == 2 else Point, answer))
+    return OracleReport(report.min_value, points[0], *report[2:])

@@ -1,28 +1,28 @@
 """Command-line interface: solve, eval, and verify tropical problem files.
 
 Problem files are JSON objects with a ``kind`` discriminator, the fields
-of that kind's problem class under their field names (``A`` is the
-only matrix), and optional ``name``/``description`` metadata.  Scalars
-are JSON numbers, with the string ``"-inf"`` standing in for the tropical
-zero.  ``_KINDS`` maps each kind to its problem class and solver; every
-other step follows from the problem or the solution.  ``verify`` checks
-the solution with the exact certificate of ``certificate.py``; no
-subcommand imports numpy.
+of that kind's problem class under their field names (``A`` is the only
+matrix), and optional ``name``/``description`` strings.  Scalars are
+JSON numbers, with ``"-inf"`` for the tropical zero; a repeated key is a
+``parse_error``.  No subcommand imports numpy.
 
-Each scalar of a problem file is validated once, by ``_scalars_in`` as
-it is parsed; the containers built from them and the solvers take the
-floats as they are.
+The commands run on the tuple core and build no value class:
+``parse_problem`` reads a document into ``(kind, data, name)``, with each
+scalar validated once by the readers and the data checked by the kind's
+data function; ``solve_loaded``, ``verify_loaded`` and ``eval`` call the
+functions that ``certificate.RULES`` pairs with the kind's core problem;
+``solution_to_dict`` and ``report_to_dict`` turn the answers into dicts.
+``load_problem`` reads a file for a library caller: a ``LoadedProblem``
+holding the kind's problem class, built after the same checks.
 
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
 or nesting too deep to decode) or an output that cannot be written, 2 an
 invalid or infeasible problem, a failed verification, or a command line
-in none of ``USAGE``'s forms.  Every ``TropicalError`` exits 2 with a
-JSON error on the output whose ``reason`` the error class declares;
-exit 1 prints a JSON error on stderr, with the reason
-``unreadable_input`` or ``unwritable_output``, and the ``line:column``
-``location`` of a JSON syntax error.  ``eval`` judges a
-point by the certificate's ``RULES``, as ``verify`` does.  ``run``, the
-process entry point, ends with ``os._exit`` once the output is flushed.
+in none of ``USAGE``'s forms.  Exit 2 writes a JSON error whose
+``reason`` the ``TropicalError`` class declares; exit 1 prints one on
+stderr, ``unreadable_input`` (with the ``line:column`` of a JSON syntax
+error) or ``unwritable_output``.  ``run`` ends with ``os._exit`` once the
+output is flushed.
 """
 
 from __future__ import annotations
@@ -32,20 +32,15 @@ import math
 import os
 import sys
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 
-from .applications import ApproximationProblem, LocationProblem, approximate, locate
-from .certificate import RULES, certify
-from .linalg import TropMatrix, TropVector, _matrix, _vector
-from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError, _store
+from .applications import ApproximationProblem, LocationProblem, location_data
+from .certificate import RULES
+from .linalg import TropMatrix, TropVector, _require_rectangular
+from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError
 from .solvers import (
-    BestUnderProblem,
-    IntervalSolution,
-    MatrixLowerProblem,
-    TwoSidedProblem,
-    best_underestimator,
-    solve_matrix_lower,
-    solve_two_sided,
+    BestUnderProblem, Interval, MatrixLowerProblem, TwoSidedProblem, best_under_data, matrix_data,
+    two_sided_data,
 )
 
 
@@ -61,31 +56,22 @@ class UsageError(TropicalError):
     reason = "usage_error"
 
 
-# a problem kind: its class, its solver, and its file's schema: the
-# payload keys, each with its reader, the keys that must be present and
-# every key that may be
-Kind = namedtuple("Kind", "cls solve readers required allowed")
+# a problem kind: its name, its problem class, its data function, its core
+# problem's rule, and its schema: each payload key's reader, the required
+# and allowed keys
+Kind = namedtuple("Kind", "name cls data rule readers required allowed")
 # a parsed command line: ``run`` is the subcommand's function
 Command = namedtuple("Command", "run input output pretty point")
 
 
-def _kind(cls, solve) -> Kind:
-    """The kind of problem class ``cls``, its schema read off the class
-    once: the payload keys are the fields, and those without a default
-    are required."""
+def _kind(name: str, cls, data, core) -> Kind:
+    """The kind of problem class ``cls``, with the class's fields as its
+    payload keys, those without a default required."""
     keys = cls._fields
     readers = tuple((key, _matrix_in if key == "A" else _vector_in) for key in keys)
     required = frozenset(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
-    return Kind(cls, solve, readers, required, frozenset({*keys, "kind", "name", "description"}))
-
-
-class LoadedProblem(Record):
-    __slots__ = ("kind", "problem", "name")
-
-    def __init__(self, kind: str, problem: object, name: str | None = None) -> None:
-        _store(self, "kind", kind)
-        _store(self, "problem", problem)
-        _store(self, "name", name)
+    allowed = frozenset({*keys, "kind", "name", "description"})
+    return Kind(name, cls, data, RULES[core], readers, required, allowed)
 
 
 def _scalar_in(token, where: str) -> float:
@@ -103,6 +89,7 @@ def _scalar_in(token, where: str) -> float:
 
 
 _NUMBER_TYPES = frozenset({int, float})
+_isfinite = math.isfinite
 
 
 def _scalar_out(v: float):
@@ -112,96 +99,121 @@ def _scalar_out(v: float):
 
 
 def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
-    """The carrier floats of a list of tokens: the one validation they
-    get, since the containers built from them take them as they are.  A
-    list of plain numbers takes three builtin passes: its set of types,
-    a ``float`` conversion, which raises ``OverflowError`` on an integer
-    literal too long for a float, and a float sum, which is finite only
-    when every element is.  Any other list goes token by token through
-    ``_scalar_in``, which names the element at fault."""
-    if {*map(type, tokens)} <= _NUMBER_TYPES:
+    """The floats of a list of tokens by ``_scalar_in``, which names a bad one."""
+    return tuple([_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens)])
+
+
+# The readers validate each scalar once.  A list of plain numbers takes
+# three builtin passes: its types, a ``float`` conversion (OverflowError
+# on an integer too long for a float) and a sum, finite only when every
+# element is; any other list goes token by token through ``_scalars_in``.
+def _vector_in(obj, where: str) -> tuple[float, ...]:
+    if not isinstance(obj, list) or not obj:
+        raise ProblemFormatError(f"{where}: expected a nonempty array of scalars")
+    if _NUMBER_TYPES.issuperset(map(type, obj)):
         try:
-            values = tuple(map(float, tokens))
+            values = tuple(map(float, obj))
         except OverflowError:
             pass
         else:
-            if math.isfinite(sum(values)):
+            if _isfinite(sum(values)):
                 return values
-    return tuple(_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens))
+    return _scalars_in(obj, where)
 
 
-def _vector_in(obj, where: str) -> TropVector:
-    if not isinstance(obj, list) or not obj:
-        raise ProblemFormatError(f"{where}: expected a nonempty array of scalars")
-    return _vector(_scalars_in(obj, where))
-
-
-def _matrix_in(obj, where: str) -> TropMatrix:
+def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
+    """The rows of a matrix: the three passes over all rows at once."""
     if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    return _matrix(tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)]))
+    rows = None
+    if _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+        try:
+            rows = tuple([tuple(map(float, row)) for row in obj])
+        except OverflowError:
+            pass
+    if rows is None or not _isfinite(sum(map(sum, rows))):
+        rows = tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)])
+    _require_rectangular(rows)
+    return rows
 
 
 def _scalars_out(values: tuple[float, ...]) -> list:
-    """``_scalar_out`` of each element.  When every element is integral,
-    which rules out both infinities, one ``map(math.trunc, ...)`` pass
-    converts them all: the same ints as ``int``, in half the time."""
+    """``_scalar_out`` of each element; when all are integral, one
+    ``math.trunc`` pass, the same ints as ``int`` in half the time."""
     if all(map(float.is_integer, values)):
         return list(map(math.trunc, values))
     return [_scalar_out(e) for e in values]
 
 
-def _vector_out(v: TropVector) -> list:
-    return _scalars_out(v.elements)
-
-
-# The solvers are called through the module's names, not held here, so
-# that wrappers installed on those names (timers, counters) see the calls.
 _KINDS = {
-    "two_sided": _kind(TwoSidedProblem, lambda pr: solve_two_sided(pr)),
-    "matrix_lower": _kind(MatrixLowerProblem, lambda pr: solve_matrix_lower(pr)),
-    "locate": _kind(LocationProblem, lambda pr: locate(pr)),
-    "approximate": _kind(ApproximationProblem, lambda pr: approximate(pr)),
-    "best_under": _kind(BestUnderProblem, lambda pr: best_underestimator(pr.A, pr.p)),
+    spec.name: spec
+    for spec in (
+        _kind("two_sided", TwoSidedProblem, two_sided_data, TwoSidedProblem),
+        _kind("matrix_lower", MatrixLowerProblem, matrix_data, MatrixLowerProblem),
+        _kind("locate", LocationProblem, location_data, TwoSidedProblem),
+        _kind("approximate", ApproximationProblem, lambda A, p, g: matrix_data(A, p, p, g), MatrixLowerProblem),
+        _kind("best_under", BestUnderProblem, best_under_data, BestUnderProblem),
+    )
 }
 
 
-def parse_problem(doc) -> LoadedProblem:
-    """Build a problem from a decoded JSON document, validating the schema."""
+def parse_problem(doc) -> tuple:
+    """Read a decoded JSON document into ``(kind, data, name)``: the entry
+    of ``_KINDS``, the checked data of its core problem, and the ``name``.
+    The schema is checked first, then the scalars, then the problem."""
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ProblemFormatError(f"unknown problem kind {kind!r}")
     spec = _KINDS[kind]
-    unknown = doc.keys() - spec.allowed
-    if unknown:
-        raise ProblemFormatError(f"unexpected fields for kind {kind}: {sorted(unknown)}")
-    missing = spec.required - doc.keys()
-    if missing:
-        raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(missing)}")
+    # two membership passes, which build no set unless a key is at fault
+    if not spec.allowed.issuperset(doc):
+        raise ProblemFormatError(f"unexpected fields for kind {kind}: {sorted(doc.keys() - spec.allowed)}")
+    if not doc.keys() >= spec.required:
+        raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
-    problem = spec.cls(**{key: read(doc[key], key) for key, read in spec.readers if key in doc})
+    data = spec.data(*[read(doc[key], key) if key in doc else None for key, read in spec.readers])
     for label in ("name", "description"):
         if doc.get(label) is not None and not isinstance(doc[label], str):
             raise ProblemFormatError(f"{label} must be a string")
-    return LoadedProblem(kind, problem, doc.get("name"))
+    return spec, data, doc.get("name")
 
 
-def solve_loaded(lp: LoadedProblem):
-    return _KINDS[lp.kind].solve(lp.problem)
+class LoadedProblem(Record):
+    """A problem file on the library's front, as ``load_problem`` reads it."""
+
+    __slots__ = ("kind", "problem", "name")
+
+    def __init__(self, kind: str, problem: object, name: str | None = None) -> None:
+        self._init(kind, problem, name)
 
 
-def solution_to_dict(lp: LoadedProblem, sol) -> dict:
-    out: dict = {"kind": lp.kind}
-    if lp.name is not None:
-        out["name"] = lp.name
+def load_problem(doc) -> LoadedProblem:
+    """``doc`` checked by ``parse_problem``, then built with its kind's class."""
+    spec, _, name = parse_problem(doc)
+    fields = {key: (TropMatrix if key == "A" else TropVector)(read(doc[key], key))
+              for key, read in spec.readers if key in doc}
+    return LoadedProblem(spec.name, spec.cls(**fields), name)
+
+
+def solve_loaded(lp: tuple):
+    """The core's answer to a parsed problem: an ``Interval`` or a ``Point``."""
+    spec, data, _ = lp
+    return spec.rule.solve(data)
+
+
+def solution_to_dict(lp: tuple, sol) -> dict:
+    spec, _, name = lp
+    out: dict = {"kind": spec.name}
+    if name is not None:
+        out["name"] = name
     out["mu"] = _scalar_out(sol.mu)
     out["delta"] = delta = _scalar_out(sol.delta)
-    if isinstance(sol, IntervalSolution):
-        out["solution"] = {"lower": _vector_out(sol.lower), "upper": _vector_out(sol.upper)}
+    if type(sol) is Interval:
+        out["solution"] = {"lower": _scalars_out(sol.lower), "upper": _scalars_out(sol.upper)}
     else:
-        out["solution"] = {"x": _vector_out(sol.x)}
+        out["solution"] = {"x": _scalars_out(sol.x)}
     diagnostics = {"delta_term": delta}
     if sol.g_term is not None:
         diagnostics["g_term"] = _scalar_out(sol.g_term)
@@ -211,26 +223,20 @@ def solution_to_dict(lp: LoadedProblem, sol) -> dict:
     return out
 
 
-def _core(lp: LoadedProblem):
-    """The two-sided, matrix or best-underestimator problem behind ``lp``."""
-    return getattr(lp.problem, "reduced", lp.problem)
+def verify_loaded(lp: tuple, sol, *, step=None, samples=None):
+    """Prove ``sol`` optimal; returns the ``certificate.Report``.  The
+    benchmark in ``perfbench/`` still passes the unused ``step``/``samples``."""
+    spec, data, _ = lp
+    return spec.rule.check(data, sol)
 
 
-def verify_loaded(lp: LoadedProblem, sol, *, step=None, samples=None):
-    """Prove ``sol`` optimal with the exact certificate; returns its
-    ``OracleReport``.  ``step`` and ``samples`` are unused: they were the
-    grid oracle's settings, and remain only because the benchmark in
-    ``perfbench/`` still passes them."""
-    return certify(_core(lp), sol)
-
-
-def report_to_dict(lp: LoadedProblem, sol, report) -> dict:
+def report_to_dict(lp: tuple, sol, report) -> dict:
     term, index = report.binding
     return {
-        "kind": lp.kind,
+        "kind": lp[0].name,
         "mu": _scalar_out(sol.mu),
         "min_value": _scalar_out(report.min_value),
-        "argmin": _vector_out(report.argmin),
+        "argmin": _scalars_out(report.argmin),
         "points_evaluated": report.points_evaluated,
         "agrees_with_solver": report.agrees_with_solver,
         "max_discrepancy": report.max_discrepancy,
@@ -242,6 +248,15 @@ def _reject_constant(token: str) -> float:
     raise ProblemFormatError(f"non-numeric scalar token {token!r} is not accepted")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its members, none of whose keys may repeat."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ProblemFormatError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def _read_json(path: str):
     if path == "-":
         if sys.stdin is None:  # the process started with fd 0 closed
@@ -250,7 +265,7 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text, parse_constant=_reject_constant)
+    return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 def _io_failure(reason: str, message: str, exc: Exception) -> int:
@@ -263,11 +278,9 @@ def _io_failure(reason: str, message: str, exc: Exception) -> int:
 
 
 def _write(path: str, text: str) -> int:
-    """Write ``text`` to ``path``, or to stdout for "-", and flush it;
-    returns 0, or 1 with a JSON ``unwritable_output`` error on stderr
-    when it cannot be written.
-    The flush is here, not at exit, so that a closed pipe is an exit 1
-    like any other unwritable output, and ``run`` loses nothing."""
+    """Write ``text`` to ``path``, or to stdout for "-", and flush it, so
+    that a closed pipe is an exit 1 like any other unwritable output;
+    returns 0, or 1 with a JSON ``unwritable_output`` error on stderr."""
     try:
         if path != "-":
             with open(path, "w", encoding="utf-8") as fh:
@@ -291,27 +304,26 @@ def _error_payload(exc: TropicalError) -> dict:
     if exc.reason == "verification_failed":
         payload["agrees_with_solver"] = False
         if exc.counterexample is not None:
-            payload["counterexample"] = _vector_out(exc.counterexample)
+            payload["counterexample"] = _scalars_out(exc.counterexample.elements)
     return payload
 
 
-def _solve(lp: LoadedProblem, args: Command) -> dict:
+def _solve(lp: tuple, args: Command) -> dict:
     return solution_to_dict(lp, solve_loaded(lp))
 
 
-def _eval(lp: LoadedProblem, args: Command) -> dict:
+def _eval(lp: tuple, args: Command) -> dict:
     try:
         point_doc = json.loads(args.point, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
-    prob = _core(lp)
-    rule = RULES[type(prob)]
-    value = _scalar_out(rule.objective(prob, x))
-    return {"kind": lp.kind, "value": value, "feasible": rule.feasible(prob, x)}
+    spec, data, _ = lp
+    value = _scalar_out(spec.rule.objective(data, x))
+    return {"kind": spec.name, "value": value, "feasible": spec.rule.feasible(data, x)}
 
 
-def _verify(lp: LoadedProblem, args: Command) -> dict:
+def _verify(lp: tuple, args: Command) -> dict:
     sol = solve_loaded(lp)
     return report_to_dict(lp, sol, verify_loaded(lp, sol))
 
@@ -404,11 +416,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The process entry point: ``main``, then ``os._exit`` with its
-    code.  Everything the command writes is flushed by then, so the
-    interpreter's teardown (module and object finalization, a few to
-    tens of ms) would buy nothing.  An exception that escapes ``main``
-    propagates and ends the process the usual way, with its traceback."""
+    """The process entry point: ``main``, then ``os._exit``, skipping the
+    interpreter's teardown once the output is flushed.  An exception that
+    escapes ``main`` ends the process the usual way, with its traceback."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

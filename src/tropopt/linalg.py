@@ -6,21 +6,15 @@ into a row, and products such as a conjugated vector times a matrix mix
 the two, so silent transposition would hide modeling mistakes.
 
 Every operation is a pass of C-implemented builtins over whole rows and
-columns: a product entry is ``max(map(add, row, col))``, with no method
-call per scalar.  ``max`` keeps the first of equal values, as the scalar
-``MaxPlus.add`` does, so results are bit for bit those of the scalar
-definitions.  An entrywise sum is ``x if x >= y else y`` per pair, which
-is ``MaxPlus.add`` itself and, on non-NaN floats, exactly ``max(x, y)``
-without the cost of a builtin call per element.
+columns: a product entry is ``max(map(add, row, col))``.  ``max`` keeps
+the first of equal values, as the scalar ``MaxPlus.add`` does, so results
+are bit for bit those of the scalar definitions.
 
-Each scalar is validated once, where it enters the program.  The public
-``TropVector(...)`` and ``TropMatrix(...)`` check every element with
-``check_all``; the command line's parser validates its input itself and
-builds through ``_vector`` and ``_matrix``, which take their floats as
-they are.  So do the solvers for the vectors they compute, after
-``_no_overflow``: from valid data a computed value can leave the carrier
-only by overflowing to ``+inf``.  Either path stores the slots itself,
-one ``_store`` per slot.
+The public ``TropVector(...)`` and ``TropMatrix(...)`` check every
+element with ``check_all``.  The public solvers wrap the float tuples
+that the core computes with ``_vector``, which takes them as they are:
+from valid data a computed value can leave the carrier only by
+overflowing to ``+inf``, which ``_no_overflow`` tests.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from itertools import repeat
 from operator import add, le, sub
 
 from .semifield import (
-    MAX_PLUS, NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _store, check_all,
+    NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _store, check_all,
 )
 
 _new = object.__new__
@@ -67,8 +61,7 @@ class TropVector(Record):
     __slots__ = ("elements", "orientation")
 
     def __init__(self, elements: tuple[float, ...], orientation: str = "col") -> None:
-        _store(self, "elements", elements)
-        _store(self, "orientation", orientation)
+        self._init(elements, orientation)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -112,17 +105,13 @@ class TropMatrix(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[float, ...], ...]) -> None:
-        _store(self, "entries", entries)
+        self._init(entries)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(map(check_all, self.entries))
         _require_rectangular(rows)
         _store(self, "entries", rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "TropMatrix":
-        return cls(tuple(tuple(0.0 if i == j else NEG_INF for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "TropMatrix":
@@ -160,18 +149,8 @@ def _vector(elements: tuple[float, ...], orientation: str = "col") -> TropVector
     """The vector of ``elements``, a nonempty tuple of carrier floats that
     the caller has validated or computed, taken as they are."""
     v = _new(TropVector)
-    _store(v, "elements", elements)
-    _store(v, "orientation", orientation)
+    v._init(elements, orientation)
     return v
-
-
-def _matrix(rows: tuple[tuple[float, ...], ...]) -> TropMatrix:
-    """The matrix of ``rows``, tuples of validated carrier floats, taken
-    as they are once their shape is checked."""
-    _require_rectangular(rows)
-    a = _new(TropMatrix)
-    _store(a, "entries", rows)
-    return a
 
 
 def _no_overflow(values):
@@ -183,24 +162,6 @@ def _no_overflow(values):
 
 
 MatLike = "TropVector | TropMatrix"
-
-
-def mat_add(a: MatLike, b: MatLike) -> MatLike:
-    """Entrywise tropical sum of two vectors or two matrices."""
-    if isinstance(a, TropVector) and isinstance(b, TropVector):
-        if a.orientation != b.orientation or a.dim != b.dim:
-            raise ShapeMismatchError("vector sum needs equal length and orientation")
-        sums = [x if x >= y else y for x, y in zip(a.elements, b.elements)]
-        return TropVector(tuple(sums), a.orientation)
-    if isinstance(a, TropMatrix) and isinstance(b, TropMatrix):
-        if (a.rows, a.cols) != (b.rows, b.cols):
-            raise ShapeMismatchError(
-                f"matrix sum needs equal shapes, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
-            )
-        return TropMatrix(tuple(
-            tuple([x if x >= y else y for x, y in zip(ra, rb)]) for ra, rb in zip(a.entries, b.entries)
-        ))
-    raise ShapeMismatchError("cannot add a vector to a matrix")
 
 
 def mat_mul(a: MatLike, b: MatLike):
@@ -243,14 +204,6 @@ def mat_mul(a: MatLike, b: MatLike):
     return TropMatrix(out)
 
 
-def scalar_mul(c: float, a: MatLike) -> MatLike:
-    """Entrywise tropical scaling by the scalar ``c``."""
-    c = MAX_PLUS.check(c)
-    if isinstance(a, TropVector):
-        return TropVector(tuple(map(add, repeat(c), a.elements)), a.orientation)
-    return TropMatrix(tuple(tuple(map(add, repeat(c), row)) for row in a.entries))
-
-
 def conjugate(x: TropVector) -> TropVector:
     """Multiplicative conjugate transpose: elementwise inverse, flipped
     orientation, with zero elements mapped to zero.  Undefined for the
@@ -265,18 +218,27 @@ def conjugate(x: TropVector) -> TropVector:
     return TropVector(out, flipped)
 
 
-def distance(x: TropVector, y: TropVector) -> float:
-    """Tropical distance between regular column vectors.
+def _bound_shape(A: TropMatrix, p: TropVector) -> None:
+    if p.orientation != "col":
+        raise ShapeMismatchError("bound must be a column vector")
+    if A.rows != p.dim:
+        raise ShapeMismatchError(f"matrix has {A.rows} rows but bound has {p.dim}")
 
-    In max-plus this is the Chebyshev distance max_i |y_i - x_i|.
-    """
-    if x.orientation != "col" or y.orientation != "col":
-        raise ShapeMismatchError("distance is defined on column vectors")
-    if x.dim != y.dim:
-        raise ShapeMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not (x.is_regular and y.is_regular):
-        raise NotRegularError("distance requires regular vectors")
-    return max(mat_mul(conjugate(y), x), mat_mul(conjugate(x), y))
+
+def _residuate(A: tuple, p: tuple[float, ...]) -> tuple[float, ...]:
+    """The greatest ``x`` with ``A x <= p``, from the rows of ``A`` and the
+    float tuple ``p``, after the checks that it exists and is regular."""
+    if NEG_INF in p:
+        raise NotRegularError("bound vector must be regular")
+    cols = tuple(zip(*A))  # one transposition, for both passes
+    if (NEG_INF,) * len(p) in cols:
+        raise NotColumnRegularError("matrix must be column-regular")
+    # x_l = min_k(p_k - a_kl), the conjugate of p~A: -inf only where p~A
+    # overflowed, +inf only where p_k - a_kl overflowed at every finite a_kl
+    x = tuple([min(map(sub, p, col)) for col in cols])
+    if NEG_INF in x:
+        raise ScalarOverflowError("value exceeds the float range")
+    return _no_overflow(x)
 
 
 def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
@@ -285,22 +247,8 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
     Every regular solution of the inequality is dominated componentwise by
     the returned vector.
     """
-    if p.orientation != "col":
-        raise ShapeMismatchError("bound must be a column vector")
-    if A.rows != p.dim:
-        raise ShapeMismatchError(f"matrix has {A.rows} rows but bound has {p.dim}")
-    if not p.is_regular:
-        raise NotRegularError("bound vector must be regular")
-    cols = list(zip(*A.entries))  # one transposition, for both passes
-    if (NEG_INF,) * A.rows in cols:
-        raise NotColumnRegularError("matrix must be column-regular")
-    # x_l = min_k(p_k - a_kl), the conjugate of p~A, which is -inf only
-    # when p~A overflowed to +inf, and +inf only when p_k - a_kl overflowed
-    # to +inf at every finite a_kl
-    x = tuple([min(map(sub, p.elements, col)) for col in cols])
-    if NEG_INF in x:
-        raise ScalarOverflowError("value exceeds the float range")
-    return _vector(_no_overflow(x))
+    _bound_shape(A, p)
+    return _vector(_residuate(A.entries, p.elements))
 
 
 def vec_leq(x: TropVector, y: TropVector) -> bool:
@@ -308,10 +256,3 @@ def vec_leq(x: TropVector, y: TropVector) -> bool:
     if x.orientation != y.orientation or x.dim != y.dim:
         raise ShapeMismatchError("comparison needs equal length and orientation")
     return all(map(le, x.elements, y.elements))
-
-
-def mat_leq(a: TropMatrix, b: TropMatrix) -> bool:
-    """Componentwise order between matrices of equal shape."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatchError("comparison needs equal shapes")
-    return all(all(map(le, ra, rb)) for ra, rb in zip(a.entries, b.entries))

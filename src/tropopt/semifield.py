@@ -6,10 +6,9 @@ is ordinary +.  Because every operation here is a max/min, a float
 addition, or a halving, integer and half-integer data stay exact, which
 is what makes the regression suite's exact-equality assertions sound.
 
-``MaxPlus`` spells out the operations one scalar at a time.  The
-containers and solvers work on whole tuples with ``max``, ``min`` and
-float arithmetic instead; the tests keep these methods as the reference
-that the vector and matrix passes of ``linalg`` match bit for bit.
+``MaxPlus`` spells out the operations one scalar at a time: the
+reference that the tuple passes of ``linalg`` and the core match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ _store = object.__setattr__
 
 
 class Record:
-    """Base of the immutable value types: slotted classes, which import
-    nothing (a dataclass loads ``dataclasses`` and ``inspect``).  The
-    fields are the parameters of ``__init__``, which stores each once,
-    one ``_store`` (``object.__setattr__``) per slot, past the
-    ``__setattr__`` that refuses every other assignment.  ``repr`` shows
-    every field; equality and hashing read those named in ``_compare``,
-    all of them by default."""
+    """Base of the library's immutable value types: slotted classes, which
+    import nothing (a dataclass loads ``dataclasses`` and ``inspect``).
+    The fields are the parameters of ``__init__``, which stores them with
+    ``_init`` past the ``__setattr__`` that refuses every assignment.
+    ``repr`` shows every field; equality and hashing read those named in
+    ``_compare``, all of them by default."""
 
     __slots__ = ()
 
@@ -55,6 +53,11 @@ class Record:
         code = cls.__init__.__code__
         cls.__match_args__ = cls._fields = code.co_varnames[1:code.co_argcount]
         cls._compare = cls.__dict__.get("_compare", cls._fields)
+
+    def _init(self, *values) -> None:
+        """Store ``values`` in the fields, in order."""
+        for name, value in zip(self._fields, values):
+            _store(self, name, value)
 
     def _values(self, names) -> tuple:
         return tuple([getattr(self, name) for name in names])
@@ -170,16 +173,12 @@ MAX_PLUS = MaxPlus()
 
 
 def check_all(values) -> tuple[float, ...]:
-    """Validate a whole sequence of scalars in two builtin passes, a
-    ``float`` conversion and a float ``sum``; returns its elements as a
-    tuple of floats.
+    """Validate a sequence of scalars; returns them as a tuple of floats.
 
-    A NaN or ``+inf`` element makes the sum NaN or ``+inf``, so a sum
-    below ``+inf`` proves every element a carrier scalar.  Any sequence
-    the two passes reject, valid data whose sum overflows among them, is
-    checked again element by element, so the first bad element raises
-    exactly what ``MAX_PLUS.check`` raises.
-    """
+    A NaN or ``+inf`` element makes the ``sum`` of the floats NaN or
+    ``+inf``; a sequence whose sum is not below ``+inf`` is checked again
+    element by element, so the first bad element raises what
+    ``MAX_PLUS.check`` raises."""
     values = tuple(values)  # free for a tuple; lets an iterator be checked twice
     try:
         out = tuple(map(float, values))

@@ -24,14 +24,11 @@ from tropopt import (
     TwoSidedProblem,
     approximate,
     conjugate,
-    distance,
     locate,
-    mat_leq,
     mat_mul,
     matrix_lower_terms,
     max_solution_leq,
     objective_matrix,
-    scalar_mul,
     solve_matrix_lower,
     solve_two_sided,
     vec_leq,
@@ -44,6 +41,7 @@ from tropopt.oracle import (
     grid_min,
     matrix_lower_box,
 )
+from reference import distance, identity, mat_leq, scalar_mul
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ORACLE_TOL = 1e-9
@@ -277,7 +275,7 @@ def test_criterion_09_algebraic_property_suite():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         x = TropVector(tuple(scalar() for _ in range(n)))
-        assert mat_leq(TropMatrix.identity(n), mat_mul(x, conjugate(x)))
+        assert mat_leq(identity(n), mat_mul(x, conjugate(x)))
 
     _report(
         9,

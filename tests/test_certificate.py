@@ -25,7 +25,8 @@ from tropopt import (
     solve_two_sided,
     vec_leq,
 )
-from tropopt.cli import main, parse_problem, solve_loaded
+from tropopt.cli import main
+from public import core, problem, solve
 from tropopt.oracle import (
     BestUnderObjective,
     GridSpec,
@@ -91,11 +92,11 @@ def _solved(kind, count=PER_KIND, half=False):
     while len(out) < count:
         doc = _doc(kind, rng)
         try:
-            lp = parse_problem(_halved(doc) if half else doc)
-            sol = solve_loaded(lp)
+            prob = problem(_halved(doc) if half else doc)
+            sol = solve(prob)
         except TropicalError:  # infeasible bounds, an irregular A
             continue
-        out.append((getattr(lp.problem, "reduced", lp.problem), sol))
+        out.append((core(prob), sol))
     return out
 
 
@@ -176,15 +177,15 @@ def test_float_data_is_certified(kind):
             for k, v in _doc(kind, rng).items()
         }
         try:
-            lp = parse_problem(doc)
-            sol = solve_loaded(lp)
+            prob = problem(doc)
+            sol = solve(prob)
         except PrecisionLossError:
             # these data span a few decimal digits; rounding here never
             # exceeds the tolerance
             raise
         except TropicalError:
             continue
-        report = certify(getattr(lp.problem, "reduced", lp.problem), sol)
+        report = certify(core(prob), sol)
         assert report.min_value == sol.mu
         certified += 1
 
@@ -298,8 +299,8 @@ def test_best_under_moved_or_slack_point_is_rejected():
 
 
 def _fixture(name):
-    lp = parse_problem(json.loads((FIXTURES / name).read_text()))
-    return lp.problem.reduced, solve_loaded(lp)
+    prob = problem(json.loads((FIXTURES / name).read_text()))
+    return prob.reduced, solve(prob)
 
 
 def _resized(v: TropVector, change: int) -> TropVector:
@@ -311,14 +312,14 @@ def _resized(v: TropVector, change: int) -> TropVector:
     "name", ["location_example.json", "matrix_lower_example.json", "best_under_example.json"]
 )
 def test_point_of_the_wrong_dimension_is_rejected(name, change):
-    lp = parse_problem(json.loads((FIXTURES / name).read_text()))
-    core, sol = getattr(lp.problem, "reduced", lp.problem), solve_loaded(lp)
+    prob = problem(json.loads((FIXTURES / name).read_text()))
+    sol = solve(prob)
     if isinstance(sol, PointSolution):
         sol = replace(sol, x=_resized(sol.x, change))
     else:
         sol = replace(sol, lower=_resized(sol.lower, change), upper=_resized(sol.upper, change))
     with pytest.raises(ShapeMismatchError, match=f"x must have dimension 3, got {3 + change}$"):
-        certify(core, sol)
+        certify(core(prob), sol)
 
 
 def test_corrupted_location_optimum_is_rejected():
@@ -342,9 +343,9 @@ def test_single_point_interval():
 
 
 def test_unconstrained_location_interval():
-    lp = parse_problem({"kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2]})
-    sol = solve_loaded(lp)
-    report = certify(lp.problem.reduced, sol)
+    prob = problem({"kind": "locate", "r": [-3, 1, 1], "s": [1, 3, -2]})
+    sol = solve(prob)
+    report = certify(prob.reduced, sol)
     assert (report.min_value, report.argmin) == (2, sol.lower)
     assert report.agrees_with_solver and report.max_discrepancy == 0.0
 
@@ -375,8 +376,8 @@ def test_infinite_bound_is_not_close_to_a_finite_optimum():
     ids=["delta", "h_term", "matrix_delta", "best_under"],
 )
 def test_binding(doc, binding):
-    lp = parse_problem(doc)
-    assert certify(lp.problem, solve_loaded(lp)).binding == binding
+    prob = problem(doc)
+    assert certify(prob, solve(prob)).binding == binding
 
 
 def test_binding_on_fixtures(capsys):

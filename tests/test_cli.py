@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import copy
 import inspect
 import io
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -16,17 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropopt
+from public import core, problem
 from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications, cli, linalg, solvers
 from tropopt.cli import (
+    LoadedProblem,
     _matrix_in,
     _scalar_in,
     _vector_in,
+    load_problem,
     main,
     parse_problem,
     solution_to_dict,
     solve_loaded,
 )
-from tropopt.semifield import _close
+from tropopt.semifield import Record, _close
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -197,6 +202,27 @@ class TestSolve:
         error = json.loads(out)["error"]
         assert error == {"reason": "parse_error", "message": f"unexpected fields for kind {kind}: ['z']"}
 
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["eval", "--point", "[0]"]])
+    def test_duplicate_top_level_key_is_parse_error(self, capsys, tmp_path, command):
+        # json keeps the last of repeated keys; the file is refused instead
+        path = write(tmp_path, '{"kind": "two_sided", "p": [1], "q": [0], "p": [2]}')
+        code, out = run(capsys, command[0], path, *command[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "parse_error", "message": "duplicate key 'p'"}
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify"]])
+    def test_duplicate_matrix_key_is_parse_error(self, capsys, tmp_path, command):
+        text = json.dumps(KIND_DOCS["matrix_lower"])[:-1] + ', "A": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}'
+        code, out = run(capsys, command[0], write(tmp_path, text))
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "parse_error", "message": "duplicate key 'A'"}
+
+    def test_duplicate_key_in_a_nested_object_is_parse_error(self, capsys, tmp_path):
+        path = write(tmp_path, '{"kind": "two_sided", "p": [1], "q": [0], "name": {"a": 1, "a": 2}}')
+        code, out = run(capsys, "solve", path)
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "parse_error", "message": "duplicate key 'a'"}
+
     @pytest.mark.parametrize(
         "kind, key", [(kind, key) for kind, keys in sorted(REQUIRED_KEYS.items()) for key in keys]
     )
@@ -352,19 +378,38 @@ class TestVerify:
         assert doc["mu"] == doc["min_value"] == 0.05
 
 
+# where each payload key of a kind reads back in its parsed data: the
+# index in the data tuple; a location file's points are reduced to the
+# two-sided p (their max) and q (their min)
+DATA_INDEX = {
+    "two_sided": {"p": 0, "q": 1, "g": 2, "h": 3},
+    "matrix_lower": {"A": 0, "p": 1, "q": 2, "g": 3},
+    "locate": {"g": 2, "h": 3},
+    "approximate": {"A": 0, "p": 1, "g": 3},
+    "best_under": {"A": 0, "p": 1},
+}
+
+
+def _floats(value):
+    return tuple(_floats(v) if isinstance(v, list) else float(v) for v in value)
+
+
 def _assert_reads_back(doc):
-    """Each field of a problem file reads back from the parsed problem as
-    the number the file holds, and a field the file omits is ``None``."""
-    lp = parse_problem(doc)
-    assert (lp.kind, lp.name) == (doc["kind"], doc.get("name"))
-    for key in inspect.signature(type(lp.problem)).parameters:
-        value = getattr(lp.problem, key)
-        if key == "A":
-            assert value.entries == tuple(tuple(map(float, row)) for row in doc[key])
+    """Each field of a problem file reads back from the parsed data as
+    the number the file holds, and a field the file omits is ``None``;
+    the data are those that the kind's problem class keeps."""
+    spec, data, name = parse_problem(doc)
+    assert (spec.name, name) == (doc["kind"], doc.get("name"))
+    assert data == core(problem(doc))._data
+    index = DATA_INDEX[doc["kind"]]
+    for key in inspect.signature(type(problem(doc))).parameters:
+        if key in ("r", "s"):
+            r, s = _floats(doc["r"]), _floats(doc["s"])
+            assert data[:2] == (tuple(map(max, r, s)), tuple(map(min, r, s)))
         elif key in doc:
-            assert value.elements == tuple(map(float, doc[key]))
+            assert data[index[key]] == _floats(doc[key])
         else:
-            assert value is None
+            assert data[index[key]] is None
 
 
 class TestRoundTrip:
@@ -382,25 +427,57 @@ class TestRoundTrip:
             "q": [0, 0],
             "g": ["-inf", 3],
         }
-        problem = parse_problem(doc).problem
-        assert problem.A.entries == ((0.0, NEG_INF), (NEG_INF, 0.0))
-        assert problem.g.elements == (NEG_INF, 3.0)
+        A, _, _, g = parse_problem(doc)[1]
+        assert A == ((0.0, NEG_INF), (NEG_INF, 0.0))
+        assert g == (NEG_INF, 3.0)
 
     def test_half_integers_round_trip(self):
-        problem = parse_problem({"kind": "two_sided", "p": [0.5, 3], "q": [-1.5, 0]}).problem
-        assert (problem.p.elements, problem.q.elements) == ((0.5, 3.0), (-1.5, 0.0))
+        p, q, _, _ = parse_problem({"kind": "two_sided", "p": [0.5, 3], "q": [-1.5, 0]})[1]
+        assert (p, q) == ((0.5, 3.0), (-1.5, 0.0))
+
+    def test_parsed_problem_is_plain_data(self):
+        # no value class on the command path: the parse is a tuple of its
+        # kind's entry, float tuples and the name, equal, hashable and
+        # immutable as a value is, and rebuilt by its items
+        doc = KIND_DOCS["best_under"]
+        a, b = parse_problem(doc), parse_problem(doc)
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert type(a) is tuple and a[0] is cli._KINDS["best_under"] and a[2] == "b"
+        assert a != parse_problem({**doc, "name": None})
+        assert a != parse_problem({**doc, "p": [3, 4, 5]})
+        with pytest.raises(TypeError):
+            a[1] = None
+        assert tuple(a) == a and copy.copy(a) == a and copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a[1])) == a[1]
+
+    @pytest.mark.parametrize("key", sorted(KIND_DOCS))
+    def test_load_problem_builds_the_public_class(self, key):
+        doc = KIND_DOCS[key]
+        lp = load_problem(doc)
+        assert lp == LoadedProblem(doc["kind"], problem(doc), doc.get("name"))
+        assert core(lp.problem)._data == parse_problem(doc)[1]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "two_sided", "p": [1], "q": [0], "x": 1},
+            {"kind": "two_sided", "p": ["-inf"], "q": [0]},
+            {"kind": "two_sided", "p": [1], "q": [0], "g": [2], "h": [1]},
+            {"kind": "matrix_lower", "A": [[1, 2]], "p": [1], "q": [0], "g": [0]},
+            {"kind": "best_under", "A": [[1]], "p": [1], "name": 5},
+        ],
+        ids=["extra_key", "irregular_p", "infeasible_bounds", "short_g", "name_not_string"],
+    )
+    def test_load_problem_fails_as_parse_problem_does(self, doc):
+        with pytest.raises(TropicalError) as parsed:
+            parse_problem(doc)
+        with pytest.raises(TropicalError) as loaded:
+            load_problem(doc)
+        assert (type(loaded.value), str(loaded.value)) == (type(parsed.value), str(parsed.value))
 
     @pytest.mark.parametrize("key", sorted(KIND_DOCS))
     def test_every_kind_round_trips(self, key):
         _assert_reads_back(KIND_DOCS[key])
-
-
-def _core(problem):
-    if isinstance(problem, applications.LocationProblem):
-        return applications.reduced_two_sided(problem)
-    if isinstance(problem, applications.ApproximationProblem):
-        return applications.reduced_matrix_lower(problem)
-    return problem
 
 
 class TestStructure:
@@ -414,44 +491,51 @@ class TestStructure:
 
             return wrapper
 
-        monkeypatch.setattr(
-            applications, "reduced_two_sided", counted("reduce", applications.reduced_two_sided)
-        )
-        monkeypatch.setattr(solvers, "two_sided_terms", counted("terms", solvers.two_sided_terms))
+        monkeypatch.setattr(applications, "_reduce", counted("reduce", applications._reduce))
+        monkeypatch.setattr(solvers, "_two_sided_terms", counted("terms", solvers._two_sided_terms))
         lp = parse_problem(KIND_DOCS["locate_bounded"])
         solution_to_dict(lp, solve_loaded(lp))
         assert calls == {"reduce": 1, "terms": 1}
 
     def test_matrix_lower_computes_q_a_once(self, monkeypatch):
-        # q~ A feeds delta, the g term and x: one pass computes it, and
-        # the only container the solve builds is x
-        prob = parse_problem(KIND_DOCS["matrix_lower"]).problem
-        calls, built = [], _record_builds(monkeypatch)
-        q_a = solvers._q_a
-        monkeypatch.setattr(solvers, "_q_a", lambda pr: calls.append(pr) or q_a(pr))
-        sol = solvers.solve_matrix_lower(prob)
-        assert calls == [prob]
-        assert len(built) == 1 and built[0] is sol.x
+        # q~ A feeds delta, the g term and x: one pass computes it; the
+        # solve builds no value object, and returns x as a float tuple
+        built = _record_builds(monkeypatch)
+        lp = parse_problem(KIND_DOCS["matrix_lower"])
+        calls, q_a = [], solvers._q_a
+        monkeypatch.setattr(solvers, "_q_a", lambda data: calls.append(data) or q_a(data))
+        sol = solve_loaded(lp)
+        assert calls == [lp[1]]
+        assert built == []
+        assert type(sol) is solvers.Point and sol.x == (2.0, 4.0, 2.0)
 
     def test_two_sided_conjugates_q_once(self, monkeypatch):
         # the passes read q itself, so q~ is never formed; the terms are
-        # computed once and the only containers built are the endpoints
-        prob = parse_problem(KIND_DOCS["two_sided_bounded"]).problem
-        calls, built = [], _record_builds(monkeypatch)
-        terms, conjugate = solvers.two_sided_terms, linalg.conjugate
-        monkeypatch.setattr(solvers, "two_sided_terms", lambda pr: calls.append(pr) or terms(pr))
+        # computed once, no value object is built, and the endpoints come
+        # back as float tuples
+        built = _record_builds(monkeypatch)
+        lp = parse_problem(KIND_DOCS["two_sided_bounded"])
+        calls = []
+        terms, conjugate = solvers._two_sided_terms, linalg.conjugate
+        monkeypatch.setattr(solvers, "_two_sided_terms", lambda data: calls.append(data) or terms(data))
         monkeypatch.setattr(linalg, "conjugate", lambda v: calls.append(v) or conjugate(v))
-        sol = solvers.solve_two_sided(prob)
-        assert calls == [prob]
-        assert len(built) == 2 and built[0] is sol.lower and built[1] is sol.upper
+        sol = solve_loaded(lp)
+        assert calls == [lp[1]]
+        assert built == []
+        assert type(sol) is solvers.Interval
+        assert (sol.lower, sol.upper) == ((0.0, 0.0, 0.0), (0.0, 2.0, 1.0))
 
     def test_best_under_objective_builds_no_vector(self, monkeypatch):
         # the defect is one pass over A's rows and one over p, with no
-        # A x or (A x)~ container
-        lp = parse_problem(KIND_DOCS["best_under"])
-        x = TropVector((2.0, 4.0, 3.0))
+        # value object for A x or (A x)~
         built = _record_builds(monkeypatch)
-        assert solvers.objective_best_under(lp.problem, x) == -1.0
+        lp = parse_problem(KIND_DOCS["best_under"])
+        calls = []
+        for name in ("_ax", "_defect"):
+            fn = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        assert solvers._best_under_value(lp[1], (2.0, 4.0, 3.0)) == -1.0
+        assert calls == ["_ax", "_defect"]
         assert built == []
 
     def test_matrix_lower_checks_x_above_g_with_the_shared_test(self, monkeypatch, tmp_path, capsys):
@@ -466,13 +550,13 @@ class TestStructure:
     def test_diagnostics_are_the_core_terms(self, key):
         lp = parse_problem(KIND_DOCS[key])
         got = solution_to_dict(lp, solve_loaded(lp))["diagnostics"]
-        core = _core(lp.problem)
-        if isinstance(core, solvers.TwoSidedProblem):
-            terms = solvers.two_sided_terms(core)
-        elif isinstance(core, solvers.MatrixLowerProblem):
-            terms = solvers.matrix_lower_terms(core)
+        prob = core(problem(KIND_DOCS[key]))
+        if isinstance(prob, solvers.TwoSidedProblem):
+            terms = solvers.two_sided_terms(prob)
+        elif isinstance(prob, solvers.MatrixLowerProblem):
+            terms = solvers.matrix_lower_terms(prob)
         else:
-            terms = {"delta": solvers.best_underestimator(core.A, core.p).delta}
+            terms = {"delta": solvers.best_underestimator(prob.A, prob.p).delta}
         want = {
             "delta_term" if name == "delta" else name: value
             for name, value in terms.items()
@@ -514,12 +598,12 @@ class TestStructure:
 
 
 def _record_builds(monkeypatch) -> list:
-    """The list of every ``TropVector`` built from now on.  The program
-    builds each one by the private ``linalg._vector``, hooked here under
-    every name that a ``tropopt`` module holds it by, or by the public
-    constructor, hooked too."""
+    """The list of every value object (``semifield.Record``) built from
+    now on.  The program builds one by a public constructor, each hooked
+    here, or a vector by the private ``linalg._vector``, hooked under
+    every name that a ``tropopt`` module holds it by."""
     built = []
-    vector, init = linalg._vector, TropVector.__init__
+    vector = linalg._vector
 
     def recorded(*args, **kwargs):
         v = vector(*args, **kwargs)
@@ -531,7 +615,12 @@ def _record_builds(monkeypatch) -> list:
             for key, value in list(vars(module).items()):
                 if value is vector:
                     monkeypatch.setattr(module, key, recorded)
-    monkeypatch.setattr(TropVector, "__init__", lambda v, *a, **kw: built.append(v) or init(v, *a, **kw))
+    classes = [Record]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        if cls is not Record:
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda v, *a, init=init, **kw: built.append(v) or init(v, *a, **kw))
     return built
 
 
@@ -903,7 +992,7 @@ def _outcome(fn):
 
 
 def _rows(value):
-    return value.entries if isinstance(value, TropMatrix) else (value.elements,)
+    return value if isinstance(value[0], tuple) else (value,)
 
 
 # every kind of element a decoded problem file can hold: numbers, among
@@ -938,14 +1027,16 @@ class TestBulkParse:
     @settings(max_examples=500)
     @given(st.one_of(st.lists(numbers, min_size=1, max_size=8), st.lists(any_tokens, min_size=1, max_size=8)))
     def test_one_pass_parse_is_the_per_token_parse(self, toks):
-        got = _parsed(lambda: _vector_in(toks, "p").elements)
+        got = _parsed(lambda: _vector_in(toks, "p"))
         want = _parsed(lambda: tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks)))
         assert got == want
 
     @given(st.lists(tokens, min_size=1, max_size=8))
     def test_vector_matches_per_token_parse(self, toks):
         got = _outcome(lambda: _vector_in(toks, "p"))
-        want = _outcome(lambda: TropVector(tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks))))
+        want = _outcome(
+            lambda: TropVector(tuple(_scalar_in(t, f"p[{i}]") for i, t in enumerate(toks))).elements
+        )
         assert got == want
 
     @given(st.lists(st.lists(tokens, max_size=3), min_size=1, max_size=3))
@@ -954,6 +1045,6 @@ class TestBulkParse:
         want = _outcome(
             lambda: TropMatrix(tuple(
                 tuple(_scalar_in(t, f"A[{i}][{j}]") for j, t in enumerate(row)) for i, row in enumerate(rows)
-            ))
+            )).entries
         )
         assert got == want

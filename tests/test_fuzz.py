@@ -1,0 +1,115 @@
+"""Fuzzing the command line in process: any problem file, any bytes or
+any document shaped like a problem file, ends ``solve``, ``verify`` and
+``eval`` with exit 0 and a result, exit 1 and a one-line JSON error on
+stderr, or exit 2 and a JSON error with a ``reason``, never with an
+exception."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropopt.cli import main
+
+KEYS = {
+    "two_sided": "p q g h",
+    "matrix_lower": "A p q g",
+    "locate": "r s g h",
+    "approximate": "A p g",
+    "best_under": "A p",
+}
+# numbers, mostly small and exact, and every other kind of element a
+# decoded file can hold; "1e400" is written as that literal, which json
+# reads as inf
+numbers = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-8, 8).map(lambda k: k / 2),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, "-inf"]),
+)
+tokens = st.one_of(
+    numbers,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([10**400, -(10**400), "1e400", "inf", "NaN", "", True, False, None]),
+)
+LITERALS = {'"1e400"': "1e400"}
+BAD_POINTS = ["[0", "{}", "[[1]]", "[]", '"-inf"']
+
+
+@st.composite
+def cases(draw):
+    """A problem file's document and a command line.  Mostly the document
+    is a real kind's, with each key present and numbers of the right
+    dimensions; one draw in ten or so a kind, a key, a value's type or
+    length, or the whole document is wrong.  ``eval`` takes a point of
+    the right dimension or not, or one that is no array."""
+
+    def often(good, bad):
+        return draw(good if draw(st.integers(0, 9)) else bad)
+
+    kind = often(st.sampled_from(list(KEYS)), st.sampled_from(["frobnicate", None, 1, ["two_sided"]]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    junk = st.one_of(st.lists(tokens, max_size=4), tokens)
+    keys = KEYS[kind] if isinstance(kind, str) and kind in KEYS else "p q"
+    doc = {"kind": kind}
+    for key in keys.split():
+        if not draw(st.integers(0, 19)):
+            continue  # a missing key
+        size = m if key in "pq" and "A" in keys else n
+        rows = st.lists(st.lists(numbers, min_size=n, max_size=n), min_size=m, max_size=m)
+        doc[key] = often(rows if key == "A" else st.lists(numbers, min_size=size, max_size=size), junk)
+    if not draw(st.integers(0, 9)):
+        doc[draw(st.sampled_from(["name", "description", "z", "A", "r", "h"]))] = draw(st.one_of(st.text(max_size=3), junk))
+    doc = often(st.just(doc), st.sampled_from([[doc], None, "two_sided"]))
+    command = draw(st.sampled_from(["solve", "verify", "eval"]))
+    if command != "eval":
+        return doc, [command]
+    point = often(st.lists(numbers, min_size=n, max_size=n).map(json.dumps), st.one_of(
+        st.lists(tokens, max_size=4).map(json.dumps), st.sampled_from(BAD_POINTS)
+    ))
+    return doc, ["eval", "--point", point]
+
+
+@pytest.fixture(scope="module")
+def problem_file():
+    with tempfile.TemporaryDirectory() as directory:
+        yield Path(directory) / "problem.json"
+
+
+def run_on(path: Path, command: list) -> None:
+    """Run ``command`` on ``path`` in process and check how it ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert json.loads(err.getvalue())["error"]["reason"] in ("unreadable_input", "unwritable_output")
+        return
+    assert err.getvalue() == ""
+    result = json.loads(out.getvalue())
+    if code == 0:
+        assert "error" not in result
+    else:
+        assert code == 2 and isinstance(result["error"]["reason"], str), (code, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.binary(max_size=80), command=st.sampled_from([["solve"], ["verify"], ["eval", "--point", "[0]"]]))
+def test_any_bytes_end_in_an_exit_code(problem_file, content, command):
+    problem_file.write_bytes(content)
+    run_on(problem_file, command)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=cases())
+def test_any_shaped_document_ends_in_an_exit_code(problem_file, case):
+    doc, command = case
+    text = json.dumps(doc)
+    for token, literal in LITERALS.items():
+        text = text.replace(token, literal)
+    problem_file.write_text(text)
+    run_on(problem_file, command)

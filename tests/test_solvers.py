@@ -26,6 +26,7 @@ from tropopt import (
     two_sided_terms,
     vec_leq,
 )
+from reference import identity
 
 
 def random_two_sided(rng, n=None, with_h=True):
@@ -234,7 +235,7 @@ class TestMatrixObjective:
             p = TropVector(tuple(map(int, rng.integers(-9, 10, n))))
             q = TropVector(tuple(map(int, rng.integers(-9, 10, n))))
             x = TropVector(tuple(map(int, rng.integers(-9, 10, n))))
-            mprob = MatrixLowerProblem(TropMatrix.identity(n), p, q, TropVector.zeros(n))
+            mprob = MatrixLowerProblem(identity(n), p, q, TropVector.zeros(n))
             vprob = TwoSidedProblem(p, q)
             assert objective_matrix(mprob, x) == objective_two_sided(vprob, x)
 
@@ -279,7 +280,7 @@ class TestBestUnderestimator:
 
     def test_identity_matrix_fits_exactly(self):
         p = TropVector((3, -1, 4))
-        sol = best_underestimator(TropMatrix.identity(3), p)
+        sol = best_underestimator(identity(3), p)
         assert sol.x == p and sol.mu == 0.0
 
     def test_underestimates_and_value_is_squared_delta(self):

@@ -32,7 +32,7 @@ from tropopt import (
     mat_mul,
 )
 from tropopt.applications import LocationProblem, reduced_two_sided
-from tropopt.cli import _scalar_out, _vector_out, main
+from tropopt.cli import _scalar_out, _scalars_out, main
 from tropopt.solvers import objective_best_under, solve_two_sided
 
 add = MAX_PLUS.add
@@ -95,7 +95,7 @@ class TestBulkSerialization:
     ))
     def test_vector_and_matrix_match_per_element(self, values):
         want = json.dumps([_scalar_out(v) for v in values])
-        assert json.dumps(_vector_out(TropVector(tuple(values)))) == want
+        assert json.dumps(_scalars_out(tuple(values))) == want
 
 
 def _token(v):
