@@ -6,7 +6,7 @@ location problem reduces to the two-sided bounded problem with
 matrix problem with ``q = p``.  Each problem builds its reduced instance
 once, on construction, and keeps it in ``reduced``; the command line
 reduces a location file's float tuples by ``location_data``, through the
-same checks and the same ``_reduce``.
+same point and box checks and the same ``_reduce``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
 from .semifield import NEG_INF, Record, _store
 from .solvers import (
-    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _require_column,
-    solve_matrix_lower, solve_two_sided, two_sided_data,
+    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _require_box,
+    _require_column, solve_matrix_lower, solve_two_sided,
 )
 
 
@@ -39,9 +39,12 @@ def _reduce(r, s) -> tuple:
 
 
 def location_data(r, s, g=None, h=None) -> tuple:
-    """The two-sided data of a location problem given as float tuples."""
+    """The two-sided data of a location problem given as float tuples.
+    Every element of ``p`` and ``q`` is one of the checked ``r`` or ``s``,
+    so of ``two_sided_data``'s checks only the box's (``_require_box``) run."""
     _require_points(r, s)
-    return two_sided_data(*_reduce(r, s), g, h)
+    _require_box(len(r), g, h)
+    return (*_reduce(r, s), g, h)
 
 
 class LocationProblem(Record):

@@ -6,9 +6,12 @@ of per-index terms that are each valid by one line of arithmetic; the
 returned point must then be feasible and attain that bound.  Interval
 solutions are also checked for completeness coordinate by coordinate,
 against the sublevel set of the optimum, which is a box.  Every check
-is a pass over the data, so the cost is linear in the problem size, for
-any real data and any dimension.  Failures raise
-``VerificationFailedError`` with a counterexample vector.
+is a few passes over the data, so the cost is linear in the problem
+size, for any real data and any dimension: the matrix check makes two
+O(m n) passes for its bound (``q~A`` and ``A (q~A)~``; the g-term's top
+is ``max(q~A + g)``) and one for ``A x``.  Failures raise
+``VerificationFailedError`` with a counterexample vector; one that
+would overflow raises the error that the solver raises on the data.
 
 Like the solvers, a check is a function of a problem's data tuple and
 the core's answer (``solvers.Interval`` or ``solvers.Point``), and
@@ -28,10 +31,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import repeat
+from math import isnan
 from operator import add, itemgetter, sub
 
-from .linalg import TropVector
-from .semifield import NEG_INF, POS_INF, Record, TropicalError, _close, _leq
+from .linalg import NotColumnRegularError, TropVector
+from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
     _above_g, _answer, _ax, _best_under_value, _defect, _in_box, _limit, _matrix_value,
@@ -79,7 +83,13 @@ class Report(tuple):
 
 
 def _fail(message: str, point) -> VerificationFailedError:
-    return VerificationFailedError(message, counterexample=TropVector(tuple(point)))
+    """The error with the counterexample ``point``.  A coordinate that
+    overflowed to +inf, or to NaN as ``inf - inf``, is the overflow that
+    the solver meets on the same data, and raises its error."""
+    point = tuple(point)
+    if POS_INF in point or any(map(isnan, point)):
+        raise ScalarOverflowError("value exceeds the float range")
+    return VerificationFailedError(message, counterexample=TropVector(point))
 
 
 def _check_attains(data, mu: float, value, points) -> float:
@@ -139,25 +149,41 @@ def _interval(data, sol: Interval) -> Report:
     return _answer(Report, (bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
 
 
-def _matrix_lower(data, sol: Point) -> Report:
+def _matrix_bound(data) -> tuple:
+    """The matrix check's bound, its binding ``(term, (row, col))`` and
+    the row ``r = q~A``, from the data alone."""
     # r = q~A: obj >= (A x)_k - q_k forces x_l <= obj - r_l, so
     # (A x)_k <= obj + res_k and obj >= p_k - (A x)_k gives (p_k - res_k)/2;
-    # x >= g gives obj >= (A x)_i - q_i >= a_ij - q_i + g_j, one max per
-    # row i here, and the binding row's terms again for its column
+    # x >= g gives obj >= (A x)_i - q_i >= a_ij - q_i + g_j for every i, j
     A, p, q, g = data
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
-    delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
-    g_term = [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)]
+    # adding g_j and halving are monotone, so the greatest a_ij - q_i + g_j
+    # of column j is r_j + g_j and the greatest (p_k - res_k)/2 is the
+    # greatest p_k - res_k halved; an r_j that overflowed to +inf makes a
+    # free column's r_j + g_j NaN, and such a column bounds nothing
+    g_tops = list(map(add, r, g))
+    if POS_INF in r and NEG_INF in g:
+        g_tops = [NEG_INF if isnan(t) else t for t in g_tops]
+    top_delta, top_g = max(map(sub, p, res)) / 2, max(g_tops)
     # the greater top binds, delta on a tie, at its first row attaining it
-    top_delta, top_g = max(delta), max(g_term)
+    # and that row's first column; the bound is that term, bit for bit
     if top_delta >= top_g:
-        bound, term, i = top_delta, "delta", delta.index(top_delta)
-        index = (i, list(map(sub, A[i], r)).index(res[i]))
+        delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
+        i = delta.index(top_delta)
+        bound, term, index = delta[i], "delta", (i, list(map(sub, A[i], r)).index(res[i]))
     else:
-        bound, term, i = top_g, "g_term", g_term.index(top_g)
-        index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
+        # only the columns whose top is the bound hold a term equal to it
+        i, j = min(
+            ([(a - qi) + g[j] for a, qi in zip(map(itemgetter(j), A), q)].index(top_g), j)
+            for j, t in enumerate(g_tops) if t == top_g
+        )
+        bound, term, index = (A[i][j] - q[i]) + g[j], "g_term", (i, j)
+    return bound, (term, index), r
 
+
+def _matrix_lower(data, sol: Point) -> Report:
+    bound, binding, r = _matrix_bound(data)
     mu, x = sol.mu, sol.x
     if not _above_g(data, x):
         raise _fail("returned vector violates the lower bound", x)
@@ -165,7 +191,7 @@ def _matrix_lower(data, sol: Point) -> Report:
     # the claimed optimum must equal the bound, which x_l = bound - r_l attains
     if bound != mu and not _close(bound, mu):
         raise _fail(f"the optimum is {bound}, not the claimed {mu}", [bound - rl for rl in r])
-    return _answer(Report, (bound, x, 1, True, max(gap, abs(bound - mu)), (term, index)))
+    return _answer(Report, (bound, x, 1, True, max(gap, abs(bound - mu)), binding))
 
 
 def _best_under(data, sol: Point) -> Report:
@@ -175,6 +201,9 @@ def _best_under(data, sol: Point) -> Report:
     mu, x = sol.mu, sol.x
     _require_dim(x, "x", len(A[0]), regular=False)
     limit = _limit(data)
+    # a column with no finite entry bounds no x_l, as the solver reports
+    if POS_INF in limit and (NEG_INF,) * len(A) in zip(*A):
+        raise NotColumnRegularError("matrix must be column-regular")
     # an x equal to the limit is close to it at every column; only an
     # unequal one is walked with the tolerance
     if list(x) != limit:

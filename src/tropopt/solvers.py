@@ -30,7 +30,9 @@ min), ``max(x, y)`` bit for bit on non-NaN floats at a quarter of the
 cost of a call per element.  The data are validated where they enter;
 a computed value can still overflow, which ``_no_overflow`` raises as
 ``ScalarOverflowError``, and rounding can move a returned point off the
-optimum, which ``PrecisionLossError`` reports.  Each objective and
+optimum, which ``PrecisionLossError`` reports.  Rounding is monotone,
+which saves passes: the two-sided answer's ordered endpoints bound each
+other's objective (``_endpoint_objectives``).  Each objective and
 feasibility test is defined here once, for ``solve``, ``eval`` and
 ``verify``; ``certificate.RULES`` pairs them with the proofs.
 """
@@ -93,8 +95,14 @@ def two_sided_data(p, q, g=None, h=None) -> tuple:
     """Check the two-sided problem's float tuples; returns its data."""
     if NEG_INF in p:
         raise NotRegularError("p must be regular (no zero elements)")
-    n = len(p)
-    _require_dim(q, "q", n)
+    _require_dim(q, "q", len(p))
+    _require_box(len(p), g, h)
+    return p, q, g, h
+
+
+def _require_box(n: int, g, h) -> None:
+    """The box checks of ``two_sided_data``: ``g`` and a regular ``h`` of
+    dimension ``n``, with ``g <= h``; an absent bound is None."""
     if g is not None and len(g) != n:
         raise ShapeMismatchError(f"g must be a column vector of dimension {n}")
     if h is not None:
@@ -102,7 +110,6 @@ def two_sided_data(p, q, g=None, h=None) -> tuple:
         # both bounds have dimension n by now
         if g is not None and not all(map(le, g, h)):
             raise InfeasibleBoundsError("lower bound g exceeds upper bound h")
-    return p, q, g, h
 
 
 def matrix_data(A, p, q, g) -> tuple:
@@ -313,9 +320,15 @@ def _above_g(data, x) -> bool:
 
 def _limit(data) -> list[float]:
     """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)`` over
-    the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing), else ``+inf``."""
+    the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing), else ``+inf``.
+    Only a column that holds ``-inf`` is filtered, since a ``-inf`` ``p_k``
+    against a ``-inf`` entry gives NaN; any other column is one ``map``."""
     A, p = data
-    return [min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF) for col in zip(*A)]
+    return [
+        min(map(sub, p, col)) if NEG_INF not in col
+        else min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF)
+        for col in zip(*A)
+    ]
 
 
 def _under_p(data, x) -> bool:
@@ -341,6 +354,8 @@ def two_sided(data) -> Interval:
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``.  An upper endpoint below the
     lower one by no more than the tolerance is raised to it; a greater
     shortfall, or an endpoint off ``mu``, raises ``PrecisionLossError``.
+    The endpoints' objectives take two or three passes
+    (``_endpoint_objectives``).
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)
@@ -360,9 +375,37 @@ def two_sided(data) -> Interval:
             raise PrecisionLossError("rounding put lower above upper by more than the tolerance")
         upper = tuple([x if x >= y else y for x, y in zip(lower, upper)])
     _interval_checks(mu, upper, delta)
-    _require_attained(mu, "an endpoint", _objective(lower, q, p))
-    _require_attained(mu, "an endpoint", _objective(upper, q, p))
+    _require_endpoints_attain(mu, lower, upper, q, p)
     return _answer(Interval, (mu, lower, upper, delta, g_term, h_term))
+
+
+def _require_endpoints_attain(mu: float, lower, upper, q, p) -> None:
+    """``_require_attained`` at ``lower``, then at ``upper``, each after
+    ``_objective``'s overflow test, for ``lower <= upper`` exactly."""
+    for value in _endpoint_objectives(lower, upper, q, p):
+        if value == POS_INF:
+            raise ScalarOverflowError("value exceeds the float range")
+        _require_attained(mu, "an endpoint", value)
+
+
+def _endpoint_objectives(lower, upper, q, p) -> tuple[float, float]:
+    """``_objective`` at ``lower`` and at ``upper``, bit for bit, for
+    ``lower <= upper`` exactly, in two passes where the tops agree and
+    three where they differ.
+
+    Rounding is monotone, so ``max(lower - q) <= max(upper - q)`` and
+    ``max(p - upper) <= max(p - lower)``: the greater of the tops
+    ``max(upper - q)`` and ``max(p - lower)`` is the objective at its own
+    endpoint, and equal tops are the objective at both.  ``max`` keeps
+    the first of equal values, so a zero top needs the third pass too,
+    for the sign that ``max`` would give lower's value.
+    """
+    top_up, top_lo = max(map(sub, upper, q)), max(map(sub, p, lower))
+    if top_up >= top_lo:
+        if top_up == top_lo and top_lo:
+            return top_lo, top_up
+        return max(max(map(sub, lower, q)), top_lo), top_up
+    return top_lo, max(top_up, max(map(sub, p, upper)))
 
 
 def _q_a(data) -> list[float]:

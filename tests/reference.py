@@ -1,12 +1,16 @@
 """Max-plus algebra that only the tests use: entrywise sums, scaling,
 the matrix order, the identity matrix and the tropical distance, kept
-here as references for the package's laws and identities."""
+here as references for the package's laws and identities; and the
+longer forms of checks and passes that the package does in fewer."""
 
 from itertools import repeat
-from operator import add, le
+from operator import add, le, sub
 
 from tropopt import MAX_PLUS, NEG_INF, NotRegularError, ShapeMismatchError, TropMatrix, TropVector
+from tropopt.applications import _reduce, _require_points
 from tropopt.linalg import conjugate, mat_mul
+from tropopt.semifield import POS_INF
+from tropopt.solvers import _objective, _require_attained, two_sided_data
 
 
 def mat_add(a, b):
@@ -59,3 +63,48 @@ def mat_leq(a, b):
 def identity(n):
     """The n x n identity matrix: 0 on the diagonal, the zero elsewhere."""
     return TropMatrix(tuple(tuple(0.0 if i == j else NEG_INF for j in range(n)) for i in range(n)))
+
+
+# The longer forms of what the solver, the certificate and the location
+# parse now do in fewer passes or checks; tests/test_fewer_passes.py
+# holds them to the same values bit for bit, bindings and errors.
+
+def endpoint_objectives(lower, upper, q, p):
+    """``q~ x + x~ p`` at each endpoint, two whole passes per endpoint."""
+    return tuple(max(max(map(sub, x, q)), max(map(sub, p, x))) for x in (lower, upper))
+
+
+def matrix_bound(data):
+    """The matrix certificate's bound and binding from one greatest
+    ``a_ij - q_i + g_j`` per row, with that row's terms again for its column."""
+    A, p, q, g = data
+    r = [max(map(sub, col, q)) for col in zip(*A)]
+    res = [max(map(sub, row, r)) for row in A]
+    delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
+    g_term = [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)]
+    top_delta, top_g = max(delta), max(g_term)
+    if top_delta >= top_g:
+        bound, term, i = top_delta, "delta", delta.index(top_delta)
+        index = (i, list(map(sub, A[i], r)).index(res[i]))
+    else:
+        bound, term, i = top_g, "g_term", g_term.index(top_g)
+        index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
+    return bound, (term, index), r
+
+
+def limit(data):
+    """The greatest ``x`` with ``A x <= p``, every column filtered of its ``-inf`` entries."""
+    A, p = data
+    return [min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF) for col in zip(*A)]
+
+
+def require_endpoints_attain(mu, lower, upper, q, p):
+    """The solver's attainment check by ``_objective`` at each endpoint, lower first."""
+    _require_attained(mu, "an endpoint", _objective(lower, q, p))
+    _require_attained(mu, "an endpoint", _objective(upper, q, p))
+
+
+def location_data(r, s, g=None, h=None):
+    """A location problem's data through every check of ``two_sided_data``."""
+    _require_points(r, s)
+    return two_sided_data(*_reduce(r, s), g, h)
