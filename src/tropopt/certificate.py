@@ -9,7 +9,9 @@ against the sublevel set of the optimum, which is a box.  Every check
 is a few passes over the data, so the cost is linear in the problem
 size, for any real data and any dimension: the matrix check makes two
 O(m n) passes for its bound (``q~A`` and ``A (q~A)~``; the g-term's top
-is ``max(q~A + g)``) and one for ``A x``.  Failures raise
+is ``max(q~A + g)``) and one for ``A x``, which it keeps though the
+solver proves attainment without it (``solvers._attainment_proved``):
+``max_discrepancy`` reports ``|F(x) - mu|`` bit for bit.  Failures raise
 ``VerificationFailedError`` with a counterexample vector; one that
 would overflow raises the error that the solver raises on the data.
 
@@ -38,8 +40,9 @@ from .linalg import NotColumnRegularError, TropVector
 from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
-    _above_g, _answer, _ax, _best_under_value, _defect, _in_box, _limit, _matrix_value,
-    _require_column, _require_dim, _two_sided_value, _under_p, best_under, matrix_lower, two_sided,
+    _above_g, _answer, _ax, _best_under_value, _defect, _halves, _in_box, _limit, _matrix_value,
+    _require_column, _require_dim, _top_half, _two_sided_value, _under_p, best_under, matrix_lower,
+    two_sided,
 )
 
 
@@ -111,12 +114,12 @@ def _interval(data, sol: Interval) -> Report:
     g = (NEG_INF,) * len(p) if g is None else g
     h = (POS_INF,) * len(p) if h is None else h
     # the bound is the greatest term, and the first term attaining it
-    # binds at its first index attaining it; halving is monotone, so the
-    # greatest (p_i - q_i)/2 is the greatest p_i - q_i halved, bit for bit
-    top_delta, top_g, top_h = max(map(sub, p, q)) / 2, max(map(sub, g, q)), max(map(sub, p, h))
+    # binds at its first index attaining it; (p_i - q_i)/2 is _half's, and
+    # its top is _top_half's, one pass over p - q
+    top_delta, top_g, top_h = _top_half(p, q), max(map(sub, g, q)), max(map(sub, p, h))
     bound = max(top_delta, top_g, top_h)
     if top_delta == bound:
-        term, values = "delta", [(pi - qi) / 2 for pi, qi in zip(p, q)]
+        term, values = "delta", _halves(p, q, top_delta)
     elif top_g == bound:
         term, values = "g_term", list(map(sub, g, q))
     else:
@@ -158,18 +161,18 @@ def _matrix_bound(data) -> tuple:
     A, p, q, g = data
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
-    # adding g_j and halving are monotone, so the greatest a_ij - q_i + g_j
-    # of column j is r_j + g_j and the greatest (p_k - res_k)/2 is the
-    # greatest p_k - res_k halved; an r_j that overflowed to +inf makes a
-    # free column's r_j + g_j NaN, and such a column bounds nothing
+    # adding g_j is monotone, so the greatest a_ij - q_i + g_j of column j
+    # is r_j + g_j, and _top_half is the greatest (p_k - res_k)/2; an r_j
+    # that overflowed to +inf makes a free column's r_j + g_j NaN, and such
+    # a column bounds nothing
     g_tops = list(map(add, r, g))
     if POS_INF in r and NEG_INF in g:
         g_tops = [NEG_INF if isnan(t) else t for t in g_tops]
-    top_delta, top_g = max(map(sub, p, res)) / 2, max(g_tops)
+    top_delta, top_g = _top_half(p, res), max(g_tops)
     # the greater top binds, delta on a tie, at its first row attaining it
     # and that row's first column; the bound is that term, bit for bit
     if top_delta >= top_g:
-        delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
+        delta = _halves(p, res, top_delta)
         i = delta.index(top_delta)
         bound, term, index = delta[i], "delta", (i, list(map(sub, A[i], r)).index(res[i]))
     else:

@@ -37,7 +37,7 @@ from itertools import chain, repeat
 from .applications import ApproximationProblem, LocationProblem, location_data
 from .certificate import RULES
 from .linalg import TropMatrix, TropVector, _require_rectangular
-from .semifield import NEG_INF, Record, ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, InvalidScalarError, Record, ScalarOverflowError, TropicalError
 from .solvers import (
     BestUnderProblem, Interval, MatrixLowerProblem, TwoSidedProblem, best_under_data, matrix_data,
     two_sided_data,
@@ -85,6 +85,8 @@ def _scalar_in(token, where: str) -> float:
         value = math.inf
     if math.isinf(value):  # json reads 1e400 as inf and -1e400 as -inf
         raise ScalarOverflowError(f"{where}: number literal exceeds the float range")
+    if value != value:  # a NaN, which json.loads passes unless parse_constant refuses it
+        raise InvalidScalarError(f"{where}: {value!r} is not a max-plus scalar")
     return value
 
 

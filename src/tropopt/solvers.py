@@ -30,11 +30,17 @@ min), ``max(x, y)`` bit for bit on non-NaN floats at a quarter of the
 cost of a call per element.  The data are validated where they enter;
 a computed value can still overflow, which ``_no_overflow`` raises as
 ``ScalarOverflowError``, and rounding can move a returned point off the
-optimum, which ``PrecisionLossError`` reports.  Rounding is monotone,
-which saves passes: the two-sided answer's ordered endpoints bound each
-other's objective (``_endpoint_objectives``).  Each objective and
-feasibility test is defined here once, for ``solve``, ``eval`` and
-``verify``; ``certificate.RULES`` pairs them with the proofs.
+optimum, which ``PrecisionLossError`` reports.  A difference halved is
+halved first where the difference alone leaves the float range
+(``_half``).  Rounding is monotone, which saves passes: the two-sided
+answer's ordered endpoints bound each other's objective
+(``_endpoint_objectives``), and the matrix answer's objective is within
+``3 ulp(4 M)`` of ``mu``, ``M`` the greatest magnitude in play, so an
+O(m + n) bound proves that it attains ``mu`` wherever that is within the
+tolerance; the O(m n) ``A x`` pass runs only where the bound proves
+nothing (``_attainment_proved``).  Each objective and feasibility test
+is defined here once, for ``solve``, ``eval`` and ``verify``;
+``certificate.RULES`` pairs them with the proofs.
 """
 
 from __future__ import annotations
@@ -47,7 +53,9 @@ from .linalg import (
     NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError, _bound_shape,
     _no_overflow, _residuate, _vector, vec_leq,
 )
-from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _store
+from .semifield import (
+    NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _store,
+)
 
 
 class InfeasibleBoundsError(TropicalError):
@@ -335,12 +343,38 @@ def _under_p(data, x) -> bool:
     return _all_leq(x, _limit(data))
 
 
+def _half(a: float, b: float) -> float:
+    """``(a - b) / 2``; where ``a - b`` leaves the float range, ``a/2 - b/2``,
+    which may not."""
+    d = a - b
+    return d / 2 if abs(d) != POS_INF else a / 2 - b / 2
+
+
+def _top_half(p, q) -> float:
+    """The greatest ``_half(p_k, q_k)``.  Halving is monotone, so it is the
+    greatest ``p_k - q_k`` halved, bit for bit, where that is finite; only
+    an infinite one is taken again element by element by ``_half``."""
+    top = max(map(sub, p, q))
+    return top / 2 if abs(top) != POS_INF else max(map(_half, p, q))
+
+
+def _halves(p, q, top: float) -> list[float]:
+    """Halves of ``p_k - q_k`` that hold ``top = _top_half(p, q)`` first
+    where ``_half`` does, at the same value: each difference halved, in
+    one pass, which holds a finite ``top`` unless a difference left the
+    float range upward (one that left it downward is below ``top`` as
+    ``-inf`` and as ``_half``); only then, or for an infinite ``top``,
+    ``_half`` of each."""
+    halves = [(a - b) / 2 for a, b in zip(p, q)]
+    return halves if math.isfinite(top) and top in halves else list(map(_half, p, q))
+
+
 def _two_sided_terms(data) -> tuple:
     """The intrinsic bound ``delta = sqrt(q~ p)``, the g-driven bound
     ``q~ g`` and the h-driven bound ``h~ p``; None for an absent bound."""
     p, q, g, h = data
     return (
-        0.5 * max(map(sub, p, q)) + 0.0,
+        _top_half(p, q) + 0.0,
         None if g is None else max(map(sub, g, q)),
         None if h is None else max(map(sub, p, h)),
     )
@@ -415,28 +449,55 @@ def _q_a(data) -> list[float]:
 
 
 def _matrix_terms(data, qa) -> tuple:
-    """The intrinsic bound ``delta = sqrt((A (q~ A)~)~ p)`` and the
-    g-driven bound ``q~ A g``, from the row ``qa = q~ A``."""
+    """The intrinsic bound ``delta = sqrt((A (q~ A)~)~ p)``, the g-driven
+    bound ``q~ A g`` and the column ``res = A (q~ A)~``, from the row
+    ``qa = q~ A``."""
     A, p, _, g = data
     # an entry of q~A that overflowed to -inf, in a column that A's
     # regularity keeps finite somewhere, makes this +inf as well
     res = _no_overflow([max(map(sub, row, qa)) for row in A])
-    return 0.5 * max(map(sub, p, res)) + 0.0, max(map(add, qa, g))
+    return _top_half(p, res) + 0.0, max(map(add, qa, g)), res
+
+
+def _attainment_proved(mu: float, qa, res, p, q) -> bool:
+    """Whether rounding provably keeps the objective at ``x = mu - qa``
+    within the tolerance of ``mu``, so that the ``A x`` pass of the
+    attainment check cannot fail; O(m + n), no pass over ``A``.
+
+    Rounding is monotone, so it commutes with ``max``: ``(A x)_k`` is
+    ``max_l(a_kl + x_l)`` and ``res_k`` is ``max_l(a_kl - qa_l)``, each
+    rounded once, and ``x_l`` is ``mu - qa_l`` within half an ulp.  So
+    ``max_k(res_k - q_k)`` is within an ulp of 0, ``p_k - res_k`` is at
+    most ``2 delta <= 2 mu`` plus half an ulp, and the objective is within
+    ``3 ulp(4 M)`` of ``mu``, ``M`` the greatest of ``|mu|``, ``|qa|``,
+    ``|res|``, ``|p|`` and ``|q|``; a ``-inf`` entry of ``A`` leaves every
+    max as it is.  Where that is within the tolerance, the objective is
+    finite and ``_close`` to ``mu``.  An ``M`` whose ``4 M`` overflows
+    proves nothing.  No NaN gets here: a ``qa_l`` of ``-inf`` has made
+    ``x_l`` overflow already.
+    """
+    M = max(abs(mu), max(map(abs, qa)), max(map(abs, res)), max(map(abs, p)), max(map(abs, q)))
+    return 3 * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
 
 
 def matrix_lower(data) -> Point:
     """Solve the lower-bounded matrix problem in closed form: the optimum
     ``mu = delta + q~ A g`` is attained at ``x = mu (q~ A)~``.  An ``x``
     that rounding puts below ``g``, or off ``mu``, by more than the
-    tolerance raises ``PrecisionLossError``."""
+    tolerance raises ``PrecisionLossError``.  The objective at ``x`` is
+    an O(m n) pass over ``A``, made only where ``_attainment_proved``'s
+    O(m + n) rounding bound cannot prove that it attains ``mu``: on
+    integer data of moderate size the solve makes two passes over ``A``,
+    ``q~ A`` and ``A (q~ A)~``."""
     qa = _q_a(data)
-    delta, g_term = _matrix_terms(data, qa)
+    delta, g_term, res = _matrix_terms(data, qa)
     mu = max(delta, g_term)
     x = _no_overflow(tuple(map(sub, repeat(mu), qa)))
     _point_checks(mu, x)
     if not _above_g(data, x):
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
-    _require_attained(mu, "x", _matrix_value(data, x))
+    if not _attainment_proved(mu, qa, res, data[1], data[2]):
+        _require_attained(mu, "x", _matrix_value(data, x))
     return _answer(Point, (mu, x, delta, g_term, None))
 
 

@@ -8,9 +8,12 @@ from operator import add, le, sub
 
 from tropopt import MAX_PLUS, NEG_INF, NotRegularError, ShapeMismatchError, TropMatrix, TropVector
 from tropopt.applications import _reduce, _require_points
-from tropopt.linalg import conjugate, mat_mul
+from tropopt.linalg import _no_overflow, conjugate, mat_mul
 from tropopt.semifield import POS_INF
-from tropopt.solvers import _objective, _require_attained, two_sided_data
+from tropopt.solvers import (
+    Point, PrecisionLossError, _above_g, _answer, _half, _matrix_terms, _matrix_value, _objective,
+    _point_checks, _q_a, _require_attained, two_sided_data,
+)
 
 
 def mat_add(a, b):
@@ -80,7 +83,7 @@ def matrix_bound(data):
     A, p, q, g = data
     r = [max(map(sub, col, q)) for col in zip(*A)]
     res = [max(map(sub, row, r)) for row in A]
-    delta = [(pk - rk) / 2 for pk, rk in zip(p, res)]
+    delta = list(map(_half, p, res))
     g_term = [max(map(add, map(sub, row, repeat(qi)), g)) for row, qi in zip(A, q)]
     top_delta, top_g = max(delta), max(g_term)
     if top_delta >= top_g:
@@ -90,6 +93,21 @@ def matrix_bound(data):
         bound, term, i = top_g, "g_term", g_term.index(top_g)
         index = (i, list(map(add, map(sub, A[i], repeat(q[i])), g)).index(bound))
     return bound, (term, index), r
+
+
+def matrix_lower(data):
+    """The matrix solve with its attainment check always made: the
+    ``A x`` pass at the returned ``x``, which the solver skips where its
+    rounding bound proves the pass cannot fail."""
+    qa = _q_a(data)
+    delta, g_term, _ = _matrix_terms(data, qa)
+    mu = max(delta, g_term)
+    x = _no_overflow(tuple(map(sub, repeat(mu), qa)))
+    _point_checks(mu, x)
+    if not _above_g(data, x):
+        raise PrecisionLossError("rounding put x below g by more than the tolerance")
+    _require_attained(mu, "x", _matrix_value(data, x))
+    return _answer(Point, (mu, x, delta, g_term, None))
 
 
 def limit(data):

@@ -31,7 +31,7 @@ from tropopt.cli import (
     solution_to_dict,
     solve_loaded,
 )
-from tropopt.semifield import Record, _close
+from tropopt.semifield import InvalidScalarError, Record, _close
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -852,8 +852,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "doc",
         [
-            {"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0]},
-            {"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0], "h": [1e308, 1]},
+            # g_term = g[0] - q[0] and h_term = p[0] - h[0] are 2e308; half
+            # of p[0] - q[0] = 2e308 is a float, so delta alone cannot overflow
+            {"kind": "two_sided", "p": [0, 0], "q": [-1e308, 0], "g": [1e308, 0]},
+            {"kind": "two_sided", "p": [1e308, 0], "q": [0, 0], "h": [-1e308, 1]},
             '{"kind": "two_sided", "p": [1' + "0" * 400 + ', 0], "q": [0, 0]}',
             '{"kind": "two_sided", "p": [1e400, 0], "q": [0, 0]}',
             '{"kind": "two_sided", "p": [1, 0], "q": [0, 0], "g": [-1e400, 0]}',
@@ -973,12 +975,13 @@ class TestErrors:
 
 # JSON tokens that take each branch of the scalar parse: plain numbers,
 # signed zeros, bools, the zero's string, other strings, literals beyond
-# the float range (json reads 1e400 as inf), and 400-digit integers
+# the float range (json reads 1e400 as inf), 400-digit integers, and the
+# NaN that json.loads passes unless parse_constant refuses it
 tokens = st.one_of(
     st.integers(-50, 50),
     st.integers(-50, 50).map(lambda k: k / 4),
     st.sampled_from(
-        [0.0, -0.0, True, False, "-inf", "inf", None, math.inf, -math.inf, 10**400, -(10**400)]
+        [0.0, -0.0, True, False, "-inf", "inf", None, math.inf, -math.inf, 10**400, -(10**400), math.nan]
     ),
 )
 
@@ -1002,7 +1005,7 @@ def _rows(value):
 # arrays
 numbers = st.one_of(
     st.integers(-50, 50),
-    st.floats(allow_nan=False),
+    st.floats(allow_nan=True),
     st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.5e308, -1.5e308, sys.float_info.max, -sys.float_info.max]),
     st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024), 2**1023]),
 )
@@ -1048,3 +1051,15 @@ class TestBulkParse:
             )).entries
         )
         assert got == want
+
+    @pytest.mark.parametrize(
+        "p, A, where",
+        [("[0, NaN]", "[[0, 1], [1, 0]]", "p[1]"), ("[0, 0]", "[[0, 1], [NaN, 0]]", "A[1][0]")],
+    )
+    def test_nan_is_an_invalid_scalar_named_by_its_element(self, p, A, where):
+        # a document that a plain json.loads decodes, NaN and all
+        doc = json.loads(f'{{"kind": "approximate", "A": {A}, "p": {p}, "g": [0, 0]}}')
+        with pytest.raises(InvalidScalarError) as info:
+            parse_problem(doc)
+        assert type(info.value) is InvalidScalarError
+        assert str(info.value) == f"{where}: nan is not a max-plus scalar"

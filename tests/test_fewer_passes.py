@@ -7,6 +7,8 @@ longer forms in ``reference.py``.
 * The matrix certificate's g-term top is ``max(r + g)`` with ``r = q~A``,
   not one max per row, and its binding is searched only in the columns
   whose top is the bound.
+* ``matrix_lower`` skips its ``A x`` attainment pass wherever an
+  O(m + n) rounding bound proves that the pass cannot fail.
 * ``_limit`` filters only the columns that hold ``-inf``.
 * A location file's data skip ``two_sided_data``'s checks of ``p`` and
   ``q``, whose elements are the checked ``r`` and ``s``.
@@ -16,10 +18,14 @@ same bindings, and the same error class and message, on data with
 ``+-1e308``, ``-inf``, ``-0.0``, half-integers and ties.
 """
 
+import json
 import math
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -39,10 +45,17 @@ from tropopt import (
     solve_matrix_lower,
     solve_two_sided,
 )
+from test_golden import _case
+from test_golden import _run as golden_run
+from tropopt import solvers
 from tropopt.applications import location_data
 from tropopt.certificate import _matrix_bound
-from tropopt.semifield import POS_INF
-from tropopt.solvers import _endpoint_objectives, _limit, _require_endpoints_attain
+from tropopt.cli import parse_problem
+from tropopt.semifield import _TOL, POS_INF, _close
+from tropopt.solvers import (
+    _attainment_proved, _endpoint_objectives, _half, _halves, _limit, _matrix_terms, _matrix_value,
+    _q_a, _require_endpoints_attain, _top_half, matrix_lower,
+)
 
 # half-integers, both zeros and the float range's edges: ties between
 # -0.0 and 0.0, and sums and differences that overflow to +-inf
@@ -274,9 +287,230 @@ class TestNoCounterexampleOutsideTheFloatRange:
         sol = IntervalSolution(8e307, TropVector((-8e307, 2e307)), TropVector((1.7e308, 2e307)), 8e307)
         assert _certify_error(prob, sol) == _solver_error(solve_two_sided, prob)
 
-    def test_interval_bound_of_minus_inf(self):
-        # p - q overflows to -inf, so the bound is -inf and lo = p - bound is +inf
+    def test_interval_bound_halved_before_subtracting(self):
+        # p - q overflows to -inf, but its half -1e308 is a float: the
+        # solver answers, and the certificate proves the answer
         p, q = TropVector((-1e308,)), TropVector((1e308,))
         prob = TwoSidedProblem(p, q)
         sol = IntervalSolution(-1e308, TropVector((0.0,)), TropVector((0.0,)), -1e308)
-        assert _certify_error(prob, sol) == _solver_error(solve_two_sided, prob)
+        assert solve_two_sided(prob) == sol
+        report = certify(prob, sol)
+        assert (report.min_value, report.binding, report.max_discrepancy) == (-1e308, ("delta", 0), 0.0)
+
+
+def _run(argv, doc):
+    """Exit code and decoded output of ``main(argv)`` with ``doc`` on stdin."""
+    code, out = golden_run(argv, json.dumps(doc))
+    return code, json.loads(out)
+
+
+class TestHalvedBeforeSubtracting:
+    """``(p_k - q_k)/2`` is a float wherever ``p_k`` and ``q_k`` are, though
+    ``p_k - q_k`` may not be: the solvers and the certificate halve first
+    where the difference is infinite, and nowhere else."""
+
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=5))
+    def test_top_half_is_the_greatest_half(self, pairs):
+        p, q = zip(*pairs)
+        top = max(a - b for a, b in pairs)
+        got = _top_half(p, q)
+        if math.isfinite(top):
+            assert _bits([got]) == _bits([top / 2])
+        else:
+            # each of p/2, q/2 is exact, so p/2 - q/2 is the half rounded once
+            assert got == float(max(Fraction(a) - Fraction(b) for a, b in pairs) / 2)
+
+    @given(st.lists(st.tuples(finite, st.one_of(finite, st.sampled_from([NEG_INF, POS_INF]))), min_size=1))
+    def test_halves_hold_the_top_where_half_does(self, pairs):
+        # the binding search: one pass of (p_k - q_k)/2, not a call per element
+        p, q = zip(*pairs)
+        top = _top_half(p, q)
+        assume(not math.isnan(top))
+        got, want = _halves(p, q, top), list(map(_half, p, q))
+        i = got.index(top)
+        assert i == want.index(top) and _bits([got[i]]) == _bits([want[i]])
+
+    @pytest.mark.parametrize(
+        "doc, mu",
+        [
+            ({"kind": "two_sided", "p": [-1e308], "q": [1e308]}, -1e308),
+            ({"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0]}, 1e308),
+            ({"kind": "two_sided", "p": [1e308, 0], "q": [-1e308, 0], "h": [1e308, 1]}, 1e308),
+            ({"kind": "matrix_lower", "A": [[0]], "p": [-1e308], "q": [1e308], "g": ["-inf"]}, -1e308),
+        ],
+        ids=["two_sided_minus", "two_sided_plus", "two_sided_plus_h", "matrix_lower"],
+    )
+    def test_optimum_whose_difference_overflows(self, doc, mu):
+        code, solution = _run(["solve", "-"], doc)
+        assert code == 0 and solution["mu"] == solution["delta"] == mu
+        code, report = _run(["verify", "-"], doc)
+        assert code == 0 and report["min_value"] == mu and report["binding"]["term"] == "delta"
+        for point in solution["solution"].values():
+            code, evaluated = _run(["eval", "-", "--point", json.dumps(point)], doc)
+            assert (code, evaluated["value"], evaluated["feasible"]) == (0, mu, True)
+
+
+# hostile magnitudes: the float range's edges, subnormals and any float,
+# among half-integers, where ties and cancellations are common; and
+# moderate ones, where the bound proves attainment
+hostile_scalars = st.one_of(
+    finite,
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, 4.5e307, -8.9e307]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+moderate_scalars = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def hostile_matrix_problems(draw):
+    """``matrix_problems`` at hostile or moderate magnitudes, with ``q = p``
+    (an ``approximate`` problem) now and then."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scalars = draw(st.sampled_from(
+        [hostile_scalars, st.one_of(hostile_scalars, moderate_scalars), moderate_scalars]
+    ))
+    rows = [_vectors(draw, n, st.one_of(scalars, scalars, st.just(NEG_INF))) for _ in range(m)]
+    A = tuple(
+        tuple(0.0 if a == NEG_INF and (j == i % n or i == j % m) else a for j, a in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    p = _vectors(draw, m, scalars)
+    q = p if draw(st.booleans()) else _vectors(draw, m, scalars)
+    return A, p, q, _vectors(draw, n, st.one_of(scalars, st.just(NEG_INF)))
+
+
+def _solved_point(data):
+    """``mu``, ``qa``, ``res`` and ``x`` as ``matrix_lower`` has them where
+    it reaches its attainment check, or None where it raises before."""
+    try:
+        qa = _q_a(data)
+        delta, g_term, res = _matrix_terms(data, qa)
+        mu = max(delta, g_term)
+        x = solvers._no_overflow(tuple(mu - r for r in qa))
+        solvers._point_checks(mu, x)
+    except TropicalError:
+        return None
+    return mu, qa, res, x
+
+
+def _magnitude(mu, qa, res, p, q):
+    return max(abs(mu), *map(abs, qa), *map(abs, res), *map(abs, p), *map(abs, q))
+
+
+def _matrix_docs(prefix, count):
+    """Parsed ``matrix_lower`` and ``approximate`` problems of the golden generator."""
+    out = []
+    for kind in ("matrix_lower", "approximate"):
+        rng = random.Random(f"{prefix}-{kind}")
+        for _ in range(count):
+            try:
+                out.append(parse_problem(_case(kind, rng)[0])[1])
+            except TropicalError:
+                pass
+    return out
+
+
+class TestAttainmentBound:
+    """The matrix solve's O(m + n) rounding bound in place of its ``A x`` pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_matrix_problems())
+    def test_objective_within_three_ulps_of_mu(self, data):
+        solved = _solved_point(data)
+        assume(solved is not None)
+        mu, qa, res, x = solved
+        _, p, q, _ = data
+        M = _magnitude(mu, qa, res, p, q)
+        assume(math.isfinite(4 * M))
+        value = _matrix_value(data, x)
+        assert abs(value - mu) <= 3 * math.ulp(4 * M)
+        if _attainment_proved(mu, qa, res, p, q):
+            event("the bound proves attainment")
+            assert math.isfinite(value) and _close(value, mu)
+            assert 3 * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
+
+    def test_guard_fires_on_moderate_magnitudes(self):
+        # the bound proves attainment wherever every magnitude in play is
+        # below about 10^6 (max(1, |mu|)): on the golden generator's
+        # matrix problems, every one that reaches the check with its
+        # integer or half-integer data
+        fired = reached = 0
+        for data in _matrix_docs("bound", 150):
+            solved = _solved_point(data)
+            if solved is None or _magnitude(*solved[:3], *data[1:3]) > 1e6:
+                continue
+            reached += 1
+            fired += _attainment_proved(*solved[:3], *data[1:3])
+        assert reached >= 100 and fired == reached
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_matrix_problems())
+    def test_solve_matches_the_full_check(self, data):
+        got, want = _outcome(matrix_lower, data), _outcome(reference.matrix_lower, data)
+        assert repr(got) == repr(want)
+
+    def test_golden_problems_match_the_full_check(self):
+        docs = _matrix_docs("full-check", 300)
+        assert len(docs) > 400
+        for data in docs:
+            assert repr(_outcome(matrix_lower, data)) == repr(_outcome(reference.matrix_lower, data))
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestAttainmentPasses:
+    """How many O(m n) passes over ``A`` the matrix solve makes."""
+
+    def _count(self, monkeypatch, data):
+        calls, ax = [], solvers._ax
+        monkeypatch.setattr(solvers, "_ax", lambda A, x: calls.append(x) or ax(A, x))
+        A = _Counted(data[0])
+        got = _outcome(matrix_lower, (A, *data[1:]))
+        return got, len(calls), A.passes
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_integer_data_make_two_passes(self, m, n, rng):
+        A = tuple(tuple(float(rng.randint(-1000, 1000)) for _ in range(n)) for _ in range(m))
+        p, q, g = (tuple(float(rng.randint(-1000, 1000)) for _ in range(k)) for k in (m, m, n))
+        data = (A, p, q, g)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, ax_calls, passes = self._count(monkeypatch, data)
+        assert got == reference.matrix_lower(data)
+        assert (ax_calls, passes) == (0, 2)
+
+    @pytest.mark.parametrize("name", ["matrix_lower_example.json", "approximation_example.json"])
+    def test_fixtures_make_two_passes(self, monkeypatch, name):
+        data = parse_problem(json.loads((FIXTURES / name).read_text()))[1]
+        got, ax_calls, passes = self._count(monkeypatch, data)
+        assert got == reference.matrix_lower(data)
+        assert (ax_calls, passes) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "doc, ax_calls, message",
+        [
+            # the golden file's two approximate problems that exit
+            # precision_loss.  Here the bound proves nothing at these
+            # magnitudes, and the pass runs once and refuses x
+            (
+                {"A": [[-3.5, -1e307, 1e308, 1e307]], "p": [1e308], "g": ["-inf", -1e307, 4.0, -1e307]},
+                1, "rounding made x attain 0.0, not the optimum 4.0, by more than the tolerance",
+            ),
+            # here x falls below g before the attainment check: no pass is made
+            (
+                {
+                    "A": [[0.0, -1e308], [3.0, -1.5e308], [-2.5, -1.0]],
+                    "p": [-1.5e308, 4.0, -1.0],
+                    "g": [1.5, "-inf"],
+                },
+                0, "rounding put x below g by more than the tolerance",
+            ),
+        ],
+        ids=["attainment", "below_g"],
+    )
+    def test_precision_loss_documents(self, monkeypatch, doc, ax_calls, message):
+        data = parse_problem({"kind": "approximate", **doc})[1]
+        got, calls, passes = self._count(monkeypatch, data)
+        assert got == _outcome(reference.matrix_lower, data) == (solvers.PrecisionLossError, message)
+        assert (calls, passes) == (ax_calls, 2 + ax_calls)

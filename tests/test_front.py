@@ -11,6 +11,7 @@ the tropical zero in ``g`` and ``A`` and, now and then, where it makes
 the problem invalid, and points of the wrong dimension.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from tropopt import (
     NEG_INF,
     BestUnderProblem,
     IntervalSolution,
+    InvalidScalarError,
     MatrixLowerProblem,
     TropicalError,
     TropVector,
@@ -84,6 +86,33 @@ def _public_path(doc, point):
 def test_public_classes_and_command_path_agree(kind, seed):
     doc, point = _case(kind, random.Random(seed))
     assert _command_path(doc, point) == _public_path(doc, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**64),
+    value=st.one_of(st.just(math.nan), st.floats(allow_nan=True, allow_infinity=False)),
+)
+def test_a_decoded_float_takes_both_paths_alike(kind, seed, value):
+    # a caller's json.loads passes any float, NaN too, into the document;
+    # both paths refuse a NaN as an invalid scalar, the command path naming
+    # the element, and agree bit for bit on every other value
+    rng = random.Random(seed)
+    doc, point = _case(kind, rng)
+    key = rng.choice([key for key in doc if key != "kind"])
+    i = rng.randrange(len(doc[key]))
+    row, where = (doc[key][i], f"{key}[{i}]") if key == "A" else (doc[key], key)
+    j = rng.randrange(len(row))
+    row[j] = value
+    command, public = _command_path(doc, point), _public_path(doc, point)
+    if math.isnan(value):
+        refused = (InvalidScalarError, "nan is not a max-plus scalar")
+        assert public == (refused, refused)
+        named = (InvalidScalarError, f"{where}[{j}]: {refused[1]}")
+        assert command == (named, named)
+    else:
+        assert command == public
 
 
 def test_the_draws_reach_answers_and_errors():
