@@ -1,7 +1,13 @@
 """Constrained max-plus (tropical) optimization in closed form.
 
-The grid oracle that the tests compare with lives in ``tropopt.oracle``
-and needs numpy; nothing here imports it.
+The root exports what ``solve``, ``eval`` and ``verify`` offer a library
+caller: the problems, their solvers and objectives, ``certify``, and the
+errors.  The grid oracle (``tropopt.oracle``, which needs numpy), the
+scalar reference ``semifield.MaxPlus`` and ``linalg.mat_mul`` and
+``conjugate`` stay in the package only because the benchmark in
+``perfbench/`` imports or times them.  Once it stops (ROADMAP item 1),
+they move to ``tests/reference.py`` (item 2), through which the tests
+already import them.  The root exports none of them.
 """
 
 from .applications import (
@@ -20,20 +26,14 @@ from .linalg import (
     TropMatrix,
     TropVector,
     ZeroVectorError,
-    conjugate,
-    mat_mul,
     max_solution_leq,
     vec_leq,
 )
 from .semifield import (
-    MAX_PLUS,
     NEG_INF,
     InvalidScalarError,
-    MaxPlus,
     ScalarOverflowError,
     TropicalError,
-    UndefinedPowerError,
-    ZeroInverseError,
 )
 from .solvers import (
     BestUnderProblem,
@@ -62,9 +62,7 @@ __all__ = [
     "IntervalSolution",
     "InvalidScalarError",
     "LocationProblem",
-    "MAX_PLUS",
     "MatrixLowerProblem",
-    "MaxPlus",
     "NEG_INF",
     "NotColumnRegularError",
     "NotRegularError",
@@ -77,16 +75,12 @@ __all__ = [
     "TropVector",
     "TropicalError",
     "TwoSidedProblem",
-    "UndefinedPowerError",
     "VerificationFailedError",
-    "ZeroInverseError",
     "ZeroVectorError",
     "approximate",
     "best_underestimator",
     "certify",
-    "conjugate",
     "locate",
-    "mat_mul",
     "matrix_lower_terms",
     "max_solution_leq",
     "objective_best_under",

@@ -4,9 +4,12 @@ Both applications are substitutions into the core solvers: the two-point
 location problem reduces to the two-sided bounded problem with
 ``p = r + s`` and ``q~ = r~ + s~``, and the approximation problem is the
 matrix problem with ``q = p``.  Each problem builds its reduced instance
-once, on construction, and keeps it in ``reduced``; the command line
-reduces a location file's float tuples by ``location_data``, through the
-same point and box checks and the same ``_reduce``.
+once, on construction, and keeps it in ``reduced`` and its data in
+``_data``, so that the reduced problem's objective and ``certify`` take
+the application problem itself (``certificate.RULES`` maps each class to
+its reduced problem's rule); the command line reduces a location file's
+float tuples by ``location_data``, through the same point and box checks
+and the same ``_reduce``.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ def location_data(r, s, g=None, h=None) -> tuple:
 
 class LocationProblem(Record):
     """Place x to minimize the larger Chebyshev distance to r and s,
-    within the optional box ``g <= x <= h``.  ``reduced``, not a field,
-    stays out of ``repr`` and comparisons."""
+    within the optional box ``g <= x <= h``.  ``reduced`` and ``_data``,
+    not fields, stay out of ``repr`` and comparisons."""
 
-    __slots__ = ("r", "s", "g", "h", "reduced")
+    __slots__ = ("r", "s", "g", "h", "reduced", "_data")
 
     def __init__(
         self, r: TropVector, s: TropVector, g: TropVector | None = None, h: TropVector | None = None
@@ -61,17 +64,19 @@ class LocationProblem(Record):
         self._init(r, s, g, h)
         # bound invariants match the reduced problem
         _store(self, "reduced", reduced_two_sided(self))
+        _store(self, "_data", self.reduced._data)
 
 
 class ApproximationProblem(Record):
     """Approximate p by A x in Chebyshev distance, subject to ``x >= g``,
     with ``reduced`` as in ``LocationProblem``."""
 
-    __slots__ = ("A", "p", "g", "reduced")
+    __slots__ = ("A", "p", "g", "reduced", "_data")
 
     def __init__(self, A: TropMatrix, p: TropVector, g: TropVector) -> None:
         self._init(A, p, g)
         _store(self, "reduced", reduced_matrix_lower(self))
+        _store(self, "_data", self.reduced._data)
 
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:

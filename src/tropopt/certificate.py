@@ -21,8 +21,9 @@ returns a ``Report``; ``certify(prob, sol)``, the library's front, runs
 it on the classes and returns an ``OracleReport``.  The bound comes from
 the raw data alone, never from the solver's values (the matrix check
 computes ``q~A`` again).
-``RULES`` pairs each core problem's solver, objective and feasibility
-test, all from ``solvers``, with its check.
+``RULES`` pairs each problem class's solver, objective and feasibility
+test, all from ``solvers``, with its check; an application problem
+takes its reduced problem's.
 
 Floats are compared with the relative tolerance ``_TOL`` of
 ``semifield``, scaled by the magnitude of the values compared; on
@@ -31,16 +32,16 @@ integer data every value compared is exact.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import repeat
 from math import isnan
 from operator import add, itemgetter, sub
 
-from .linalg import NotColumnRegularError, TropVector
-from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq
+from .applications import ApproximationProblem, LocationProblem
+from .linalg import NotColumnRegularError, ShapeMismatchError, TropVector
+from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _record
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
-    _above_g, _answer, _ax, _best_under_value, _defect, _halves, _in_box, _limit, _matrix_value,
+    _above_g, _ax, _best_under_value, _defect, _halves, _in_box, _limit, _matrix_value,
     _require_column, _require_dim, _top_half, _two_sided_value, _under_p, best_under, matrix_lower,
     two_sided,
 )
@@ -77,12 +78,8 @@ class OracleReport(Record):
         self._init(min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding)
 
 
-class Report(tuple):
-    """The outcome of a core check: ``OracleReport``'s fields, the argmin a float tuple."""
-    __slots__ = ()
-    min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding = map(
-        property, map(itemgetter, range(6))
-    )
+# the outcome of a core check: ``OracleReport``'s fields, the argmin a float tuple
+Report = _record("Report", "min_value argmin points_evaluated agrees_with_solver max_discrepancy binding")
 
 
 def _fail(message: str, point) -> VerificationFailedError:
@@ -149,7 +146,7 @@ def _interval(data, sol: Interval) -> Report:
                     raise _fail(
                         f"the minimizer set differs from the interval at coordinate {i}", point
                     )
-    return _answer(Report, (bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
+    return Report((bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
 
 
 def _matrix_bound(data) -> tuple:
@@ -194,7 +191,7 @@ def _matrix_lower(data, sol: Point) -> Report:
     # the claimed optimum must equal the bound, which x_l = bound - r_l attains
     if bound != mu and not _close(bound, mu):
         raise _fail(f"the optimum is {bound}, not the claimed {mu}", [bound - rl for rl in r])
-    return _answer(Report, (bound, x, 1, True, max(gap, abs(bound - mu)), binding))
+    return Report((bound, x, 1, True, max(gap, abs(bound - mu)), binding))
 
 
 def _best_under(data, sol: Point) -> Report:
@@ -225,26 +222,35 @@ def _best_under(data, sol: Point) -> Report:
     if value != mu and not _close(value, mu):
         raise _fail(f"returned vector attains {value}, not the claimed {mu}", x)
     binding = ("delta", (k, list(map(add, A[k], x)).index(ax[k])))
-    return _answer(Report, (value, x, 1, True, abs(value - mu), binding))
+    return Report((value, x, 1, True, abs(value - mu), binding))
 
 
-# per core problem class: its tuple solver, the objective and the
-# feasibility test at a point, which `eval` reads, and the check that
-# `verify` runs, each a function of the problem's data tuple
-Rule = namedtuple("Rule", "solve objective feasible check")
+# per problem class: its tuple solver, the objective and the feasibility
+# test at a point, which `eval` reads, and the check that `verify` runs,
+# each a function of the problem's data tuple; an application problem
+# keeps its reduced problem's data, and takes its rule
+Rule = _record("Rule", "solve objective feasible check")
 RULES = {
-    TwoSidedProblem: Rule(two_sided, _two_sided_value, _in_box, _interval),
-    MatrixLowerProblem: Rule(matrix_lower, _matrix_value, _above_g, _matrix_lower),
-    BestUnderProblem: Rule(best_under, _best_under_value, _under_p, _best_under),
+    TwoSidedProblem: Rule((two_sided, _two_sided_value, _in_box, _interval)),
+    MatrixLowerProblem: Rule((matrix_lower, _matrix_value, _above_g, _matrix_lower)),
+    BestUnderProblem: Rule((best_under, _best_under_value, _under_p, _best_under)),
 }
+RULES[LocationProblem] = RULES[TwoSidedProblem]
+RULES[ApproximationProblem] = RULES[MatrixLowerProblem]
 
 
 def certify(prob, sol) -> OracleReport:
-    """Prove ``sol`` optimal for the two-sided, matrix or best-underestimator
-    problem ``prob``, or raise ``VerificationFailedError`` with a
-    counterexample.  The report's ``argmin`` is the returned point that
-    attains the certified minimum (an interval's lower endpoint)."""
-    points = (sol.lower, sol.upper) if isinstance(sol, IntervalSolution) else (sol.x,)
+    """Prove ``sol`` optimal for any of the five problems ``prob``, or raise
+    ``VerificationFailedError`` with a counterexample; a solution of the
+    other shape raises ``ShapeMismatchError``.  The report's ``argmin`` is
+    the returned point that attains the certified minimum (an interval's
+    lower endpoint)."""
+    rule = RULES[type(prob)]
+    interval = rule.check is _interval
+    if isinstance(sol, IntervalSolution) is not interval:
+        shape = "an IntervalSolution" if interval else "a PointSolution"
+        raise ShapeMismatchError(f"{type(prob).__name__} is solved by {shape}")
+    points = (sol.lower, sol.upper) if interval else (sol.x,)
     answer = (sol.mu, *[_require_column(v, "x") for v in points], sol.delta, sol.g_term, sol.h_term)
-    report = RULES[type(prob)].check(prob._data, _answer(Interval if len(points) == 2 else Point, answer))
+    report = rule.check(prob._data, (Interval if interval else Point)(answer))
     return OracleReport(report.min_value, points[0], *report[2:])

@@ -31,13 +31,12 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
 from itertools import chain, repeat
 
 from .applications import ApproximationProblem, LocationProblem, location_data
 from .certificate import RULES
 from .linalg import TropMatrix, TropVector, _require_rectangular
-from .semifield import NEG_INF, InvalidScalarError, Record, ScalarOverflowError, TropicalError
+from .semifield import NEG_INF, InvalidScalarError, Record, ScalarOverflowError, TropicalError, _record
 from .solvers import (
     BestUnderProblem, Interval, MatrixLowerProblem, TwoSidedProblem, best_under_data, matrix_data,
     two_sided_data,
@@ -56,22 +55,22 @@ class UsageError(TropicalError):
     reason = "usage_error"
 
 
-# a problem kind: its name, its problem class, its data function, its core
-# problem's rule, and its schema: each payload key's reader, the required
+# a problem kind: its name, its problem class, its data function, its
+# class's rule, and its schema: each payload key's reader, the required
 # and allowed keys
-Kind = namedtuple("Kind", "name cls data rule readers required allowed")
+Kind = _record("Kind", "name cls data rule readers required allowed")
 # a parsed command line: ``run`` is the subcommand's function
-Command = namedtuple("Command", "run input output pretty point")
+Command = _record("Command", "run input output pretty point")
 
 
-def _kind(name: str, cls, data, core) -> Kind:
+def _kind(name: str, cls, data) -> Kind:
     """The kind of problem class ``cls``, with the class's fields as its
-    payload keys, those without a default required."""
+    payload keys, those without a default required, and its rule."""
     keys = cls._fields
     readers = tuple((key, _matrix_in if key == "A" else _vector_in) for key in keys)
     required = frozenset(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
     allowed = frozenset({*keys, "kind", "name", "description"})
-    return Kind(name, cls, data, RULES[core], readers, required, allowed)
+    return Kind((name, cls, data, RULES[cls], readers, required, allowed))
 
 
 def _scalar_in(token, where: str) -> float:
@@ -150,11 +149,11 @@ def _scalars_out(values: tuple[float, ...]) -> list:
 _KINDS = {
     spec.name: spec
     for spec in (
-        _kind("two_sided", TwoSidedProblem, two_sided_data, TwoSidedProblem),
-        _kind("matrix_lower", MatrixLowerProblem, matrix_data, MatrixLowerProblem),
-        _kind("locate", LocationProblem, location_data, TwoSidedProblem),
-        _kind("approximate", ApproximationProblem, lambda A, p, g: matrix_data(A, p, p, g), MatrixLowerProblem),
-        _kind("best_under", BestUnderProblem, best_under_data, BestUnderProblem),
+        _kind("two_sided", TwoSidedProblem, two_sided_data),
+        _kind("matrix_lower", MatrixLowerProblem, matrix_data),
+        _kind("locate", LocationProblem, location_data),
+        _kind("approximate", ApproximationProblem, lambda A, p, g: matrix_data(A, p, p, g)),
+        _kind("best_under", BestUnderProblem, best_under_data),
     )
 }
 
@@ -402,7 +401,7 @@ def parse_args(argv: list[str]) -> Command | None:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     if extra:
         raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
-    return Command(runner, paths[0], paths[1] if len(paths) > 1 else "-", pretty, point)
+    return Command((runner, paths[0], paths[1] if len(paths) > 1 else "-", pretty, point))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,11 @@ to contain a minimizer.
 Nothing in the package calls this module: ``tropopt verify`` proves
 answers with the exact certificate (``certificate.py``).  Import it as
 ``tropopt.oracle``; it needs numpy, which evaluates grids in vectorized
-chunks.
+chunks, and the package declares numpy only for its tests.  It stays in
+the package, with the ``MaxPlus``, ``mat_mul`` and ``conjugate`` that it
+and the tests use, only because the benchmark in ``perfbench/`` imports
+it and times ``grid_min``; once the benchmark stops (ROADMAP item 1), it
+moves to the tests (item 2).
 """
 
 from __future__ import annotations

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, itemgetter, le, sub
+from operator import add, le, sub
 
 from .linalg import (
     NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError, _bound_shape,
     _no_overflow, _residuate, _vector, vec_leq,
 )
 from .semifield import (
-    NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _store,
+    NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _record, _store,
 )
 
 
@@ -70,20 +70,9 @@ class PrecisionLossError(TropicalError):
     reason = "precision_loss"
 
 
-# The core's answers, None for an absent bound's term: tuples whose fields
-# read by name, without the exec of namedtuple() (about 55 us a type at
-# import, Python 3.11 on 2 shared vCPUs).  ``_answer(Point, fields)`` builds one.
-class Interval(tuple):
-    __slots__ = ()
-    mu, lower, upper, delta, g_term, h_term = map(property, map(itemgetter, range(6)))
-
-
-class Point(tuple):
-    __slots__ = ()
-    mu, x, delta, g_term, h_term = map(property, map(itemgetter, range(5)))
-
-
-_answer = tuple.__new__
+# the core's answers, None for an absent bound's term
+Interval = _record("Interval", "mu lower upper delta g_term h_term")
+Point = _record("Point", "mu x delta g_term h_term")
 
 
 def _require_column(v: TropVector, name: str) -> tuple[float, ...]:
@@ -410,7 +399,7 @@ def two_sided(data) -> Interval:
         upper = tuple([x if x >= y else y for x, y in zip(lower, upper)])
     _interval_checks(mu, upper, delta)
     _require_endpoints_attain(mu, lower, upper, q, p)
-    return _answer(Interval, (mu, lower, upper, delta, g_term, h_term))
+    return Interval((mu, lower, upper, delta, g_term, h_term))
 
 
 def _require_endpoints_attain(mu: float, lower, upper, q, p) -> None:
@@ -498,7 +487,7 @@ def matrix_lower(data) -> Point:
         raise PrecisionLossError("rounding put x below g by more than the tolerance")
     if not _attainment_proved(mu, qa, res, data[1], data[2]):
         _require_attained(mu, "x", _matrix_value(data, x))
-    return _answer(Point, (mu, x, delta, g_term, None))
+    return Point((mu, x, delta, g_term, None))
 
 
 def best_under(data) -> Point:
@@ -509,7 +498,7 @@ def best_under(data) -> Point:
     x = _residuate(A, p)
     mu = max(_defect(p, _ax(A, x)))
     _point_checks(mu, x)
-    return _answer(Point, (mu, x, 0.5 * mu + 0.0, None, None))
+    return Point((mu, x, 0.5 * mu + 0.0, None, None))
 
 
 def two_sided_terms(prob: TwoSidedProblem) -> dict[str, float | None]:

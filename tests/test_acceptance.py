@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from tropopt import (
-    MAX_PLUS,
     NEG_INF,
     ApproximationProblem,
     LocationProblem,
@@ -23,9 +22,7 @@ from tropopt import (
     TropVector,
     TwoSidedProblem,
     approximate,
-    conjugate,
     locate,
-    mat_mul,
     matrix_lower_terms,
     max_solution_leq,
     objective_matrix,
@@ -41,7 +38,7 @@ from tropopt.oracle import (
     grid_min,
     matrix_lower_box,
 )
-from reference import distance, identity, mat_leq, scalar_mul
+from reference import MAX_PLUS, conjugate, distance, identity, mat_leq, mat_mul, scalar_mul
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ORACLE_TOL = 1e-9

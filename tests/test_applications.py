@@ -3,16 +3,23 @@ import numpy as np
 from tropopt import (
     ApproximationProblem,
     LocationProblem,
+    MatrixLowerProblem,
     TropMatrix,
     TropVector,
+    TwoSidedProblem,
     approximate,
+    certify,
     locate,
-    mat_mul,
+    matrix_lower_terms,
+    objective_matrix,
     objective_two_sided,
     reduced_two_sided,
+    two_sided_terms,
     vec_leq,
 )
-from reference import distance, identity
+from tropopt.certificate import RULES
+from tropopt.cli import _KINDS
+from reference import distance, identity, mat_mul
 
 
 def random_points(rng, n):
@@ -93,3 +100,32 @@ class TestApproximate:
             for _ in range(40):
                 x = TropVector(tuple(gi + int(k) for gi, k in zip(g, rng.integers(0, 8, n))))
                 assert distance(mat_mul(A, x), p) >= sol.mu
+
+
+class TestOnTheReducedProblem:
+    """An application problem takes the reduced problem's objective,
+    terms and ``certify`` itself, with the same answers."""
+
+    def test_location(self, location_data):
+        prob = LocationProblem(**location_data)
+        sol = locate(prob)
+        assert certify(prob, sol) == certify(prob.reduced, sol)
+        assert certify(prob, sol).binding == ("g_term", 0)
+        for x in (sol.lower, sol.upper, TropVector((4, -2, 0))):
+            assert objective_two_sided(prob, x) == objective_two_sided(prob.reduced, x)
+        assert objective_two_sided(prob, TropVector((4, -2, 0))) == 7.0
+        assert two_sided_terms(prob) == two_sided_terms(prob.reduced)
+
+    def test_approximation(self, approx_data):
+        prob = ApproximationProblem(**approx_data)
+        sol = approximate(prob)
+        assert certify(prob, sol) == certify(prob.reduced, sol)
+        assert certify(prob, sol).min_value == 1.0
+        for x in (sol.x, TropVector((0, 0, 0))):
+            assert objective_matrix(prob, x) == objective_matrix(prob.reduced, x)
+        assert objective_matrix(prob, TropVector((0, 0, 0))) == 2.0
+        assert matrix_lower_terms(prob) == matrix_lower_terms(prob.reduced)
+
+    def test_rules_are_the_reduced_problems(self):
+        assert RULES[LocationProblem] is RULES[TwoSidedProblem] is _KINDS["locate"].rule
+        assert RULES[ApproximationProblem] is RULES[MatrixLowerProblem] is _KINDS["approximate"].rule

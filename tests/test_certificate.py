@@ -19,7 +19,6 @@ from tropopt import (
     TwoSidedProblem,
     VerificationFailedError,
     certify,
-    mat_mul,
     objective_matrix,
     objective_two_sided,
     solve_two_sided,
@@ -27,6 +26,7 @@ from tropopt import (
 )
 from tropopt.cli import main
 from public import core, problem, solve
+from reference import mat_mul
 from tropopt.oracle import (
     BestUnderObjective,
     GridSpec,
@@ -320,6 +320,24 @@ def test_point_of_the_wrong_dimension_is_rejected(name, change):
         sol = replace(sol, lower=_resized(sol.lower, change), upper=_resized(sol.upper, change))
     with pytest.raises(ShapeMismatchError, match=f"x must have dimension 3, got {3 + change}$"):
         certify(core(prob), sol)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["as_given", "reduced"])
+@pytest.mark.parametrize(
+    "name, other, shape",
+    [
+        ("location_example.json", "approximation_example.json", "an IntervalSolution"),
+        ("approximation_example.json", "location_example.json", "a PointSolution"),
+        ("best_under_example.json", "location_example.json", "a PointSolution"),
+    ],
+)
+def test_solution_of_the_other_shape_is_refused(name, other, shape, reduced):
+    prob = problem(json.loads((FIXTURES / name).read_text()))
+    prob = core(prob) if reduced else prob
+    sol = solve(problem(json.loads((FIXTURES / other).read_text())))
+    with pytest.raises(ShapeMismatchError) as info:
+        certify(prob, sol)
+    assert str(info.value) == f"{type(prob).__name__} is solved by {shape}"
 
 
 def test_corrupted_location_optimum_is_rejected():

@@ -2,7 +2,9 @@
 any document shaped like a problem file, ends ``solve``, ``verify`` and
 ``eval`` with exit 0 and a result, exit 1 and a one-line JSON error on
 stderr, or exit 2 and a JSON error with a ``reason``, never with an
-exception."""
+exception.  And the library front: value types built from any element,
+each problem class, its solver, its objective and ``certify`` end in a
+value or a ``TropicalError``."""
 
 import contextlib
 import io
@@ -14,6 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropopt import (
+    ApproximationProblem,
+    BestUnderProblem,
+    IntervalSolution,
+    LocationProblem,
+    MatrixLowerProblem,
+    PointSolution,
+    TropicalError,
+    TropMatrix,
+    TropVector,
+    TwoSidedProblem,
+    approximate,
+    best_underestimator,
+    certify,
+    locate,
+    objective_best_under,
+    objective_matrix,
+    objective_two_sided,
+    solve_matrix_lower,
+    solve_two_sided,
+)
 from tropopt.cli import main
 
 KEYS = {
@@ -113,3 +136,87 @@ def test_any_shaped_document_ends_in_an_exit_code(problem_file, case):
         text = text.replace(token, literal)
     problem_file.write_text(text)
     run_on(problem_file, command)
+
+
+# per problem class: its payload keys, the optional ones last, its
+# public solver and its objective
+FRONT = {
+    TwoSidedProblem: ("p q", "g h", solve_two_sided, objective_two_sided),
+    MatrixLowerProblem: ("A p q g", "", solve_matrix_lower, objective_matrix),
+    LocationProblem: ("r s", "g h", locate, objective_two_sided),
+    ApproximationProblem: ("A p g", "", approximate, objective_matrix),
+    BestUnderProblem: ("A p", "", lambda prob: best_underestimator(prob.A, prob.p), objective_best_under),
+}
+# elements of a value: mostly valid scalars, else anything a caller may pass
+scalars = st.one_of(st.integers(-4, 4), st.sampled_from([float("-inf"), 0.5, -0.0, 1e308, -1e308]))
+elements = st.one_of(
+    scalars,
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+def ends_well(call):
+    """``call()``'s value, or None where it raises a ``TropicalError``;
+    any other exception fails the test."""
+    try:
+        return call()
+    except TropicalError:
+        return None
+
+
+@st.composite
+def front_cases(draw):
+    """A problem class and builders of its values, and of a point: each
+    value of the size its role needs, its elements valid scalars and its
+    orientation a column, but one draw in ten or so a size, an
+    orientation or the elements are any."""
+
+    def often(good, bad):
+        return good if draw(st.integers(0, 9)) else bad
+
+    def vector(size):
+        size = draw(often(st.just(size), st.integers(1, 3)))
+        items = tuple(draw(st.lists(often(scalars, elements), min_size=size, max_size=size)))
+        orientation = draw(often(st.just("col"), st.sampled_from(["col", "row", "diag"])))
+        return lambda: TropVector(items, orientation)
+
+    def matrix(m, n):
+        row = st.lists(often(scalars, elements), min_size=n, max_size=n)
+        entries = tuple(map(tuple, draw(st.lists(row, min_size=m, max_size=m))))
+        return lambda: TropMatrix(entries)
+
+    cls = draw(st.sampled_from(list(FRONT)))
+    required, optional, solver, objective = FRONT[cls]
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    builders = {}
+    for key in required.split() + [key for key in optional.split() if draw(st.booleans())]:
+        builders[key] = matrix(m, n) if key == "A" else vector(m if key in "pq" and "A" in required else n)
+    return cls, builders, solver, objective, vector(n)
+
+
+def other_shape(sol):
+    """A solution of the shape ``sol`` is not, from its values."""
+    if isinstance(sol, IntervalSolution):
+        return PointSolution(sol.mu, sol.lower, sol.delta)
+    return IntervalSolution(sol.mu, sol.x, sol.x, sol.delta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=front_cases())
+def test_library_front_ends_in_a_value_or_a_tropical_error(case):
+    cls, builders, solver, objective, point = case
+    prob = ends_well(lambda: cls(**{key: build() for key, build in builders.items()}))
+    if prob is None:
+        return
+    ends_well(lambda: objective(prob, point()))
+    sol = ends_well(lambda: solver(prob))
+    if sol is None:
+        return
+    ends_well(lambda: certify(prob, sol))
+    other = ends_well(lambda: other_shape(sol))
+    if other is not None:
+        ends_well(lambda: certify(prob, other))

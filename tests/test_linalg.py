@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropopt import (
-    MAX_PLUS,
     NEG_INF,
     InvalidScalarError,
     NotColumnRegularError,
@@ -15,13 +14,11 @@ from tropopt import (
     TropMatrix,
     TropVector,
     ZeroVectorError,
-    conjugate,
-    mat_mul,
     max_solution_leq,
     vec_leq,
 )
 from tropopt.semifield import check_all
-from reference import distance, identity, mat_add, mat_leq, scalar_mul
+from reference import MAX_PLUS, conjugate, distance, identity, mat_add, mat_leq, mat_mul, scalar_mul
 
 regular_vec = st.lists(
     st.integers(-40, 40).map(lambda k: k / 2), min_size=1, max_size=6

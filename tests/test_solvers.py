@@ -16,7 +16,6 @@ from tropopt import (
     TropicalError,
     TwoSidedProblem,
     best_underestimator,
-    mat_mul,
     max_solution_leq,
     objective_best_under,
     objective_matrix,
@@ -26,7 +25,7 @@ from tropopt import (
     two_sided_terms,
     vec_leq,
 )
-from reference import identity
+from reference import identity, mat_mul
 
 
 def random_two_sided(rng, n=None, with_h=True):

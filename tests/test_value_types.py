@@ -189,6 +189,12 @@ class TestDiagnosticsAndReducedAreNotCompared:
         (lambda: v(), ShapeMismatchError, "vectors must be nonempty"),
         (lambda: v(1, math.nan), InvalidScalarError, "nan is not a max-plus scalar"),
         (lambda: v(1, math.inf), ScalarOverflowError, "value exceeds the float range"),
+        (lambda: v(None), InvalidScalarError, "None is not a max-plus scalar"),
+        (lambda: v(1, "a"), InvalidScalarError, "'a' is not a max-plus scalar"),
+        (lambda: v(10**400), ScalarOverflowError, "value exceeds the float range"),
+        (lambda: TropMatrix(((1, None),)), InvalidScalarError, "None is not a max-plus scalar"),
+        (lambda: TropMatrix(((1,), ("a",))), InvalidScalarError, "'a' is not a max-plus scalar"),
+        (lambda: TropMatrix(((-(10**400),),)), ScalarOverflowError, "value exceeds the float range"),
         (lambda: TropMatrix(()), ShapeMismatchError, "matrices must be nonempty"),
         (lambda: TropMatrix(((),)), ShapeMismatchError, "matrices must be nonempty"),
         (lambda: TropMatrix(((1, 2), (3,))), ShapeMismatchError, "matrix rows have unequal lengths"),
