@@ -18,7 +18,14 @@ from .applications import (
     reduced_matrix_lower,
     reduced_two_sided,
 )
-from .certificate import OracleReport, VerificationFailedError, certify
+from .certificate import (
+    OracleReport,
+    VerificationFailedError,
+    certify,
+    objective_best_under,
+    objective_matrix,
+    objective_two_sided,
+)
 from .linalg import (
     NotColumnRegularError,
     NotRegularError,
@@ -45,9 +52,6 @@ from .solvers import (
     TwoSidedProblem,
     best_underestimator,
     matrix_lower_terms,
-    objective_best_under,
-    objective_matrix,
-    objective_two_sided,
     solve_matrix_lower,
     solve_two_sided,
     two_sided_terms,

@@ -7,11 +7,18 @@ returned point must then be feasible and attain that bound.  Interval
 solutions are also checked for completeness coordinate by coordinate,
 against the sublevel set of the optimum, which is a box.  Every check
 is a few passes over the data, so the cost is linear in the problem
-size, for any real data and any dimension: the matrix check makes two
-O(m n) passes for its bound (``q~A`` and ``A (q~A)~``; the g-term's top
-is ``max(q~A + g)``) and one for ``A x``, which it keeps though the
-solver proves attainment without it (``solvers._attainment_proved``):
-``max_discrepancy`` reports ``|F(x) - mu|`` bit for bit.  Failures raise
+size, for any real data and any dimension.  A claim that holds is
+decided from exact identities: the two-sided check makes three passes
+for its bound's terms, one or two for the binding and two for the box,
+then compares the endpoints with the box and makes one order pass and
+two or three objective passes (``solvers._endpoint_objectives``); the matrix
+check makes two O(m n) passes for its bound (``q~A`` and ``A (q~A)~``;
+the g-term's top is ``max(q~A + g)``), an order pass over ``x`` and one
+O(m n) pass for ``A x``, which it keeps though the solver proves
+attainment without it (``solvers._attainment_proved``):
+``max_discrepancy`` reports ``|F(x) - mu|`` bit for bit.  Only a claim
+that fails one of those identities takes the checks one by one, in
+their order, for the error and the counterexample.  Failures raise
 ``VerificationFailedError`` with a counterexample vector; one that
 would overflow raises the error that the solver raises on the data.
 
@@ -23,7 +30,8 @@ the raw data alone, never from the solver's values (the matrix check
 computes ``q~A`` again).
 ``RULES`` pairs each problem class's solver, objective and feasibility
 test, all from ``solvers``, with its check; an application problem
-takes its reduced problem's.
+takes its reduced problem's.  The public objectives and ``certify``
+look the class up there, and refuse any other.
 
 Floats are compared with the relative tolerance ``_TOL`` of
 ``semifield``, scaled by the magnitude of the values compared; on
@@ -33,17 +41,17 @@ integer data every value compared is exact.
 from __future__ import annotations
 
 from itertools import repeat
-from math import isnan
-from operator import add, itemgetter, sub
+from math import isfinite, isnan
+from operator import add, itemgetter, le, sub
 
 from .applications import ApproximationProblem, LocationProblem
 from .linalg import NotColumnRegularError, ShapeMismatchError, TropVector
 from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _record
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
-    _above_g, _ax, _best_under_value, _defect, _halves, _in_box, _limit, _matrix_value,
-    _require_column, _require_dim, _top_half, _two_sided_value, _under_p, best_under, matrix_lower,
-    two_sided,
+    _above_g, _ax, _best_under_value, _defect, _endpoint_objectives, _halves, _in_box, _limit,
+    _matrix_value, _objective, _require_column, _require_dim, _top_half, _two_sided_value, _under_p,
+    best_under, matrix_lower, two_sided,
 )
 
 
@@ -128,6 +136,16 @@ def _interval(data, sol: Interval) -> Report:
     hi = tuple([x if x <= y else y for x, y in zip(map(add, q, repeat(bound)), h)])
 
     mu, lower, upper = sol.mu, sol.lower, sol.upper
+    # the claim is the bound and the box: the comprehensions give g <= lo
+    # and hi <= h, so ordered endpoints are in the box, and objectives
+    # close to a finite mu hold no -inf coordinate for _require_dim and
+    # no +inf for _objective.  Any other claim takes the checks in order,
+    # for their error and counterexample
+    if bound == mu and isfinite(mu) and lower == lo and upper == hi and all(map(le, lower, upper)):
+        at_lower, at_upper = _endpoint_objectives(lower, upper, q, p)
+        if _close(at_lower, mu) and _close(at_upper, mu):
+            gap = max(0.0, abs(at_lower - mu), abs(at_upper - mu))
+            return Report((bound, lower, 2, True, gap, (term, index)))
     for x in (lower, upper):
         if not _in_box(data, x):
             raise _fail("returned interval leaves the feasible box", x)
@@ -185,6 +203,14 @@ def _matrix_bound(data) -> tuple:
 def _matrix_lower(data, sol: Point) -> Report:
     bound, binding, r = _matrix_bound(data)
     mu, x = sol.mu, sol.x
+    # x >= g exactly, of g's length and regular, passes the feasibility
+    # test and _require_dim; its objective, of the same A x pass, is
+    # finite where it is close to mu.  Any other x takes the checks in order
+    A, p, q, g = data
+    if bound == mu and len(x) == len(g) and NEG_INF not in x and all(map(le, g, x)):
+        value = _objective(_ax(A, x), q, p)
+        if _close(value, mu):
+            return Report((bound, x, 1, True, abs(value - mu), binding))
     if not _above_g(data, x):
         raise _fail("returned vector violates the lower bound", x)
     gap = _check_attains(data, mu, _matrix_value, (x,))
@@ -239,13 +265,42 @@ RULES[LocationProblem] = RULES[TwoSidedProblem]
 RULES[ApproximationProblem] = RULES[MatrixLowerProblem]
 
 
+def _rule(prob, objective=None) -> Rule:
+    """``prob``'s rule, with ``objective`` where one is given; any other
+    class raises ``ShapeMismatchError``, which names it."""
+    rule = RULES.get(type(prob))
+    if rule is not None and objective in (None, rule.objective):
+        return rule
+    what = "problem" if objective is None else " or ".join(
+        cls.__name__ for cls, other in RULES.items() if other.objective is objective
+    )
+    raise ShapeMismatchError(f"{type(prob).__name__} is not a {what}")
+
+
+def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
+    """Evaluate ``q~ x + x~ p`` at a regular column vector, for a two-sided
+    or a location problem."""
+    return _rule(prob, _two_sided_value).objective(prob._data, _require_column(x, "x"))
+
+
+def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
+    """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector, for a
+    matrix or an approximation problem."""
+    return _rule(prob, _matrix_value).objective(prob._data, _require_column(x, "x"))
+
+
+def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
+    """Evaluate the approximation defect ``(A x)~ p`` (a zero as 0.0) at a column vector."""
+    return _rule(prob, _best_under_value).objective(prob._data, _require_column(x, "x"))
+
+
 def certify(prob, sol) -> OracleReport:
     """Prove ``sol`` optimal for any of the five problems ``prob``, or raise
     ``VerificationFailedError`` with a counterexample; a solution of the
-    other shape raises ``ShapeMismatchError``.  The report's ``argmin`` is
-    the returned point that attains the certified minimum (an interval's
-    lower endpoint)."""
-    rule = RULES[type(prob)]
+    other shape, or another class of ``prob``, raises
+    ``ShapeMismatchError``.  The report's ``argmin`` is the returned point
+    that attains the certified minimum (an interval's lower endpoint)."""
+    rule = _rule(prob)
     interval = rule.check is _interval
     if isinstance(sol, IntervalSolution) is not interval:
         shape = "an IntervalSolution" if interval else "a PointSolution"

@@ -27,10 +27,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificate import OracleReport
+from .certificate import OracleReport, objective_matrix, objective_two_sided
 from .linalg import TropMatrix, TropVector, conjugate, mat_mul, vec_leq
 from .semifield import _TOL, NEG_INF, TropicalError
-from .solvers import MatrixLowerProblem, TwoSidedProblem, objective_matrix, objective_two_sided
+from .solvers import MatrixLowerProblem, TwoSidedProblem
 
 GRID_POINT_CAP = 10_000_000
 _CHUNK = 1 << 18

@@ -40,7 +40,8 @@ O(m + n) bound proves that it attains ``mu`` wherever that is within the
 tolerance; the O(m n) ``A x`` pass runs only where the bound proves
 nothing (``_attainment_proved``).  Each objective and feasibility test
 is defined here once, for ``solve``, ``eval`` and ``verify``;
-``certificate.RULES`` pairs them with the proofs.
+``certificate.RULES`` pairs them with the proofs, and the public
+objectives, which look a problem's class up there, are in ``certificate``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .linalg import (
 )
 from .semifield import (
     NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _record, _store,
+    check,
 )
 
 
@@ -185,6 +187,16 @@ def _require_finite_optimum(mu: float) -> None:
         raise ScalarOverflowError(f"optimum {mu!r} exceeds the float range")
 
 
+def _solution_scalars(mu, delta) -> tuple[float, float]:
+    """A solution's ``mu`` and ``delta`` as floats, each checked by
+    ``semifield.check``, and ``mu`` finite.  A ``+inf`` ``mu`` skips
+    ``check``, so that the finite test names it as the optimum."""
+    mu = mu if mu == POS_INF else check(mu)
+    delta = check(delta)
+    _require_finite_optimum(mu)
+    return mu, delta
+
+
 def _interval_checks(mu: float, upper: tuple, delta: float) -> None:
     """The checks of an interval solution but ``lower <= upper``."""
     _require_finite_optimum(mu)
@@ -202,9 +214,10 @@ def _point_checks(mu: float, x: tuple) -> None:
 
 class IntervalSolution(Record):
     """Optimum value plus the complete minimizer box [lower, upper], with
-    ``lower <= upper`` exactly.  ``g_term`` and ``h_term``, the optimum's
-    bound-driven terms (``None`` for an absent bound), are diagnostics
-    outside comparisons."""
+    ``lower <= upper`` exactly.  ``mu`` and ``delta`` are checked
+    scalars, stored as floats, and ``mu`` is finite.  ``g_term`` and
+    ``h_term``, the optimum's bound-driven terms (``None`` for an absent
+    bound), are diagnostics outside comparisons."""
 
     __slots__ = ("mu", "lower", "upper", "delta", "g_term", "h_term")
     _compare = ("mu", "lower", "upper", "delta")
@@ -213,7 +226,7 @@ class IntervalSolution(Record):
         self, mu: float, lower: TropVector, upper: TropVector, delta: float,
         g_term: float | None = None, h_term: float | None = None,
     ) -> None:
-        _require_finite_optimum(mu)
+        mu, delta = _solution_scalars(mu, delta)
         if not vec_leq(lower, upper):
             raise TropicalError("solution interval has lower > upper")
         _interval_checks(mu, upper.elements, delta)
@@ -221,8 +234,8 @@ class IntervalSolution(Record):
 
 
 class PointSolution(Record):
-    """Optimum value plus one attaining vector, with the same diagnostic
-    terms as ``IntervalSolution``."""
+    """Optimum value plus one attaining vector, with the same checks of
+    ``mu`` and ``delta`` and the same diagnostic terms as ``IntervalSolution``."""
 
     __slots__ = ("mu", "x", "delta", "g_term", "h_term")
     _compare = ("mu", "x", "delta")
@@ -231,6 +244,7 @@ class PointSolution(Record):
         self, mu: float, x: TropVector, delta: float,
         g_term: float | None = None, h_term: float | None = None,
     ) -> None:
+        mu, delta = _solution_scalars(mu, delta)
         _point_checks(mu, x.elements)
         self._init(mu, x, delta, g_term, h_term)
 
@@ -283,21 +297,6 @@ def _best_under_value(data, x) -> float:
     if value == POS_INF:
         raise ScalarOverflowError("value exceeds the float range")
     return value
-
-
-def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
-    """Evaluate ``q~ x + x~ p`` at a regular column vector."""
-    return _two_sided_value(prob._data, _require_column(x, "x"))
-
-
-def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
-    """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector."""
-    return _matrix_value(prob._data, _require_column(x, "x"))
-
-
-def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
-    """Evaluate the approximation defect ``(A x)~ p`` (a zero as 0.0) at a column vector."""
-    return _best_under_value(prob._data, _require_column(x, "x"))
 
 
 # the feasibility tests, which `solve`, `eval` and `verify` share, compare
@@ -377,8 +376,10 @@ def two_sided(data) -> Interval:
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``.  An upper endpoint below the
     lower one by no more than the tolerance is raised to it; a greater
     shortfall, or an endpoint off ``mu``, raises ``PrecisionLossError``.
-    The endpoints' objectives take two or three passes
-    (``_endpoint_objectives``).
+    Endpoints that are ordered and attain a finite ``mu`` are returned
+    after one order pass and two or three objective passes
+    (``_endpoint_objectives``); only other endpoints take the checks one
+    by one, for their error or the repair.
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)
@@ -391,6 +392,14 @@ def two_sided(data) -> Interval:
     if h is not None:
         upper = [x if x <= y else y for x, y in zip(upper, h)]
     lower, upper = tuple(lower), tuple(upper)
+    # ordered endpoints whose objectives are close to a finite mu pass
+    # every check below: a +inf in upper shows in max(upper - q), one in
+    # lower is in upper too, and a -inf in upper is in lower too, where it
+    # shows in max(p - lower).  Any other answer takes them in order
+    if math.isfinite(mu) and delta <= mu and all(map(le, lower, upper)):
+        at_lower, at_upper = _endpoint_objectives(lower, upper, q, p)
+        if _close(at_lower, mu) and _close(at_upper, mu):
+            return Interval((mu, lower, upper, delta, g_term, h_term))
     if POS_INF in lower or POS_INF in upper:
         raise ScalarOverflowError("value exceeds the float range")
     if not all(map(le, lower, upper)):

@@ -13,13 +13,15 @@ timers still use them."""
 from itertools import repeat
 from operator import add, le, sub
 
-from tropopt import NEG_INF, NotRegularError, ShapeMismatchError, TropMatrix, TropVector
+from tropopt import NEG_INF, NotRegularError, ScalarOverflowError, ShapeMismatchError, TropMatrix, TropVector
 from tropopt.applications import _reduce, _require_points
+from tropopt.certificate import Report, _check_attains, _fail, _matrix_bound
 from tropopt.linalg import _no_overflow, conjugate, mat_mul
-from tropopt.semifield import MAX_PLUS, POS_INF, UndefinedPowerError, ZeroInverseError
+from tropopt.semifield import MAX_PLUS, POS_INF, UndefinedPowerError, ZeroInverseError, _close, _leq
 from tropopt.solvers import (
-    Point, PrecisionLossError, _above_g, _half, _matrix_terms, _matrix_value, _objective,
-    _point_checks, _q_a, _require_attained, two_sided_data,
+    Interval, Point, PrecisionLossError, _above_g, _half, _halves, _in_box, _interval_checks,
+    _matrix_terms, _matrix_value, _objective, _point_checks, _q_a, _require_attained,
+    _require_endpoints_attain, _top_half, _two_sided_terms, _two_sided_value, two_sided_data,
 )
 
 
@@ -133,3 +135,80 @@ def location_data(r, s, g=None, h=None):
     """A location problem's data through every check of ``two_sided_data``."""
     _require_points(r, s)
     return two_sided_data(*_reduce(r, s), g, h)
+
+
+# The solver's and the certificate's checks, each made in order, with no
+# success path decided first: tests/test_fewer_passes.py holds the
+# package's two_sided, _interval and _matrix_lower to the same answers,
+# reports and errors.
+
+def two_sided(data):
+    """The two-sided solve with every check made in order."""
+    p, q, g, h = data
+    delta, g_term, h_term = _two_sided_terms(data)
+    mu = max(delta, NEG_INF if g_term is None else g_term, NEG_INF if h_term is None else h_term)
+    lower = map(sub, p, repeat(mu))
+    if g is not None:
+        lower = [x if x >= y else y for x, y in zip(lower, g)]
+    upper = map(add, q, repeat(mu))
+    if h is not None:
+        upper = [x if x <= y else y for x, y in zip(upper, h)]
+    lower, upper = tuple(lower), tuple(upper)
+    if POS_INF in lower or POS_INF in upper:
+        raise ScalarOverflowError("value exceeds the float range")
+    if not all(map(le, lower, upper)):
+        if not all(map(_leq, lower, upper)):
+            raise PrecisionLossError("rounding put lower above upper by more than the tolerance")
+        upper = tuple([x if x >= y else y for x, y in zip(lower, upper)])
+    _interval_checks(mu, upper, delta)
+    _require_endpoints_attain(mu, lower, upper, q, p)
+    return Interval((mu, lower, upper, delta, g_term, h_term))
+
+
+def interval_check(data, sol):
+    """The two-sided certificate with every check made in order: the box,
+    the objective at each endpoint, the bound, the walk."""
+    p, q, g, h = data
+    g = (NEG_INF,) * len(p) if g is None else g
+    h = (POS_INF,) * len(p) if h is None else h
+    top_delta, top_g, top_h = _top_half(p, q), max(map(sub, g, q)), max(map(sub, p, h))
+    bound = max(top_delta, top_g, top_h)
+    if top_delta == bound:
+        term, values = "delta", _halves(p, q, top_delta)
+    elif top_g == bound:
+        term, values = "g_term", list(map(sub, g, q))
+    else:
+        term, values = "h_term", list(map(sub, p, h))
+    index = values.index(bound)
+    lo = tuple([x if x >= y else y for x, y in zip(map(sub, p, repeat(bound)), g)])
+    hi = tuple([x if x <= y else y for x, y in zip(map(add, q, repeat(bound)), h)])
+
+    mu, lower, upper = sol.mu, sol.lower, sol.upper
+    for x in (lower, upper):
+        if not _in_box(data, x):
+            raise _fail("returned interval leaves the feasible box", x)
+    gap = _check_attains(data, mu, _two_sided_value, (lower, upper))
+    if bound != mu and not _close(bound, mu):
+        raise _fail(f"the optimum is {bound}, not the claimed {mu}", lo)
+    if (lower, upper) != (lo, hi):
+        for i in range(len(p)):
+            for claimed, true in ((lower, lo), (upper, hi)):
+                if not _close(claimed[i], true[i]):
+                    point = claimed[:i] + (true[i],) + claimed[i + 1:]
+                    raise _fail(
+                        f"the minimizer set differs from the interval at coordinate {i}", point
+                    )
+    return Report((bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
+
+
+def matrix_lower_check(data, sol):
+    """The matrix certificate with every check made in order: x >= g, the
+    objective at x, the bound."""
+    bound, binding, r = _matrix_bound(data)
+    mu, x = sol.mu, sol.x
+    if not _above_g(data, x):
+        raise _fail("returned vector violates the lower bound", x)
+    gap = _check_attains(data, mu, _matrix_value, (x,))
+    if bound != mu and not _close(bound, mu):
+        raise _fail(f"the optimum is {bound}, not the claimed {mu}", [bound - rl for rl in r])
+    return Report((bound, x, 1, True, max(gap, abs(bound - mu)), binding))

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from tropopt import (
+    BestUnderProblem,
+    LocationProblem,
     MatrixLowerProblem,
     PointSolution,
     PrecisionLossError,
@@ -19,6 +21,7 @@ from tropopt import (
     TwoSidedProblem,
     VerificationFailedError,
     certify,
+    objective_best_under,
     objective_matrix,
     objective_two_sided,
     solve_two_sided,
@@ -338,6 +341,33 @@ def test_solution_of_the_other_shape_is_refused(name, other, shape, reduced):
     with pytest.raises(ShapeMismatchError) as info:
         certify(prob, sol)
     assert str(info.value) == f"{type(prob).__name__} is solved by {shape}"
+
+
+_A, _P, _X = TropMatrix(((1.0, 2.0), (3.0, 4.0))), TropVector((1.0, 2.0)), TropVector((0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: objective_two_sided(BestUnderProblem(_A, _P), _X),
+         "BestUnderProblem is not a TwoSidedProblem or LocationProblem"),
+        (lambda: objective_matrix(BestUnderProblem(_A, _P), _X),
+         "BestUnderProblem is not a MatrixLowerProblem or ApproximationProblem"),
+        (lambda: objective_best_under(TwoSidedProblem(_P, _P), _X), "TwoSidedProblem is not a BestUnderProblem"),
+        (lambda: objective_matrix(LocationProblem(_P, _P), _X),
+         "LocationProblem is not a MatrixLowerProblem or ApproximationProblem"),
+        (lambda: certify(_P, solve_two_sided(TwoSidedProblem(_P, _P))), "TropVector is not a problem"),
+        (lambda: certify(None, solve_two_sided(TwoSidedProblem(_P, _P))), "NoneType is not a problem"),
+    ],
+    ids=["two_sided-of-best_under", "matrix-of-best_under", "best_under-of-two_sided",
+         "matrix-of-location", "certify-a-vector", "certify-none"],
+)
+def test_problem_of_another_class_is_refused(call, message):
+    # each objective and certify take the classes that certificate.RULES
+    # gives their rule; any other raises ShapeMismatchError naming it
+    with pytest.raises(ShapeMismatchError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_corrupted_location_optimum_is_rejected():

@@ -9,6 +9,12 @@ longer forms in ``reference.py``.
   whose top is the bound.
 * ``matrix_lower`` skips its ``A x`` attainment pass wherever an
   O(m + n) rounding bound proves that the pass cannot fail.
+* ``two_sided`` returns ordered endpoints that attain a finite ``mu``
+  without its checks one by one; ``certify``'s two-sided check returns
+  a claim equal to its bound and box from an order pass and the two
+  endpoint objectives, and its matrix check an ``x >= g`` exactly from
+  its ``A x`` pass, without ``_require_dim``'s scan.  Only a failing
+  answer takes the ordered checks (the rounding-repair fixture does).
 * ``_limit`` filters only the columns that hold ``-inf``.
 * A location file's data skip ``two_sided_data``'s checks of ``p`` and
   ``q``, whose elements are the checked ``r`` and ``s``.
@@ -45,11 +51,12 @@ from tropopt import (
     solve_matrix_lower,
     solve_two_sided,
 )
+from test_certificate import _shifted, _solved, replace
 from test_golden import _case
 from test_golden import _run as golden_run
-from tropopt import solvers
+from tropopt import certificate, solvers
 from tropopt.applications import location_data
-from tropopt.certificate import _matrix_bound
+from tropopt.certificate import _interval, _matrix_bound, _matrix_lower
 from tropopt.cli import parse_problem
 from tropopt.semifield import _TOL, POS_INF, _close
 from tropopt.solvers import (
@@ -514,3 +521,219 @@ class TestAttainmentPasses:
         got, calls, passes = self._count(monkeypatch, data)
         assert got == _outcome(reference.matrix_lower, data) == (solvers.PrecisionLossError, message)
         assert (calls, passes) == (ax_calls, 2 + ax_calls)
+
+
+def _full_outcome(f, *args):
+    """What ``f`` returns, or its error's class, message and counterexample,
+    as one ``repr``: every float bit for bit, the sign of a zero too."""
+    try:
+        return repr(f(*args))
+    except TropicalError as e:
+        return repr((type(e), str(e), getattr(e, "counterexample", None)))
+
+
+# small integers, drawn alone or among the hostile magnitudes above
+integers = st.integers(-6, 6).map(float)
+
+
+@st.composite
+def two_sided_problems(draw):
+    """Data that ``two_sided_data`` accepts: regular ``p``, ``q`` and ``h``,
+    ``g`` with ``-inf`` entries, either bound absent, and ``q = p`` now and then."""
+    n = draw(st.integers(1, 4))
+    scalars = draw(st.sampled_from([integers, hostile_scalars, st.one_of(integers, hostile_scalars)]))
+    p = _vectors(draw, n, scalars)
+    q = p if draw(st.integers(0, 4)) == 0 else _vectors(draw, n, scalars)
+    g = _vectors(draw, n, st.one_of(scalars, st.just(NEG_INF))) if draw(st.booleans()) else None
+    h = _vectors(draw, n, scalars) if draw(st.booleans()) else None
+    if g is not None and h is not None:
+        h = tuple(max(a, b) for a, b in zip(g, h))
+    return solvers.two_sided_data(p, q, g, h)
+
+
+# a claimed answer: the solver's, or one corrupted as test_certificate.py
+# corrupts it, or by a rounding error, or out of the float range
+CORRUPTIONS = ["none", "mu+", "mu-", "mu~", "nan", "inf", "move+", "move-", "move~", "swap", "neg_inf", "short"]
+
+
+def _corrupted(answer, how, i):
+    """``answer`` (an ``Interval`` or a ``Point``) corrupted ``how`` at
+    coordinate ``i`` of its first point, or of its second where ``i`` is
+    past the first's length."""
+    mu, points = answer[0], list(answer[1:-3])
+    if how.startswith("mu") or how in ("nan", "inf"):
+        mu = {"mu+": mu + 0.5, "mu-": mu - 0.5, "mu~": mu + abs(mu) * 1e-12, "nan": math.nan, "inf": POS_INF}[how]
+    elif how == "swap":
+        points.reverse()
+    elif how != "none":
+        which, i = divmod(i, len(points[0]))
+        point = list(points[which % len(points)])
+        point[i] = {"move+": point[i] + 0.5, "move-": point[i] - 0.5, "move~": point[i] * (1 + 1e-12),
+                    "neg_inf": NEG_INF, "short": None}[how]
+        points[which % len(points)] = tuple(v for v in point if v is not None)
+    return type(answer)((mu, *points, *answer[-3:]))
+
+
+class TestSuccessPaths:
+    """``two_sided``, ``_interval`` and ``_matrix_lower`` return from exact
+    identities and run their checks in order only where one fails; each
+    matches its copy in ``reference.py``, which makes every check in
+    order, on the answer, report or error, bit for bit, with the same
+    counterexample."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(two_sided_problems(), st.sampled_from(CORRUPTIONS), st.integers(0, 7))
+    def test_two_sided(self, data, how, i):
+        want = _full_outcome(reference.two_sided, data)
+        assert _full_outcome(solvers.two_sided, data) == want
+        answer = _outcome(reference.two_sided, data)
+        if isinstance(answer, solvers.Interval):
+            sol = _corrupted(answer, how, i)
+            event(f"corruption {how}")
+            assert _full_outcome(_interval, data, sol) == _full_outcome(reference.interval_check, data, sol)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(matrix_problems(), hostile_matrix_problems()), st.sampled_from(CORRUPTIONS), st.integers(0, 7)
+    )
+    def test_matrix_lower(self, data, how, i):
+        answer = _outcome(matrix_lower, data)
+        assume(isinstance(answer, solvers.Point))
+        sol = _corrupted(answer, how, i)
+        event(f"corruption {how}")
+        assert _full_outcome(_matrix_lower, data, sol) == _full_outcome(reference.matrix_lower_check, data, sol)
+
+    def test_golden_generator_problems(self):
+        # 150 problems of each kind whose solve or check has a success
+        # path, 600 in all; each answer checked as solved and corrupted
+        # every way at every coordinate
+        checked = 0
+        for kind in ("two_sided", "locate", "matrix_lower", "approximate"):
+            rng = random.Random(f"success-path-{kind}")
+            for _ in range(150):
+                try:
+                    data = parse_problem(_case(kind, rng)[0])[1]
+                except TropicalError:
+                    continue
+                interval = kind in ("two_sided", "locate")
+                solve, check, ref = (
+                    (solvers.two_sided, _interval, reference.interval_check) if interval
+                    else (matrix_lower, _matrix_lower, reference.matrix_lower_check)
+                )
+                if interval:
+                    assert _full_outcome(solve, data) == _full_outcome(reference.two_sided, data)
+                answer = _outcome(solve, data)
+                if not isinstance(answer, (solvers.Interval, solvers.Point)):
+                    continue
+                for how in CORRUPTIONS:
+                    for i in range(2 * len(answer[1])):
+                        sol = _corrupted(answer, how, i)
+                        assert _full_outcome(check, data, sol) == _full_outcome(ref, data, sol), (kind, how, i)
+                checked += 1
+        assert checked >= 400
+
+
+def _with_reference_checks(monkeypatch):
+    """Make ``certify`` run the checks of ``reference.py``."""
+    checks = {_interval: reference.interval_check, _matrix_lower: reference.matrix_lower_check}
+    for cls, rule in list(certificate.RULES.items()):
+        monkeypatch.setitem(certificate.RULES, cls, certificate.Rule((*rule[:3], checks.get(rule.check, rule.check))))
+    monkeypatch.setattr(certificate, "_interval", reference.interval_check)
+
+
+@pytest.mark.parametrize("kind", ["two_sided", "locate", "matrix_lower", "approximate"])
+def test_certify_matches_the_ordered_checks_on_every_corruption(kind):
+    # test_certificate.py's corruptions, fed through certify: mu +- 0.5, a
+    # coordinate moved by 0.5 or within the tolerance, swapped endpoints
+    # (a NaN mu, which the solution classes refuse, is TestSuccessPaths')
+    cases = []
+    for core, sol in _solved(kind, 20):
+        ends = ("lower", "upper") if isinstance(sol, IntervalSolution) else ("x",)
+        changes = [{}] + [{"mu": sol.mu + d, "delta": min(sol.delta, sol.mu + d)} for d in (0.5, -0.5)]
+        changes += [
+            {end: _shifted(getattr(sol, end), i, d)}
+            for end in ends for i in range(getattr(sol, end).dim) for d in (0.5, -0.5, 1e-10)
+        ]
+        if len(ends) == 2:
+            changes.append({"lower": sol.upper, "upper": sol.lower})
+        for change in changes:
+            try:
+                cases.append((core, replace(sol, **change)))
+            except TropicalError:  # lower above upper: not an interval
+                pass
+    got = [_full_outcome(certify, *case) for case in cases]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _with_reference_checks(monkeypatch)
+        want = [_full_outcome(certify, *case) for case in cases]
+    assert got == want
+    assert sum("VerificationFailedError" in w for w in want) >= 20
+
+
+ROUNDING_REPAIR = FIXTURES / "rounding_repair.json"
+
+
+class TestVerifyPasses:
+    """Which checks a ``verify`` reaches: on integer data the success paths
+    alone, and on the rounding-repair fixture the ordered ones."""
+
+    ORDERED = ("_two_sided_value", "_require_endpoints_attain", "_check_attains", "_above_g", "_matrix_value")
+
+    def _counting(self, monkeypatch):
+        """The names of ``ORDERED`` and ``_endpoint_objectives`` called in
+        ``solvers`` or ``certificate`` from now on, as they are called."""
+        calls = []
+        for module in (solvers, certificate):
+            for name in ("_endpoint_objectives", *self.ORDERED):
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        return calls
+
+    def _verify(self, monkeypatch, text):
+        calls = self._counting(monkeypatch)
+        code, out = golden_run(["verify", "-"], text)
+        return code, json.loads(out), sorted(calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+    def test_integer_two_sided_verify_takes_the_success_paths(self, n, has_g, has_h, rng):
+        doc = {"kind": "two_sided", **{k: [rng.randint(-9, 9) for _ in range(n)] for k in "pq"}}
+        if has_g:
+            doc["g"] = [rng.randint(-12, 0) for _ in range(n)]
+        if has_h:
+            doc["h"] = [rng.randint(1, 12) for _ in range(n)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            code, report, calls = self._verify(monkeypatch, json.dumps(doc))
+        assert code == 0 and report["max_discrepancy"] == 0
+        # one _endpoint_objectives in the solve, one in the check, and no ordered check
+        assert calls == ["_endpoint_objectives", "_endpoint_objectives"]
+
+    def test_rounding_repair_takes_both_ordered_paths(self, monkeypatch):
+        # p - delta rounds above q + delta: the solve raises upper to lower
+        # and checks each endpoint in order, and the check, whose upper
+        # endpoint is not q + mu, walks with the tolerance
+        code, report, calls = self._verify(monkeypatch, ROUNDING_REPAIR.read_text())
+        assert code == 0 and report["agrees_with_solver"] is True
+        assert report["max_discrepancy"] == 4.440892098500626e-16
+        assert calls == [
+            "_check_attains", "_endpoint_objectives", "_require_endpoints_attain",
+            "_two_sided_value", "_two_sided_value",
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_matrix_check_makes_three_passes(self, m, n, rng):
+        # r = q~A and res = A (q~A)~ for the bound, and A x: each iterates
+        # every row once, and only the delta binding's search one row more;
+        # no ordered check runs
+        A = tuple(tuple(float(rng.randint(-20, 20)) for _ in range(n)) for _ in range(m))
+        p, q, g = (tuple(float(rng.randint(-20, 20)) for _ in range(k)) for k in (m, m, n))
+        sol = matrix_lower((A, p, q, g))
+        rows = tuple(map(_Counted, A))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self._counting(monkeypatch)
+            report = _matrix_lower((rows, p, q, g), sol)
+        assert calls == []
+        assert report == reference.matrix_lower_check((A, p, q, g), sol)
+        passes = sorted(row.passes for row in rows)
+        assert passes[0] == 3 and passes[-1] <= 4 and passes[-2] == 3

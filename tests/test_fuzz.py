@@ -3,8 +3,9 @@ any document shaped like a problem file, ends ``solve``, ``verify`` and
 ``eval`` with exit 0 and a result, exit 1 and a one-line JSON error on
 stderr, or exit 2 and a JSON error with a ``reason``, never with an
 exception.  And the library front: value types built from any element,
-each problem class, its solver, its objective and ``certify`` end in a
-value or a ``TropicalError``."""
+each problem class, its solver, every objective and ``certify`` (on
+every problem class, and on solutions made by hand with any ``mu`` and
+``delta``) end in a value or a ``TropicalError``."""
 
 import contextlib
 import io
@@ -198,25 +199,38 @@ def front_cases(draw):
     return cls, builders, solver, objective, vector(n)
 
 
-def other_shape(sol):
-    """A solution of the shape ``sol`` is not, from its values."""
+def hand_made(sol, mu, delta):
+    """Solutions built from ``sol``'s points with ``mu`` and ``delta``: one
+    of ``sol``'s shape and one of the other."""
     if isinstance(sol, IntervalSolution):
-        return PointSolution(sol.mu, sol.lower, sol.delta)
-    return IntervalSolution(sol.mu, sol.x, sol.x, sol.delta)
+        return (lambda: IntervalSolution(mu, sol.lower, sol.upper, delta),
+                lambda: PointSolution(mu, sol.lower, delta))
+    return lambda: PointSolution(mu, sol.x, delta), lambda: IntervalSolution(mu, sol.x, sol.x, delta)
+
+
+# a hand-made solution's mu or delta drawn as this is the solver's
+SOLVERS = object()
+made_scalars = st.one_of(st.just(SOLVERS), elements)
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=front_cases())
-def test_library_front_ends_in_a_value_or_a_tropical_error(case):
+@given(case=front_cases(), mu=made_scalars, delta=made_scalars)
+def test_library_front_ends_in_a_value_or_a_tropical_error(case, mu, delta):
+    # every objective and certify take every problem class, and any value
+    # in place of one
     cls, builders, solver, objective, point = case
     prob = ends_well(lambda: cls(**{key: build() for key, build in builders.items()}))
     if prob is None:
         return
-    ends_well(lambda: objective(prob, point()))
+    for each in (objective_two_sided, objective_matrix, objective_best_under):
+        ends_well(lambda: each(prob, point()))
     sol = ends_well(lambda: solver(prob))
     if sol is None:
         return
     ends_well(lambda: certify(prob, sol))
-    other = ends_well(lambda: other_shape(sol))
-    if other is not None:
-        ends_well(lambda: certify(prob, other))
+    ends_well(lambda: certify(point(), sol))
+    mu, delta = sol.mu if mu is SOLVERS else mu, sol.delta if delta is SOLVERS else delta
+    for build in hand_made(sol, mu, delta):
+        made = ends_well(build)
+        if made is not None:
+            ends_well(lambda: certify(prob, made))

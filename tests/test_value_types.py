@@ -151,6 +151,17 @@ def test_repr_format():
     )
 
 
+def test_solution_scalars_are_stored_as_floats():
+    # mu and delta are stored as semifield.check returns them, like a vector's elements
+    sol = PointSolution(True, v(2), 0)
+    assert repr(sol) == (
+        "PointSolution(mu=1.0, x=TropVector(elements=(2.0,), orientation='col'), "
+        "delta=0.0, g_term=None, h_term=None)"
+    )
+    interval = IntervalSolution(3, v(0), v(1), -1)
+    assert repr((interval.mu, interval.delta)) == "(3.0, -1.0)"
+
+
 def test_class_pattern():
     match v(1, 2):
         case TropVector(elements, "col"):
@@ -225,8 +236,9 @@ class TestDiagnosticsAndReducedAreNotCompared:
          "solution interval upper endpoint must be regular"),
         (lambda: IntervalSolution(1.0, v(0), v(1), 2.0), TropicalError,
          "optimum cannot be below its intrinsic bound"),
-        (lambda: PointSolution(math.nan, v(0), 0.0), ScalarOverflowError,
-         "optimum nan exceeds the float range"),
+        # a NaN optimum is no scalar, not an overflow
+        pytest.param(lambda: PointSolution(math.nan, v(0), 0.0), InvalidScalarError,
+                     "nan is not a max-plus scalar", id="point-mu-nan"),
         (lambda: PointSolution(1.0, v(0, NEG_INF), 0.0), NotRegularError,
          "attaining vector must be regular"),
         (lambda: LocationProblem(v(1, orientation="row"), v(1)), ShapeMismatchError,
@@ -239,6 +251,26 @@ class TestDiagnosticsAndReducedAreNotCompared:
          "g must be a column vector of dimension 3"),
         (lambda: OracleReport(1.0, v(0), 0), TropicalError,
          "an oracle report must cover at least one point"),
+        # a solution's mu and delta are checked scalars, as a vector's elements are
+        pytest.param(lambda: IntervalSolution("a", v(0), v(0), 0.0), InvalidScalarError,
+                     "'a' is not a max-plus scalar", id="interval-mu-str"),
+        pytest.param(lambda: PointSolution(None, v(0), 0.0), InvalidScalarError,
+                     "None is not a max-plus scalar", id="point-mu-none"),
+        pytest.param(lambda: PointSolution(10**400, v(0), 0.0), ScalarOverflowError,
+                     "value exceeds the float range", id="point-mu-big-int"),
+        pytest.param(lambda: IntervalSolution(-(10**400), v(0), v(0), 0.0), ScalarOverflowError,
+                     "value exceeds the float range", id="interval-mu-big-int"),
+        pytest.param(lambda: IntervalSolution(math.nan, v(0), v(0), 0.0), InvalidScalarError,
+                     "nan is not a max-plus scalar", id="interval-mu-nan"),
+        pytest.param(lambda: PointSolution(1.0, v(0), math.nan), InvalidScalarError,
+                     "nan is not a max-plus scalar", id="point-delta-nan"),
+        pytest.param(lambda: IntervalSolution(1.0, v(0), v(0), None), InvalidScalarError,
+                     "None is not a max-plus scalar", id="interval-delta-none"),
+        pytest.param(lambda: PointSolution(1.0, v(0), math.inf), ScalarOverflowError,
+                     "value exceeds the float range", id="point-delta-inf"),
+        # past the scalar check, an infinite optimum fails the finite test
+        pytest.param(lambda: PointSolution(NEG_INF, v(0), 0.0), ScalarOverflowError,
+                     "optimum -inf exceeds the float range", id="point-mu-neg-inf"),
     ],
 )
 def test_constructor_errors(build, error, message):

@@ -30,7 +30,8 @@ from tropopt import (
 )
 from tropopt.applications import LocationProblem, reduced_two_sided
 from tropopt.cli import _scalar_out, _scalars_out, main
-from tropopt.solvers import objective_best_under, solve_two_sided
+from tropopt.certificate import objective_best_under
+from tropopt.solvers import solve_two_sided
 from reference import MAX_PLUS, conjugate, mat_mul
 
 add = MAX_PLUS.add
