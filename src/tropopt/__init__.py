@@ -33,7 +33,6 @@ from .linalg import (
     TropMatrix,
     TropVector,
     ZeroVectorError,
-    max_solution_leq,
     vec_leq,
 )
 from .semifield import (
@@ -52,6 +51,7 @@ from .solvers import (
     TwoSidedProblem,
     best_underestimator,
     matrix_lower_terms,
+    max_solution_leq,
     solve_matrix_lower,
     solve_two_sided,
     two_sided_terms,

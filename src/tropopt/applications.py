@@ -3,13 +3,15 @@
 Both applications are substitutions into the core solvers: the two-point
 location problem reduces to the two-sided bounded problem with
 ``p = r + s`` and ``q~ = r~ + s~``, and the approximation problem is the
-matrix problem with ``q = p``.  Each problem builds its reduced instance
-once, on construction, and keeps it in ``reduced`` and its data in
-``_data``, so that the reduced problem's objective and ``certify`` take
-the application problem itself (``certificate.RULES`` maps each class to
-its reduced problem's rule); the command line reduces a location file's
-float tuples by ``location_data``, through the same point and box checks
-and the same ``_reduce``.
+matrix problem with ``q = p``.  Each problem checks its arguments
+through ``solvers._enter`` with its kind's data function,
+``location_data`` or ``approximation_data``, which the command line
+calls on a file's float tuples, and keeps those data, its reduced
+problem's, in ``_data``.  It builds its reduced instance once, on
+construction, into ``reduced``; its class names the reduced class in
+``reduces_to``, so that the reduced problem's solver, objective and
+``certify`` take the application problem itself (``certificate.RULES``
+maps each class to its reduced problem's rule).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
 from .semifield import NEG_INF, Record, _store
 from .solvers import (
-    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _require_box,
-    _require_column, solve_matrix_lower, solve_two_sided,
+    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _enter, _require_box,
+    _require_problem, matrix_data, solve_matrix_lower, solve_two_sided,
 )
 
 
@@ -50,21 +52,24 @@ def location_data(r, s, g=None, h=None) -> tuple:
     return (*_reduce(r, s), g, h)
 
 
+def approximation_data(A, p, g) -> tuple:
+    """The matrix data of an approximation problem given as float tuples: ``q = p``."""
+    return matrix_data(A, p, p, g)
+
+
 class LocationProblem(Record):
     """Place x to minimize the larger Chebyshev distance to r and s,
     within the optional box ``g <= x <= h``.  ``reduced`` and ``_data``,
     not fields, stay out of ``repr`` and comparisons."""
 
     __slots__ = ("r", "s", "g", "h", "reduced", "_data")
+    reduces_to = TwoSidedProblem
 
     def __init__(
         self, r: TropVector, s: TropVector, g: TropVector | None = None, h: TropVector | None = None
     ) -> None:
-        _require_points(_require_column(r, "r"), _require_column(s, "s"))
-        self._init(r, s, g, h)
-        # bound invariants match the reduced problem
+        _enter(self, location_data, r, s, g, h)
         _store(self, "reduced", reduced_two_sided(self))
-        _store(self, "_data", self.reduced._data)
 
 
 class ApproximationProblem(Record):
@@ -72,17 +77,18 @@ class ApproximationProblem(Record):
     with ``reduced`` as in ``LocationProblem``."""
 
     __slots__ = ("A", "p", "g", "reduced", "_data")
+    reduces_to = MatrixLowerProblem
 
     def __init__(self, A: TropMatrix, p: TropVector, g: TropVector) -> None:
-        self._init(A, p, g)
+        _enter(self, approximation_data, A, p, g)
         _store(self, "reduced", reduced_matrix_lower(self))
-        _store(self, "_data", self.reduced._data)
 
 
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     """Two-sided instance whose objective equals the larger of the two
-    Chebyshev distances at every regular point (``_reduce``)."""
-    p, q = _reduce(prob.r.elements, prob.s.elements)
+    Chebyshev distances at every regular point (``_reduce``, which
+    ``location_data`` has applied)."""
+    p, q, _, _ = _require_problem(prob, LocationProblem)
     return TwoSidedProblem(_vector(p), _vector(q), prob.g, prob.h)
 
 
@@ -92,14 +98,17 @@ def locate(prob: LocationProblem) -> IntervalSolution:
     The returned value is the least achievable max distance and the
     interval is the full set of optimal placements.
     """
+    _require_problem(prob, LocationProblem)
     return solve_two_sided(prob.reduced)
 
 
 def reduced_matrix_lower(prob: ApproximationProblem) -> MatrixLowerProblem:
+    _require_problem(prob, ApproximationProblem)
     return MatrixLowerProblem(prob.A, prob.p, prob.p, prob.g)
 
 
 def approximate(prob: ApproximationProblem) -> PointSolution:
     """Least Chebyshev error of ``A x`` against ``p`` over ``x >= g``,
     with a vector attaining it."""
+    _require_problem(prob, ApproximationProblem)
     return solve_matrix_lower(prob.reduced)

@@ -30,8 +30,9 @@ the raw data alone, never from the solver's values (the matrix check
 computes ``q~A`` again).
 ``RULES`` pairs each problem class's solver, objective and feasibility
 test, all from ``solvers``, with its check; an application problem
-takes its reduced problem's.  The public objectives and ``certify``
-look the class up there, and refuse any other.
+takes its reduced problem's.  ``certify`` looks the class up there, and
+refuses any other; the public objectives test it as the public solvers
+do (``solvers._require_problem``).
 
 Floats are compared with the relative tolerance ``_TOL`` of
 ``semifield``, scaled by the magnitude of the values compared; on
@@ -48,10 +49,10 @@ from .applications import ApproximationProblem, LocationProblem
 from .linalg import NotColumnRegularError, ShapeMismatchError, TropVector
 from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _record
 from .solvers import (
-    BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, TwoSidedProblem,
-    _above_g, _ax, _best_under_value, _defect, _endpoint_objectives, _halves, _in_box, _limit,
-    _matrix_value, _objective, _require_column, _require_dim, _top_half, _two_sided_value, _under_p,
-    best_under, matrix_lower, two_sided,
+    BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, PointSolution,
+    TwoSidedProblem, _above_g, _ax, _best_under_value, _defect, _endpoint_objectives, _halves, _in_box,
+    _limit, _matrix_value, _objective, _require_column, _require_dim, _require_problem, _top_half,
+    _two_sided_value, _under_p, best_under, matrix_lower, two_sided,
 )
 
 
@@ -261,37 +262,25 @@ RULES = {
     MatrixLowerProblem: Rule((matrix_lower, _matrix_value, _above_g, _matrix_lower)),
     BestUnderProblem: Rule((best_under, _best_under_value, _under_p, _best_under)),
 }
-RULES[LocationProblem] = RULES[TwoSidedProblem]
-RULES[ApproximationProblem] = RULES[MatrixLowerProblem]
-
-
-def _rule(prob, objective=None) -> Rule:
-    """``prob``'s rule, with ``objective`` where one is given; any other
-    class raises ``ShapeMismatchError``, which names it."""
-    rule = RULES.get(type(prob))
-    if rule is not None and objective in (None, rule.objective):
-        return rule
-    what = "problem" if objective is None else " or ".join(
-        cls.__name__ for cls, other in RULES.items() if other.objective is objective
-    )
-    raise ShapeMismatchError(f"{type(prob).__name__} is not a {what}")
+RULES[LocationProblem] = RULES[LocationProblem.reduces_to]
+RULES[ApproximationProblem] = RULES[ApproximationProblem.reduces_to]
 
 
 def objective_two_sided(prob: TwoSidedProblem, x: TropVector) -> float:
     """Evaluate ``q~ x + x~ p`` at a regular column vector, for a two-sided
     or a location problem."""
-    return _rule(prob, _two_sided_value).objective(prob._data, _require_column(x, "x"))
+    return _two_sided_value(_require_problem(prob, TwoSidedProblem), _require_column(x, "x"))
 
 
 def objective_matrix(prob: MatrixLowerProblem, x: TropVector) -> float:
     """Evaluate ``q~ A x + (A x)~ p`` at a regular column vector, for a
     matrix or an approximation problem."""
-    return _rule(prob, _matrix_value).objective(prob._data, _require_column(x, "x"))
+    return _matrix_value(_require_problem(prob, MatrixLowerProblem), _require_column(x, "x"))
 
 
 def objective_best_under(prob: BestUnderProblem, x: TropVector) -> float:
     """Evaluate the approximation defect ``(A x)~ p`` (a zero as 0.0) at a column vector."""
-    return _rule(prob, _best_under_value).objective(prob._data, _require_column(x, "x"))
+    return _best_under_value(_require_problem(prob, BestUnderProblem), _require_column(x, "x"))
 
 
 def certify(prob, sol) -> OracleReport:
@@ -300,12 +289,14 @@ def certify(prob, sol) -> OracleReport:
     other shape, or another class of ``prob``, raises
     ``ShapeMismatchError``.  The report's ``argmin`` is the returned point
     that attains the certified minimum (an interval's lower endpoint)."""
-    rule = _rule(prob)
+    rule = RULES.get(type(prob))
+    if rule is None:
+        raise ShapeMismatchError(f"{type(prob).__name__} is not a problem")
     interval = rule.check is _interval
-    if isinstance(sol, IntervalSolution) is not interval:
+    if type(sol) is not (IntervalSolution if interval else PointSolution):
         shape = "an IntervalSolution" if interval else "a PointSolution"
         raise ShapeMismatchError(f"{type(prob).__name__} is solved by {shape}")
     points = (sol.lower, sol.upper) if interval else (sol.x,)
-    answer = (sol.mu, *[_require_column(v, "x") for v in points], sol.delta, sol.g_term, sol.h_term)
+    answer = (sol.mu, *[v.elements for v in points], sol.delta, sol.g_term, sol.h_term)
     report = rule.check(prob._data, (Interval if interval else Point)(answer))
     return OracleReport(report.min_value, points[0], *report[2:])

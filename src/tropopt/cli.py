@@ -33,7 +33,7 @@ import os
 import sys
 from itertools import chain, repeat
 
-from .applications import ApproximationProblem, LocationProblem, location_data
+from .applications import ApproximationProblem, LocationProblem, approximation_data, location_data
 from .certificate import RULES
 from .linalg import TropMatrix, TropVector, _require_rectangular
 from .semifield import NEG_INF, InvalidScalarError, Record, ScalarOverflowError, TropicalError, _record
@@ -68,7 +68,7 @@ def _kind(name: str, cls, data) -> Kind:
     payload keys, those without a default required, and its rule."""
     keys = cls._fields
     readers = tuple((key, _matrix_in if key == "A" else _vector_in) for key in keys)
-    required = frozenset(keys[:len(keys) - len(cls.__init__.__defaults__ or ())])
+    required = frozenset(keys[:cls._required])
     allowed = frozenset({*keys, "kind", "name", "description"})
     return Kind((name, cls, data, RULES[cls], readers, required, allowed))
 
@@ -152,7 +152,7 @@ _KINDS = {
         _kind("two_sided", TwoSidedProblem, two_sided_data),
         _kind("matrix_lower", MatrixLowerProblem, matrix_data),
         _kind("locate", LocationProblem, location_data),
-        _kind("approximate", ApproximationProblem, lambda A, p, g: matrix_data(A, p, p, g)),
+        _kind("approximate", ApproximationProblem, approximation_data),
         _kind("best_under", BestUnderProblem, best_under_data),
     )
 }

@@ -10,11 +10,12 @@ columns: a product entry is ``max(map(add, row, col))``.  ``max`` keeps
 the first of equal values, as the scalar ``MaxPlus.add`` does, so results
 are bit for bit those of the scalar definitions.
 
-The public ``TropVector(...)`` and ``TropMatrix(...)`` check every
-element with ``check_all``.  The public solvers wrap the float tuples
-that the core computes with ``_vector``, which takes them as they are:
-from valid data a computed value can leave the carrier only by
-overflowing to ``+inf``, which ``_no_overflow`` tests.
+The public ``TropVector(...)`` and ``TropMatrix(...)`` take a sequence
+of scalars (of rows of them), not a ``str``, and check every element
+with ``check_all``.  The public solvers wrap the float tuples that the
+core computes with ``_vector``, which takes them as they are: from valid
+data a computed value can leave the carrier only by overflowing to
+``+inf``, which ``_no_overflow`` tests.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class TropVector(Record):
     def __post_init__(self) -> None:
         if self.orientation not in ("col", "row"):
             raise ShapeMismatchError(f"unknown orientation {self.orientation!r}")
-        elems = check_all(self.elements)
+        elems = check_all(_sequence(self.elements, "vector elements"))
         if not elems:
             raise ShapeMismatchError("vectors must be nonempty")
         _store(self, "elements", elems)
@@ -109,7 +110,8 @@ class TropMatrix(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = tuple(map(check_all, self.entries))
+        entries = _sequence(self.entries, "matrix entries")
+        rows = tuple([check_all(_sequence(row, "a matrix row")) for row in entries])
         _require_rectangular(rows)
         _store(self, "entries", rows)
 
@@ -138,6 +140,17 @@ class TropMatrix(Record):
         return self.is_row_regular and self.is_column_regular
 
 
+def _sequence(values, what: str) -> tuple:
+    """``values`` as a tuple; a ``str`` or ``bytes``, or what ``tuple``
+    refuses, raises ``ShapeMismatchError``."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ShapeMismatchError(f"{what} must be a sequence, not {type(values).__name__}")
+
+
 def _require_rectangular(rows: tuple[tuple[float, ...], ...]) -> None:
     if not rows or not rows[0]:
         raise ShapeMismatchError("matrices must be nonempty")
@@ -145,11 +158,11 @@ def _require_rectangular(rows: tuple[tuple[float, ...], ...]) -> None:
         raise ShapeMismatchError("matrix rows have unequal lengths")
 
 
-def _vector(elements: tuple[float, ...], orientation: str = "col") -> TropVector:
-    """The vector of ``elements``, a nonempty tuple of carrier floats that
+def _vector(elements: tuple[float, ...]) -> TropVector:
+    """The column of ``elements``, a nonempty tuple of carrier floats that
     the caller has validated or computed, taken as they are."""
     v = _new(TropVector)
-    v._init(elements, orientation)
+    v._init(elements, "col")
     return v
 
 
@@ -218,13 +231,6 @@ def conjugate(x: TropVector) -> TropVector:
     return TropVector(out, flipped)
 
 
-def _bound_shape(A: TropMatrix, p: TropVector) -> None:
-    if p.orientation != "col":
-        raise ShapeMismatchError("bound must be a column vector")
-    if A.rows != p.dim:
-        raise ShapeMismatchError(f"matrix has {A.rows} rows but bound has {p.dim}")
-
-
 def _residuate(A: tuple, p: tuple[float, ...]) -> tuple[float, ...]:
     """The greatest ``x`` with ``A x <= p``, from the rows of ``A`` and the
     float tuple ``p``, after the checks that it exists and is regular."""
@@ -241,18 +247,9 @@ def _residuate(A: tuple, p: tuple[float, ...]) -> tuple[float, ...]:
     return _no_overflow(x)
 
 
-def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
-    """Greatest regular vector x with A x <= p (residuation).
-
-    Every regular solution of the inequality is dominated componentwise by
-    the returned vector.
-    """
-    _bound_shape(A, p)
-    return _vector(_residuate(A.entries, p.elements))
-
-
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     """Componentwise order between vectors of equal shape."""
-    if x.orientation != y.orientation or x.dim != y.dim:
-        raise ShapeMismatchError("comparison needs equal length and orientation")
+    vectors = isinstance(x, TropVector) and isinstance(y, TropVector)
+    if not vectors or x.orientation != y.orientation or x.dim != y.dim:
+        raise ShapeMismatchError("comparison needs two vectors of equal length and orientation")
     return all(map(le, x.elements, y.elements))

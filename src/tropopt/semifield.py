@@ -55,15 +55,17 @@ class Record:
     """Base of the library's immutable value types: slotted classes, which
     import nothing (a dataclass loads ``dataclasses`` and ``inspect``).
     The fields are the parameters of ``__init__``, which stores them with
-    ``_init`` past the ``__setattr__`` that refuses every assignment.
-    ``repr`` shows every field; equality and hashing read those named in
-    ``_compare``, all of them by default."""
+    ``_init`` past the ``__setattr__`` that refuses every assignment; the
+    first ``_required`` of them have no default.  ``repr`` shows every
+    field; equality and hashing read those named in ``_compare``, all of
+    them by default."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls.__match_args__ = cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._required = len(cls._fields) - len(cls.__init__.__defaults__ or ())
         cls._compare = cls.__dict__.get("_compare", cls._fields)
 
     def _init(self, *values) -> None:

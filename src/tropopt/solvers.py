@@ -19,9 +19,11 @@ functions ``two_sided_data``, ``matrix_data`` and ``best_under_data``
 check them in the problem classes' order, and ``two_sided``,
 ``matrix_lower`` and ``best_under`` solve them into an ``Interval`` or a
 ``Point``.  The commands call only these.  The problem and solution
-classes are the library's front: a problem's constructor validates
-(orientation too) and keeps the data in ``_data``, and
-``solve_two_sided(prob)`` and the others run the core on them.
+classes are the library's front: a problem's constructor takes column
+``TropVector``s and a ``TropMatrix`` ``A``, and checks them through
+``_enter`` with its kind's data function, whose data it keeps in
+``_data``; ``solve_two_sided(prob)`` and the others test the problem's
+class (``_require_problem``) and run the core on them.
 
 Each solver is a few passes of builtin ``max``/``min`` over ``map``s of
 float arithmetic.  The elementwise max of two vectors is the
@@ -41,7 +43,8 @@ tolerance; the O(m n) ``A x`` pass runs only where the bound proves
 nothing (``_attainment_proved``).  Each objective and feasibility test
 is defined here once, for ``solve``, ``eval`` and ``verify``;
 ``certificate.RULES`` pairs them with the proofs, and the public
-objectives, which look a problem's class up there, are in ``certificate``.
+objectives, which test a problem's class as the public solvers do, are
+in ``certificate``.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from itertools import repeat
 from operator import add, le, sub
 
 from .linalg import (
-    NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError, _bound_shape,
-    _no_overflow, _residuate, _vector, vec_leq,
+    NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError, _no_overflow,
+    _residuate, _vector, vec_leq,
 )
 from .semifield import (
     NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _record, _store,
@@ -78,9 +81,44 @@ Point = _record("Point", "mu x delta g_term h_term")
 
 
 def _require_column(v: TropVector, name: str) -> tuple[float, ...]:
-    if v.orientation != "col":
+    if not isinstance(v, TropVector) or v.orientation != "col":
         raise ShapeMismatchError(f"{name} must be a column vector")
     return v.elements
+
+
+def _enter(prob: Record, data, *values) -> None:
+    """Check ``values``, the arguments of ``prob``'s fields in order, and
+    store them, with ``_data = data(*elements)``: ``A`` must be a
+    ``TropMatrix`` and any other a column ``TropVector``, and only a field
+    with a default may be None.  ``data`` is the kind's data function,
+    the one that ``cli._KINDS`` calls."""
+    elements = [
+        None if v is None and i >= prob._required
+        else _require_matrix(v) if name == "A" else _require_column(v, name)
+        for i, (name, v) in enumerate(zip(prob._fields, values))
+    ]
+    _store(prob, "_data", data(*elements))
+    prob._init(*values)
+
+
+def _require_matrix(A: TropMatrix) -> tuple:
+    if not isinstance(A, TropMatrix):
+        raise ShapeMismatchError("A must be a matrix")
+    return A.entries
+
+
+def _require_problem(prob, cls) -> tuple:
+    """``prob``'s data, where ``prob`` is a ``cls`` or an application
+    problem that reduces to one (its class's ``reduces_to``); any other
+    value raises ``ShapeMismatchError``, which names its class and those
+    accepted."""
+    if cls not in (type(prob), getattr(type(prob), "reduces_to", None)):
+        accepted = " or ".join(
+            c.__name__ for c in Record.__subclasses__() if cls in (c, getattr(c, "reduces_to", None))
+        )
+        article = "an" if accepted[0] in "AEIOU" else "a"
+        raise ShapeMismatchError(f"{type(prob).__name__} is not {article} {accepted}")
+    return prob._data
 
 
 def _require_dim(v: tuple, name: str, dim: int, regular: bool = True) -> None:
@@ -139,15 +177,7 @@ class TwoSidedProblem(Record):
     def __init__(
         self, p: TropVector, q: TropVector, g: TropVector | None = None, h: TropVector | None = None
     ) -> None:
-        n = len(_require_column(p, "p"))
-        _require_column(q, "q")
-        if g is not None and g.orientation != "col":
-            raise ShapeMismatchError(f"g must be a column vector of dimension {n}")
-        if h is not None:
-            _require_column(h, "h")
-        bounds = [None if v is None else v.elements for v in (g, h)]
-        _store(self, "_data", two_sided_data(p.elements, q.elements, *bounds))
-        self._init(p, q, g, h)
+        _enter(self, two_sided_data, p, q, g, h)
 
     @property
     def dim(self) -> int:
@@ -162,12 +192,7 @@ class MatrixLowerProblem(Record):
     __slots__ = ("A", "p", "q", "g", "_data")
 
     def __init__(self, A: TropMatrix, p: TropVector, q: TropVector, g: TropVector) -> None:
-        _require_column(p, "p")
-        _require_column(q, "q")
-        if g.orientation != "col":
-            raise ShapeMismatchError(f"g must be a column vector of dimension {A.cols}")
-        _store(self, "_data", matrix_data(A.entries, p.elements, q.elements, g.elements))
-        self._init(A, p, q, g)
+        _enter(self, matrix_data, A, p, q, g)
 
 
 class BestUnderProblem(Record):
@@ -176,10 +201,7 @@ class BestUnderProblem(Record):
     __slots__ = ("A", "p", "_data")
 
     def __init__(self, A: TropMatrix, p: TropVector) -> None:
-        if p.orientation != "col":
-            raise ShapeMismatchError("A and p dimensions do not conform")
-        _store(self, "_data", best_under_data(A.entries, p.elements))
-        self._init(A, p)
+        _enter(self, best_under_data, A, p)
 
 
 def _require_finite_optimum(mu: float) -> None:
@@ -187,14 +209,15 @@ def _require_finite_optimum(mu: float) -> None:
         raise ScalarOverflowError(f"optimum {mu!r} exceeds the float range")
 
 
-def _solution_scalars(mu, delta) -> tuple[float, float]:
-    """A solution's ``mu`` and ``delta`` as floats, each checked by
-    ``semifield.check``, and ``mu`` finite.  A ``+inf`` ``mu`` skips
-    ``check``, so that the finite test names it as the optimum."""
-    mu = mu if mu == POS_INF else check(mu)
+def _solution_scalars(mu, delta, *terms) -> tuple:
+    """A solution's ``mu``, ``delta`` and bound-driven ``terms`` as floats,
+    each checked by ``semifield.check`` (a term may be None), and ``mu``
+    finite.  A float ``+inf`` ``mu`` skips ``check``, so that the finite
+    test names it as the optimum."""
+    mu = mu if isinstance(mu, float) and mu == POS_INF else check(mu)
     delta = check(delta)
     _require_finite_optimum(mu)
-    return mu, delta
+    return (mu, delta, *[None if t is None else check(t) for t in terms])
 
 
 def _interval_checks(mu: float, upper: tuple, delta: float) -> None:
@@ -213,11 +236,12 @@ def _point_checks(mu: float, x: tuple) -> None:
 
 
 class IntervalSolution(Record):
-    """Optimum value plus the complete minimizer box [lower, upper], with
-    ``lower <= upper`` exactly.  ``mu`` and ``delta`` are checked
-    scalars, stored as floats, and ``mu`` is finite.  ``g_term`` and
-    ``h_term``, the optimum's bound-driven terms (``None`` for an absent
-    bound), are diagnostics outside comparisons."""
+    """Optimum value plus the complete minimizer box [lower, upper] of
+    column vectors, with ``lower <= upper`` exactly.  ``mu`` and
+    ``delta`` are checked scalars, stored as floats, and ``mu`` is finite.
+    ``g_term`` and ``h_term``, the optimum's bound-driven terms (``None``
+    for an absent bound), are checked and stored alike, and are
+    diagnostics outside comparisons."""
 
     __slots__ = ("mu", "lower", "upper", "delta", "g_term", "h_term")
     _compare = ("mu", "lower", "upper", "delta")
@@ -226,7 +250,9 @@ class IntervalSolution(Record):
         self, mu: float, lower: TropVector, upper: TropVector, delta: float,
         g_term: float | None = None, h_term: float | None = None,
     ) -> None:
-        mu, delta = _solution_scalars(mu, delta)
+        mu, delta, g_term, h_term = _solution_scalars(mu, delta, g_term, h_term)
+        _require_column(lower, "lower")
+        _require_column(upper, "upper")
         if not vec_leq(lower, upper):
             raise TropicalError("solution interval has lower > upper")
         _interval_checks(mu, upper.elements, delta)
@@ -234,8 +260,8 @@ class IntervalSolution(Record):
 
 
 class PointSolution(Record):
-    """Optimum value plus one attaining vector, with the same checks of
-    ``mu`` and ``delta`` and the same diagnostic terms as ``IntervalSolution``."""
+    """Optimum value plus one attaining column vector, with the same checks
+    of ``mu``, ``delta`` and the diagnostic terms as ``IntervalSolution``."""
 
     __slots__ = ("mu", "x", "delta", "g_term", "h_term")
     _compare = ("mu", "x", "delta")
@@ -244,8 +270,8 @@ class PointSolution(Record):
         self, mu: float, x: TropVector, delta: float,
         g_term: float | None = None, h_term: float | None = None,
     ) -> None:
-        mu, delta = _solution_scalars(mu, delta)
-        _point_checks(mu, x.elements)
+        mu, delta, g_term, h_term = _solution_scalars(mu, delta, g_term, h_term)
+        _point_checks(mu, _require_column(x, "x"))
         self._init(mu, x, delta, g_term, h_term)
 
 
@@ -510,31 +536,40 @@ def best_under(data) -> Point:
     return Point((mu, x, 0.5 * mu + 0.0, None, None))
 
 
+# the public solvers take a problem of their class, or one that reduces to it
 def two_sided_terms(prob: TwoSidedProblem) -> dict[str, float | None]:
     """The three lower bounds whose maximum is the optimum (``_two_sided_terms``)."""
-    return dict(zip(("delta", "g_term", "h_term"), _two_sided_terms(prob._data)))
+    terms = _two_sided_terms(_require_problem(prob, TwoSidedProblem))
+    return dict(zip(("delta", "g_term", "h_term"), terms))
 
 
 def matrix_lower_terms(prob: MatrixLowerProblem) -> dict[str, float]:
     """The two lower bounds for the matrix problem: the intrinsic bound
     ``delta = sqrt((A (q~ A)~)~ p)`` and the g-driven bound ``q~ A g``."""
-    return dict(zip(("delta", "g_term"), _matrix_terms(prob._data, _q_a(prob._data))))
+    data = _require_problem(prob, MatrixLowerProblem)
+    return dict(zip(("delta", "g_term"), _matrix_terms(data, _q_a(data))))
 
 
 def solve_two_sided(prob: TwoSidedProblem) -> IntervalSolution:
     """``two_sided`` on the problem's data, as an ``IntervalSolution``."""
-    s = two_sided(prob._data)
+    s = two_sided(_require_problem(prob, TwoSidedProblem))
     return IntervalSolution(s.mu, _vector(s.lower), _vector(s.upper), s.delta, s.g_term, s.h_term)
 
 
 def solve_matrix_lower(prob: MatrixLowerProblem) -> PointSolution:
     """``matrix_lower`` on the problem's data, as a ``PointSolution``."""
-    s = matrix_lower(prob._data)
+    s = matrix_lower(_require_problem(prob, MatrixLowerProblem))
     return PointSolution(s.mu, _vector(s.x), s.delta, s.g_term)
 
 
 def best_underestimator(A: TropMatrix, p: TropVector) -> PointSolution:
-    """``best_under`` on ``A`` and ``p``, as a ``PointSolution``."""
-    _bound_shape(A, p)
-    s = best_under((A.entries, p.elements))
+    """``best_under`` on ``A`` and ``p``, checked by ``BestUnderProblem``, as a ``PointSolution``."""
+    s = best_under(BestUnderProblem(A, p)._data)
     return PointSolution(s.mu, _vector(s.x), s.delta)
+
+
+def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
+    """Greatest regular vector x with A x <= p (residuation), checked as
+    ``best_underestimator`` checks.  Every regular solution of the
+    inequality is dominated componentwise by the returned vector."""
+    return _vector(_residuate(*BestUnderProblem(A, p)._data))

@@ -10,6 +10,7 @@ import pytest
 
 from tropopt import (
     BestUnderProblem,
+    IntervalSolution,
     LocationProblem,
     MatrixLowerProblem,
     PointSolution,
@@ -368,6 +369,17 @@ def test_problem_of_another_class_is_refused(call, message):
     with pytest.raises(ShapeMismatchError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_claimed_optimum_off_the_bound_is_rejected():
+    # both endpoints attain the claimed 2.0 and lie in the box, but the
+    # bound is 1.5, which the box's lower corner attains
+    prob = TwoSidedProblem(p=TropVector((3, 2)), q=TropVector((0, 1)))
+    sol = IntervalSolution(2.0, TropVector((1, 0)), TropVector((1, 0)), 1.5)
+    with pytest.raises(VerificationFailedError) as info:
+        certify(prob, sol)
+    assert str(info.value) == "the optimum is 1.5, not the claimed 2.0"
+    assert info.value.counterexample == TropVector((1.5, 0.5))
 
 
 def test_corrupted_location_optimum_is_rejected():

@@ -2,10 +2,13 @@
 any document shaped like a problem file, ends ``solve``, ``verify`` and
 ``eval`` with exit 0 and a result, exit 1 and a one-line JSON error on
 stderr, or exit 2 and a JSON error with a ``reason``, never with an
-exception.  And the library front: value types built from any element,
-each problem class, its solver, every objective and ``certify`` (on
-every problem class, and on solutions made by hand with any ``mu`` and
-``delta``) end in a value or a ``TropicalError``."""
+exception.  And the library front: value types built from any element
+or from a value that is no sequence of scalars, each problem class from
+any argument, every public function of a problem on every class and on
+any other value, every objective, ``certify`` (on every problem class,
+on any value in place of a problem or a solution, and on solutions made
+by hand with any ``mu``, ``delta``, diagnostic term or point) and the
+residuation end in a value or a ``TropicalError``."""
 
 import contextlib
 import io
@@ -32,11 +35,17 @@ from tropopt import (
     best_underestimator,
     certify,
     locate,
+    matrix_lower_terms,
+    max_solution_leq,
     objective_best_under,
     objective_matrix,
     objective_two_sided,
+    reduced_matrix_lower,
+    reduced_two_sided,
     solve_matrix_lower,
     solve_two_sided,
+    two_sided_terms,
+    vec_leq,
 )
 from tropopt.cli import main
 
@@ -148,6 +157,12 @@ FRONT = {
     ApproximationProblem: ("A p g", "", approximate, objective_matrix),
     BestUnderProblem: ("A p", "", lambda prob: best_underestimator(prob.A, prob.p), objective_best_under),
 }
+# every public function of a problem alone, and of a problem and a point
+OF_A_PROBLEM = (
+    solve_two_sided, solve_matrix_lower, locate, approximate, two_sided_terms, matrix_lower_terms,
+    reduced_two_sided, reduced_matrix_lower,
+)
+OBJECTIVES = (objective_two_sided, objective_matrix, objective_best_under)
 # elements of a value: mostly valid scalars, else anything a caller may pass
 scalars = st.one_of(st.integers(-4, 4), st.sampled_from([float("-inf"), 0.5, -0.0, 1e308, -1e308]))
 elements = st.one_of(
@@ -158,6 +173,18 @@ elements = st.one_of(
     st.none(),
     st.text(max_size=3),
 )
+# arguments of the wrong type: no vector at all, a row, a matrix where a
+# vector goes, a vector where a matrix goes, a problem of each class
+_v, _A = TropVector((0,)), TropMatrix(((0,),))
+WRONG = (
+    None, (0, 1), [0, 1], "01", 3, TropVector((0, 1), "row"), _A, _v,
+    TwoSidedProblem(_v, _v), MatrixLowerProblem(_A, _v, _v, _v), LocationProblem(_v, _v),
+    ApproximationProblem(_A, _v, _v), BestUnderProblem(_A, _v),
+)
+wrong = st.sampled_from(WRONG)
+# what a vector's elements or a matrix's entries may be that is no
+# sequence of scalars, or of rows of them
+not_sequences = st.sampled_from([None, 5, "12", b"12", (1, 2)])
 
 
 def ends_well(call):
@@ -174,20 +201,29 @@ def front_cases(draw):
     """A problem class and builders of its values, and of a point: each
     value of the size its role needs, its elements valid scalars and its
     orientation a column, but one draw in ten or so a size, an
-    orientation or the elements are any."""
+    orientation or the elements are any, or the value is one of
+    ``WRONG``."""
 
     def often(good, bad):
         return good if draw(st.integers(0, 9)) else bad
 
     def vector(size):
+        if not draw(st.integers(0, 9)):
+            value = draw(wrong)
+            return lambda: value
         size = draw(often(st.just(size), st.integers(1, 3)))
-        items = tuple(draw(st.lists(often(scalars, elements), min_size=size, max_size=size)))
+        items = often(tuple(draw(st.lists(often(scalars, elements), min_size=size, max_size=size))),
+                      draw(not_sequences))
         orientation = draw(often(st.just("col"), st.sampled_from(["col", "row", "diag"])))
         return lambda: TropVector(items, orientation)
 
     def matrix(m, n):
+        if not draw(st.integers(0, 9)):
+            value = draw(wrong)
+            return lambda: value
         row = st.lists(often(scalars, elements), min_size=n, max_size=n)
-        entries = tuple(map(tuple, draw(st.lists(row, min_size=m, max_size=m))))
+        entries = often(tuple(map(tuple, draw(st.lists(row, min_size=m, max_size=m)))),
+                        draw(not_sequences))
         return lambda: TropMatrix(entries)
 
     cls = draw(st.sampled_from(list(FRONT)))
@@ -199,38 +235,60 @@ def front_cases(draw):
     return cls, builders, solver, objective, vector(n)
 
 
-def hand_made(sol, mu, delta):
-    """Solutions built from ``sol``'s points with ``mu`` and ``delta``: one
-    of ``sol``'s shape and one of the other."""
+def hand_made(sol, mu, delta, terms, swap):
+    """Solutions built from ``sol``'s points, each passed through ``swap``,
+    with ``mu``, ``delta`` and the diagnostic ``terms``: one of ``sol``'s
+    shape and one of the other."""
     if isinstance(sol, IntervalSolution):
-        return (lambda: IntervalSolution(mu, sol.lower, sol.upper, delta),
-                lambda: PointSolution(mu, sol.lower, delta))
-    return lambda: PointSolution(mu, sol.x, delta), lambda: IntervalSolution(mu, sol.x, sol.x, delta)
+        lower, upper = swap(sol.lower), swap(sol.upper)
+        return (lambda: IntervalSolution(mu, lower, upper, delta, *terms),
+                lambda: PointSolution(mu, lower, delta, *terms))
+    x = swap(sol.x)
+    return lambda: PointSolution(mu, x, delta, *terms), lambda: IntervalSolution(mu, x, x, delta, *terms)
 
 
-# a hand-made solution's mu or delta drawn as this is the solver's
+# a hand-made solution's mu, delta or term drawn as this is the solver's,
+# and a point drawn as this is the solver's point
 SOLVERS = object()
 made_scalars = st.one_of(st.just(SOLVERS), elements)
+made_points = st.one_of(st.just(SOLVERS), wrong)
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=front_cases(), mu=made_scalars, delta=made_scalars)
-def test_library_front_ends_in_a_value_or_a_tropical_error(case, mu, delta):
-    # every objective and certify take every problem class, and any value
-    # in place of one
+@given(
+    case=front_cases(), mu=made_scalars, delta=made_scalars,
+    terms=st.tuples(made_scalars, made_scalars), made_point=made_points, other=wrong,
+)
+def test_library_front_ends_in_a_value_or_a_tropical_error(case, mu, delta, terms, made_point, other):
+    # every function of a problem takes every problem class, and any value
+    # in place of one; every point, solution and argument may be of the
+    # wrong type
     cls, builders, solver, objective, point = case
+    if "A" in builders:
+        for each in (best_underestimator, max_solution_leq):
+            ends_well(lambda: each(builders["A"](), builders["p"]()))
+    ends_well(lambda: vec_leq(point(), point()))
     prob = ends_well(lambda: cls(**{key: build() for key, build in builders.items()}))
+    for each in OF_A_PROBLEM:
+        ends_well(lambda: each(other))
+    for each in OBJECTIVES:
+        ends_well(lambda: each(other, point()))
     if prob is None:
         return
-    for each in (objective_two_sided, objective_matrix, objective_best_under):
+    for each in OF_A_PROBLEM:
+        ends_well(lambda: each(prob))
+    for each in OBJECTIVES:
         ends_well(lambda: each(prob, point()))
     sol = ends_well(lambda: solver(prob))
     if sol is None:
         return
     ends_well(lambda: certify(prob, sol))
-    ends_well(lambda: certify(point(), sol))
+    ends_well(lambda: certify(other, sol))
+    ends_well(lambda: certify(prob, other))
     mu, delta = sol.mu if mu is SOLVERS else mu, sol.delta if delta is SOLVERS else delta
-    for build in hand_made(sol, mu, delta):
+    terms = [term if made is SOLVERS else made for made, term in zip(terms, (sol.g_term, sol.h_term))]
+    swap = (lambda v: v) if made_point is SOLVERS else (lambda v: made_point)
+    for build in hand_made(sol, mu, delta, terms, swap):
         made = ends_well(build)
         if made is not None:
             ends_well(lambda: certify(prob, made))

@@ -36,7 +36,7 @@ def printed(source: str) -> list[str]:
 
 def test_quickstart_prints_its_comments():
     source = quickstart()
-    assert len(commented(source)) == 4
+    assert len(commented(source)) == 5
     assert printed(source) == commented(source)
 
 

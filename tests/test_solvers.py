@@ -3,9 +3,12 @@ import pytest
 
 from tropopt import (
     NEG_INF,
+    ApproximationProblem,
     BestUnderProblem,
     InfeasibleBoundsError,
     IntervalSolution,
+    InvalidScalarError,
+    LocationProblem,
     MatrixLowerProblem,
     NotRegularError,
     PointSolution,
@@ -15,11 +18,16 @@ from tropopt import (
     TropVector,
     TropicalError,
     TwoSidedProblem,
+    approximate,
     best_underestimator,
+    locate,
+    matrix_lower_terms,
     max_solution_leq,
     objective_best_under,
     objective_matrix,
     objective_two_sided,
+    reduced_matrix_lower,
+    reduced_two_sided,
     solve_matrix_lower,
     solve_two_sided,
     two_sided_terms,
@@ -324,3 +332,76 @@ class TestSolutionInvariants:
     def test_point_solution_must_be_regular(self):
         with pytest.raises(NotRegularError):
             PointSolution(0.0, TropVector((1, NEG_INF)), 0.0)
+
+
+_A, _P = TropMatrix(((1, 2), (3, 4))), TropVector((1, 2))
+
+
+class TestFrontArguments:
+    @pytest.mark.parametrize("call", [best_underestimator, max_solution_leq])
+    @pytest.mark.parametrize(
+        "A, p, message",
+        [
+            (_A, TropVector((1, 2), "row"), "p must be a column vector"),
+            (_A, TropVector((1,)), "A and p dimensions do not conform"),
+            (_P, _P, "A must be a matrix"),
+            (_A, None, "p must be a column vector"),
+        ],
+        ids=["row-p", "rows-differ", "vector-A", "no-p"],
+    )
+    def test_residuation_checks_as_its_problem(self, call, A, p, message):
+        with pytest.raises(ShapeMismatchError) as info:
+            call(A, p)
+        assert str(info.value) == message
+        with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+            BestUnderProblem(A, p)
+
+    @pytest.mark.parametrize(
+        "call, prob, message",
+        [
+            (solve_two_sided, BestUnderProblem(_A, _P),
+             "BestUnderProblem is not a TwoSidedProblem or LocationProblem"),
+            (solve_matrix_lower, TwoSidedProblem(_P, _P),
+             "TwoSidedProblem is not a MatrixLowerProblem or ApproximationProblem"),
+            (solve_two_sided, None, "NoneType is not a TwoSidedProblem or LocationProblem"),
+            (two_sided_terms, None, "NoneType is not a TwoSidedProblem or LocationProblem"),
+            (matrix_lower_terms, _P, "TropVector is not a MatrixLowerProblem or ApproximationProblem"),
+            (locate, TwoSidedProblem(_P, _P), "TwoSidedProblem is not a LocationProblem"),
+            (reduced_two_sided, None, "NoneType is not a LocationProblem"),
+            (approximate, MatrixLowerProblem(_A, _P, _P, _P),
+             "MatrixLowerProblem is not an ApproximationProblem"),
+            (reduced_matrix_lower, "A", "str is not an ApproximationProblem"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_problem_of_another_class_is_refused(self, call, prob, message):
+        with pytest.raises(ShapeMismatchError) as info:
+            call(prob)
+        assert str(info.value) == message
+
+    def test_application_problem_is_solved_as_its_reduced_problem(self):
+        location = LocationProblem(_P, TropVector((2, 0)))
+        assert solve_two_sided(location) == locate(location)
+        approximation = ApproximationProblem(_A, _P, TropVector((NEG_INF, NEG_INF)))
+        assert solve_matrix_lower(approximation) == approximate(approximation)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(TropVector((1,)), TropVector((1, 2))), (TropVector((1,)), TropVector((1,), "row")),
+         (TropVector((1,)), None), ((1,), (1,))],
+        ids=["lengths", "orientations", "none", "tuples"],
+    )
+    def test_vector_order_needs_two_vectors_of_one_shape(self, x, y):
+        with pytest.raises(ShapeMismatchError) as info:
+            vec_leq(x, y)
+        assert str(info.value) == "comparison needs two vectors of equal length and orientation"
+
+    def test_an_array_optimum_is_no_scalar(self):
+        # only a float +inf skips the scalar check, for the optimum's message
+        with pytest.raises(InvalidScalarError) as info:
+            PointSolution(np.array([1.0, 2.0]), TropVector((0,)), 0.0)
+        assert str(info.value) == "array([1., 2.]) is not a max-plus scalar"
+
+    def test_a_sequence_of_strings_is_read_element_by_element(self):
+        # only a str in place of the sequence is refused
+        assert TropVector(("1.5", "-inf")).elements == (1.5, NEG_INF)

@@ -271,6 +271,59 @@ class TestDiagnosticsAndReducedAreNotCompared:
         # past the scalar check, an infinite optimum fails the finite test
         pytest.param(lambda: PointSolution(NEG_INF, v(0), 0.0), ScalarOverflowError,
                      "optimum -inf exceeds the float range", id="point-mu-neg-inf"),
+        # the diagnostic terms are checked scalars too, or None
+        pytest.param(lambda: IntervalSolution(1.0, v(0), v(0), 0.0, g_term="x"), InvalidScalarError,
+                     "'x' is not a max-plus scalar", id="interval-g_term-str"),
+        pytest.param(lambda: IntervalSolution(1.0, v(0), v(0), 0.0, h_term=math.nan), InvalidScalarError,
+                     "nan is not a max-plus scalar", id="interval-h_term-nan"),
+        pytest.param(lambda: PointSolution(1.0, v(0), 0.0, g_term=10**400), ScalarOverflowError,
+                     "value exceeds the float range", id="point-g_term-big-int"),
+        # a solution's points are column vectors
+        pytest.param(lambda: IntervalSolution(1.0, None, None, 0.0), ShapeMismatchError,
+                     "lower must be a column vector", id="interval-lower-none"),
+        pytest.param(lambda: IntervalSolution(1.0, v(0), v(0, orientation="row"), 0.0), ShapeMismatchError,
+                     "upper must be a column vector", id="interval-upper-row"),
+        pytest.param(lambda: PointSolution(1.0, (0.0, 0.0), 0.0), ShapeMismatchError,
+                     "x must be a column vector", id="point-x-tuple"),
+        # a problem takes column vectors and a matrix A, and None only for
+        # an optional bound; orientation comes before every other check
+        pytest.param(lambda: TwoSidedProblem(v(1), None), ShapeMismatchError,
+                     "q must be a column vector", id="two_sided-q-none"),
+        pytest.param(lambda: TwoSidedProblem(v(1, 2), v(1, 2), g=v(0, 0, orientation="row")),
+                     ShapeMismatchError, "g must be a column vector", id="two_sided-g-row"),
+        pytest.param(lambda: MatrixLowerProblem(A, v(1, 2, 3), v(1, 2, 3), v(0, 0, 0, orientation="row")),
+                     ShapeMismatchError, "g must be a column vector", id="matrix_lower-g-row"),
+        pytest.param(lambda: MatrixLowerProblem(None, v(1), v(1), v(0)), ShapeMismatchError,
+                     "A must be a matrix", id="matrix_lower-A-none"),
+        pytest.param(lambda: MatrixLowerProblem(v(1), v(1), v(1), v(0)), ShapeMismatchError,
+                     "A must be a matrix", id="matrix_lower-A-vector"),
+        pytest.param(lambda: MatrixLowerProblem(A, A, v(1, 2, 3), v(0, 0, 0)), ShapeMismatchError,
+                     "p must be a column vector", id="matrix_lower-p-matrix"),
+        pytest.param(lambda: ApproximationProblem(A, v(1, 2, 3), v(0, 0, 0, orientation="row")),
+                     ShapeMismatchError, "g must be a column vector", id="approximate-g-row"),
+        pytest.param(lambda: ApproximationProblem(A, v(1, 2, 3), None), ShapeMismatchError,
+                     "g must be a column vector", id="approximate-g-none"),
+        pytest.param(lambda: BestUnderProblem(A, v(1, 2, 3, orientation="row")), ShapeMismatchError,
+                     "p must be a column vector", id="best_under-p-row"),
+        pytest.param(lambda: LocationProblem(v(0, 0), None), ShapeMismatchError,
+                     "s must be a column vector", id="locate-s-none"),
+        pytest.param(lambda: LocationProblem(v(1), v(1), g=[0]), ShapeMismatchError,
+                     "g must be a column vector", id="locate-g-list"),
+        pytest.param(lambda: LocationProblem(v(NEG_INF), v(1), h=v(1, orientation="row")),
+                     ShapeMismatchError, "h must be a column vector", id="locate-h-row-before-r-regular"),
+        # a container takes a sequence, not a str, of scalars or of rows
+        pytest.param(lambda: TropVector(None), ShapeMismatchError,
+                     "vector elements must be a sequence, not NoneType", id="vector-none"),
+        pytest.param(lambda: TropVector(5), ShapeMismatchError,
+                     "vector elements must be a sequence, not int", id="vector-int"),
+        pytest.param(lambda: TropVector("12"), ShapeMismatchError,
+                     "vector elements must be a sequence, not str", id="vector-str"),
+        pytest.param(lambda: TropMatrix(None), ShapeMismatchError,
+                     "matrix entries must be a sequence, not NoneType", id="matrix-none"),
+        pytest.param(lambda: TropMatrix((1, 2)), ShapeMismatchError,
+                     "a matrix row must be a sequence, not int", id="matrix-int-rows"),
+        pytest.param(lambda: TropMatrix(("12",)), ShapeMismatchError,
+                     "a matrix row must be a sequence, not str", id="matrix-str-row"),
     ],
 )
 def test_constructor_errors(build, error, message):
