@@ -8,7 +8,8 @@ through ``solvers._enter`` with its kind's data function,
 ``location_data`` or ``approximation_data``, which the command line
 calls on a file's float tuples, and keeps those data, its reduced
 problem's, in ``_data``.  It builds its reduced instance once, on
-construction, into ``reduced``; its class names the reduced class in
+construction, into ``reduced``, from those data with no second check
+(``solvers._keep``); its class names the reduced class in
 ``reduces_to``, so that the reduced problem's solver, objective and
 ``certify`` take the application problem itself (``certificate.RULES``
 maps each class to its reduced problem's rule).
@@ -16,19 +17,19 @@ maps each class to its reduced problem's rule).
 
 from __future__ import annotations
 
-from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _vector
-from .semifield import NEG_INF, Record, _store
+from .linalg import NotRegularError, ShapeMismatchError, TropMatrix, TropVector, _new, _vector
+from .semifield import Record, _store
 from .solvers import (
-    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _enter, _require_box,
-    _require_problem, matrix_data, solve_matrix_lower, solve_two_sided,
+    IntervalSolution, MatrixLowerProblem, PointSolution, TwoSidedProblem, _enter, _holds_zero, _keep,
+    _require_box, _require_problem, matrix_data, solve_matrix_lower, solve_two_sided,
 )
 
 
 def _require_points(r, s) -> None:
     """The two points must be regular and of one dimension."""
-    if NEG_INF in r:
+    if _holds_zero(r):
         raise NotRegularError("r must be regular")
-    if NEG_INF in s:
+    if _holds_zero(s):
         raise NotRegularError("s must be regular")
     if len(s) != len(r):
         raise ShapeMismatchError(f"s must have dimension {len(r)}, got {len(s)}")
@@ -87,9 +88,10 @@ class ApproximationProblem(Record):
 def reduced_two_sided(prob: LocationProblem) -> TwoSidedProblem:
     """Two-sided instance whose objective equals the larger of the two
     Chebyshev distances at every regular point (``_reduce``, which
-    ``location_data`` has applied)."""
-    p, q, _, _ = _require_problem(prob, LocationProblem)
-    return TwoSidedProblem(_vector(p), _vector(q), prob.g, prob.h)
+    ``location_data`` has applied).  It keeps ``prob``'s checked data,
+    which are its own, and checks nothing again."""
+    data = _require_problem(prob, LocationProblem)
+    return _keep(_new(TwoSidedProblem), data, (_vector(data[0]), _vector(data[1]), prob.g, prob.h))
 
 
 def locate(prob: LocationProblem) -> IntervalSolution:
@@ -103,8 +105,10 @@ def locate(prob: LocationProblem) -> IntervalSolution:
 
 
 def reduced_matrix_lower(prob: ApproximationProblem) -> MatrixLowerProblem:
-    _require_problem(prob, ApproximationProblem)
-    return MatrixLowerProblem(prob.A, prob.p, prob.p, prob.g)
+    """Matrix instance with ``q = p``, keeping ``prob``'s checked data as
+    ``reduced_two_sided`` does."""
+    data = _require_problem(prob, ApproximationProblem)
+    return _keep(_new(MatrixLowerProblem), data, (prob.A, prob.p, prob.p, prob.g))
 
 
 def approximate(prob: ApproximationProblem) -> PointSolution:

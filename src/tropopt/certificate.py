@@ -11,11 +11,12 @@ size, for any real data and any dimension.  A claim that holds is
 decided from exact identities: the two-sided check makes three passes
 for its bound's terms, one or two for the binding and two for the box,
 then compares the endpoints with the box and makes one order pass and
-two or three objective passes (``solvers._endpoint_objectives``); the matrix
-check makes two O(m n) passes for its bound (``q~A`` and ``A (q~A)~``;
-the g-term's top is ``max(q~A + g)``), an order pass over ``x`` and one
-O(m n) pass for ``A x``, which it keeps though the solver proves
-attainment without it (``solvers._attainment_proved``):
+two or three objective passes (``solvers._endpoint_objectives``); the
+matrix check makes two O(m n) passes for its bound (``q~A`` and
+``A (q~A)~``; the g-term's top is ``max(q~A + g)``), an order pass over
+``x`` and one O(m n) pass for ``A x``.  Each keeps its objective passes
+though the solver proves attainment without them, from a rounding
+bound (``solvers._endpoints_proved`` and ``solvers._attainment_proved``):
 ``max_discrepancy`` reports ``|F(x) - mu|`` bit for bit.  Only a claim
 that fails one of those identities takes the checks one by one, in
 their order, for the error and the counterexample.  Failures raise

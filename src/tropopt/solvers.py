@@ -34,17 +34,23 @@ a computed value can still overflow, which ``_no_overflow`` raises as
 ``ScalarOverflowError``, and rounding can move a returned point off the
 optimum, which ``PrecisionLossError`` reports.  A difference halved is
 halved first where the difference alone leaves the float range
-(``_half``).  Rounding is monotone, which saves passes: the two-sided
-answer's ordered endpoints bound each other's objective
-(``_endpoint_objectives``), and the matrix answer's objective is within
-``3 ulp(4 M)`` of ``mu``, ``M`` the greatest magnitude in play, so an
-O(m + n) bound proves that it attains ``mu`` wherever that is within the
-tolerance; the O(m n) ``A x`` pass runs only where the bound proves
-nothing (``_attainment_proved``).  Each objective and feasibility test
-is defined here once, for ``solve``, ``eval`` and ``verify``;
-``certificate.RULES`` pairs them with the proofs, and the public
-objectives, which test a problem's class as the public solvers do, are
-in ``certificate``.
+(``_half``).  Rounding is monotone, which saves passes: an answer's
+objective is within ``c ulp(4 M)`` of ``mu``, ``M`` a bound on the
+magnitudes in play, so one bound proves that it attains ``mu`` wherever
+that is within the tolerance (``_within_tolerance``).  For the two-sided
+answer, ``c`` is 2 and ``M`` is O(n), from ``math.hypot`` of each tuple,
+and the two objective passes run only where it proves nothing
+(``_endpoints_proved``); there the ordered endpoints bound each other's
+objective (``_endpoint_objectives``).  For the matrix answer, ``c`` is
+3 and ``M`` is O(m + n), and the O(m n) ``A x`` pass runs only where it
+proves nothing (``_attainment_proved``).  A regularity scan sums its
+tuple first: a finite sum holds no ``-inf`` (``_holds_zero``), and a
+row 0 of ``A`` with no ``-inf`` makes ``A`` column-regular, so its
+columns are built for the test only otherwise.  Each objective and
+feasibility test is defined here once, for ``solve``, ``eval`` and
+``verify``; ``certificate.RULES`` pairs them with the proofs, and the
+public objectives, which test a problem's class as the public solvers
+do, are in ``certificate``.
 """
 
 from __future__ import annotations
@@ -97,8 +103,15 @@ def _enter(prob: Record, data, *values) -> None:
         else _require_matrix(v) if name == "A" else _require_column(v, name)
         for i, (name, v) in enumerate(zip(prob._fields, values))
     ]
-    _store(prob, "_data", data(*elements))
+    _keep(prob, data(*elements), values)
+
+
+def _keep(prob: Record, data: tuple, values) -> Record:
+    """Store ``values`` in ``prob``'s fields and ``data``, their checked
+    data, in ``_data``, with no check; returns ``prob``."""
+    _store(prob, "_data", data)
     prob._init(*values)
+    return prob
 
 
 def _require_matrix(A: TropMatrix) -> tuple:
@@ -121,16 +134,23 @@ def _require_problem(prob, cls) -> tuple:
     return prob._data
 
 
+def _holds_zero(v: tuple) -> bool:
+    """``NEG_INF in v`` for a float tuple: a finite sum holds no ``-inf``,
+    and one C pass of ``sum`` costs less than the scan, which runs only
+    where the sum is not finite."""
+    return not math.isfinite(sum(v)) and NEG_INF in v
+
+
 def _require_dim(v: tuple, name: str, dim: int, regular: bool = True) -> None:
     if len(v) != dim:
         raise ShapeMismatchError(f"{name} must have dimension {dim}, got {len(v)}")
-    if regular and NEG_INF in v:
+    if regular and _holds_zero(v):
         raise NotRegularError(f"{name} must be regular (no zero elements)")
 
 
 def two_sided_data(p, q, g=None, h=None) -> tuple:
     """Check the two-sided problem's float tuples; returns its data."""
-    if NEG_INF in p:
+    if _holds_zero(p):
         raise NotRegularError("p must be regular (no zero elements)")
     _require_dim(q, "q", len(p))
     _require_box(len(p), g, h)
@@ -151,7 +171,9 @@ def _require_box(n: int, g, h) -> None:
 
 def matrix_data(A, p, q, g) -> tuple:
     """Check the matrix problem's rows of ``A`` and float tuples; returns its data."""
-    if (NEG_INF,) * len(A[0]) in A or (NEG_INF,) * len(A) in zip(*A):
+    # a row 0 with no -inf gives every column a finite entry: only
+    # otherwise are A's columns built for their test
+    if (NEG_INF,) * len(A[0]) in A or (_holds_zero(A[0]) and (NEG_INF,) * len(A) in zip(*A)):
         raise NotRegularError("A must be row- and column-regular")
     _require_dim(p, "p", len(A))
     _require_dim(q, "q", len(A))
@@ -403,9 +425,11 @@ def two_sided(data) -> Interval:
     lower one by no more than the tolerance is raised to it; a greater
     shortfall, or an endpoint off ``mu``, raises ``PrecisionLossError``.
     Endpoints that are ordered and attain a finite ``mu`` are returned
-    after one order pass and two or three objective passes
-    (``_endpoint_objectives``); only other endpoints take the checks one
-    by one, for their error or the repair.
+    after one order pass and either ``_endpoints_proved``'s O(n) rounding
+    bound, four ``math.hypot`` passes, or, where that proves nothing, two
+    or three objective passes (``_endpoint_objectives``): on integer data
+    of moderate size the solve makes no objective pass.  Only other
+    endpoints take the checks one by one, for their error or the repair.
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)
@@ -421,11 +445,14 @@ def two_sided(data) -> Interval:
     # ordered endpoints whose objectives are close to a finite mu pass
     # every check below: a +inf in upper shows in max(upper - q), one in
     # lower is in upper too, and a -inf in upper is in lower too, where it
-    # shows in max(p - lower).  Any other answer takes them in order
-    if math.isfinite(mu) and delta <= mu and all(map(le, lower, upper)):
-        at_lower, at_upper = _endpoint_objectives(lower, upper, q, p)
-        if _close(at_lower, mu) and _close(at_upper, mu):
-            return Interval((mu, lower, upper, delta, g_term, h_term))
+    # shows in max(p - lower).  The rounding bound proves them close
+    # where it can, with no objective pass.  Any other answer takes the
+    # checks in order
+    if math.isfinite(mu) and delta <= mu and all(map(le, lower, upper)) and (
+        _endpoints_proved(mu, p, q, lower, upper)
+        or all(_close(value, mu) for value in _endpoint_objectives(lower, upper, q, p))
+    ):
+        return Interval((mu, lower, upper, delta, g_term, h_term))
     if POS_INF in lower or POS_INF in upper:
         raise ScalarOverflowError("value exceeds the float range")
     if not all(map(le, lower, upper)):
@@ -444,6 +471,40 @@ def _require_endpoints_attain(mu: float, lower, upper, q, p) -> None:
         if value == POS_INF:
             raise ScalarOverflowError("value exceeds the float range")
         _require_attained(mu, "an endpoint", value)
+
+
+def _endpoints_proved(mu: float, p, q, lower, upper) -> bool:
+    """Whether rounding provably keeps the objective at both endpoints
+    within the tolerance of a finite ``mu``, for ``lower <= upper``
+    exactly, so that ``_endpoint_objectives`` need not run; O(n), one
+    ``math.hypot`` pass over each tuple.
+
+    Let ``m`` be the greatest of ``|mu|`` and the magnitudes in ``p``,
+    ``q``, ``lower`` and ``upper``, and ``e = ulp(2 m)``.  Each endpoint
+    coordinate and each objective term is one operation on two of them,
+    rounded once, so within ``e/2`` of its exact value; rounding is
+    monotone.  Above: at either endpoint ``x``, ``x_i <= upper_i <= q_i +
+    mu + e/2`` and ``x_i >= lower_i >= p_i - mu - e/2``, so every term
+    ``x_i - q_i`` and ``p_i - x_i`` rounds to at most ``mu + e``.  Below,
+    the binding term attains ``mu`` at its own index ``k``: where ``mu``
+    is ``q~ g``, the rounded ``g_k - q_k``, ``x_k >= lower_k >= g_k``, and
+    where it is ``h~ p``, the rounded ``p_k - h_k``, ``x_k <= upper_k <=
+    h_k`` (at ``lower`` by the order ``lower <= upper``), so a term rounds
+    to ``mu`` or more.  Where it is ``delta``, the greatest rounded
+    ``p_k - q_k`` halved (one that overflowed makes ``4 M`` overflow
+    too), it is within ``3 e/4`` of ``(p_k - q_k) / 2``, which the greater
+    of ``x_k - q_k`` and ``p_k - x_k`` is at least, so that term rounds to
+    at least ``mu - 5 e/4``.  Both objectives are thus within ``5 e/4`` of
+    ``mu``.  ``M`` takes a ``math.hypot`` of each tuple, at least its
+    greatest ``|element|`` but for its own rounding, so ``4 M >= 2 m`` and
+    ``e <= ulp(4 M)``: the test is ``_within_tolerance`` with ``c = 2``,
+    and where it holds, both objectives are finite and ``_close`` to
+    ``mu``.  A ``+-inf`` element makes ``M`` infinite, and an ``M`` whose
+    ``4 M`` overflows proves nothing.  No NaN gets here: the data hold
+    none, and ``mu`` is finite.
+    """
+    M = max(abs(mu), math.hypot(*p), math.hypot(*q), math.hypot(*lower), math.hypot(*upper))
+    return _within_tolerance(2, M, mu)
 
 
 def _endpoint_objectives(lower, upper, q, p) -> tuple[float, float]:
@@ -501,7 +562,15 @@ def _attainment_proved(mu: float, qa, res, p, q) -> bool:
     ``x_l`` overflow already.
     """
     M = max(abs(mu), max(map(abs, qa)), max(map(abs, res)), max(map(abs, p)), max(map(abs, q)))
-    return 3 * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
+    return _within_tolerance(3, M, mu)
+
+
+def _within_tolerance(c: int, M: float, mu: float) -> bool:
+    """Whether ``c ulp(4 M)``, a proved bound on how far rounding moves an
+    objective from ``mu``, is within the tolerance of ``mu``: then the
+    objective is finite and ``_close`` to ``mu``.  An infinite ``M``, or one
+    whose ``4 M`` overflows, has an infinite ulp and proves nothing."""
+    return c * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
 
 
 def matrix_lower(data) -> Point:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 
 from tropopt import (
@@ -19,6 +21,7 @@ from tropopt import (
 )
 from tropopt.certificate import RULES
 from tropopt.cli import _KINDS
+from tropopt.solvers import _require_box, matrix_data
 from reference import distance, identity, mat_mul
 
 
@@ -129,3 +132,36 @@ class TestOnTheReducedProblem:
     def test_rules_are_the_reduced_problems(self):
         assert RULES[LocationProblem] is RULES[TwoSidedProblem] is _KINDS["locate"].rule
         assert RULES[ApproximationProblem] is RULES[MatrixLowerProblem] is _KINDS["approximate"].rule
+
+    def test_construction_checks_its_data_once(self, location_data, approx_data):
+        # the reduced problem keeps the application's checked data: one
+        # data check per construction, and the reduced problem is the one
+        # that its own constructor builds, data and all
+        checks = (matrix_data, _require_box)
+        loc, calls = _calls(lambda: LocationProblem(**location_data), checks)
+        assert calls == {"matrix_data": 0, "_require_box": 1}
+        approx, calls = _calls(lambda: ApproximationProblem(**approx_data), checks)
+        assert calls == {"matrix_data": 1, "_require_box": 0}
+        for reduced, rebuilt in [
+            (loc.reduced, TwoSidedProblem(loc.reduced.p, loc.reduced.q, loc.g, loc.h)),
+            (approx.reduced, MatrixLowerProblem(approx.A, approx.p, approx.p, approx.g)),
+        ]:
+            assert reduced == rebuilt and reduced._data == rebuilt._data
+
+
+def _calls(make, functions) -> tuple:
+    """What ``make()`` returns, and how many times each of ``functions``
+    was called meanwhile, by name."""
+    names = {f.__code__: f.__name__ for f in functions}
+    calls = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        made = make()
+    finally:
+        sys.setprofile(None)
+    return made, calls

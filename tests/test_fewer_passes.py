@@ -9,6 +9,12 @@ longer forms in ``reference.py``.
   whose top is the bound.
 * ``matrix_lower`` skips its ``A x`` attainment pass wherever an
   O(m + n) rounding bound proves that the pass cannot fail.
+* ``two_sided`` skips its two or three objective passes wherever an
+  O(n) rounding bound, from ``math.hypot`` of each tuple, proves that
+  both endpoints attain ``mu``.
+* ``matrix_data`` builds the columns of ``A`` for its regularity test
+  only where row 0 holds ``-inf``; a regularity scan sums a tuple
+  before it looks for ``-inf`` in it.
 * ``two_sided`` returns ordered endpoints that attain a finite ``mu``
   without its checks one by one; ``certify``'s two-sided check returns
   a claim equal to its bound and box from an order pass and the two
@@ -28,6 +34,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -60,8 +67,8 @@ from tropopt.certificate import _interval, _matrix_bound, _matrix_lower
 from tropopt.cli import parse_problem
 from tropopt.semifield import _TOL, POS_INF, _close
 from tropopt.solvers import (
-    _attainment_proved, _endpoint_objectives, _half, _halves, _limit, _matrix_terms, _matrix_value,
-    _q_a, _require_endpoints_attain, _top_half, matrix_lower,
+    _attainment_proved, _endpoint_objectives, _endpoints_proved, _half, _halves, _limit, _matrix_terms,
+    _matrix_value, _q_a, _require_endpoints_attain, _top_half, _two_sided_terms, matrix_data, matrix_lower,
 )
 
 # half-integers, both zeros and the float range's edges: ties between
@@ -222,6 +229,31 @@ class TestLimit:
     @given(best_under_data())
     def test_matches_every_column_filtered(self, data):
         assert _bits(_limit(data)) == _bits(reference.limit(data))
+
+
+@st.composite
+def zero_dense_matrices(draw):
+    """Any ``A``, two in three of its entries ``-inf``, as tuples that count their passes."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.just(NEG_INF), st.just(NEG_INF), finite)
+    return tuple(_Counted(_vectors(draw, n, entries)) for _ in range(m))
+
+
+class TestColumnRegularity:
+    @settings(max_examples=300)
+    @given(zero_dense_matrices())
+    def test_matches_the_transpose(self, A):
+        # a row 0 with no -inf proves every column regular, and then no
+        # other row is iterated
+        m, n = len(A), len(A[0])
+        got = _outcome(matrix_data, A, (0.0,) * m, (0.0,) * m, (0.0,) * n)
+        if NEG_INF not in A[0]:
+            event("row 0 holds no -inf")
+            assert [row.passes for row in A[1:]] == [0] * (m - 1)
+        if (NEG_INF,) * n in A or (NEG_INF,) * m in zip(*A):
+            assert got == (solvers.NotRegularError, "A must be row- and column-regular")
+        else:
+            assert got == (A, (0.0,) * m, (0.0,) * m, (0.0,) * n)
 
 
 @st.composite
@@ -551,6 +583,78 @@ def two_sided_problems(draw):
     return solvers.two_sided_data(p, q, g, h)
 
 
+@st.composite
+def mixed_scale_two_sided_problems(draw):
+    """``two_sided_problems`` with each vector at its own power of ten
+    from 1e-323 to 1e300, near a common one or far from it, so that the
+    magnitudes in play, and the ulps, differ between the tuples."""
+    n = draw(st.integers(1, 4))
+    base = draw(st.integers(-323, 300))
+    elements = st.one_of(integers, moderate_scalars)
+
+    def vector(zeros=False):
+        exponent = min(300, max(-323, base + draw(st.sampled_from([0, 0, 0, 1, -1, 8, -8, 17, -17]))))
+        values = _vectors(draw, n, st.one_of(elements, st.just(NEG_INF)) if zeros else elements)
+        return tuple(v * 10.0 ** exponent for v in values)
+
+    p = vector()
+    q = p if draw(st.integers(0, 4)) == 0 else vector()
+    g = vector(zeros=True) if draw(st.booleans()) else None
+    h = vector() if draw(st.booleans()) else None
+    if g is not None and h is not None:
+        h = tuple(max(a, b) for a, b in zip(g, h))
+    return solvers.two_sided_data(p, q, g, h)
+
+
+def _built_endpoints(data):
+    """``mu``, ``lower`` and ``upper`` as ``two_sided`` builds them, where it
+    reaches its rounding bound (a finite ``mu``, ordered endpoints); else None."""
+    p, q, g, h = data
+    mu = max(t for t in _two_sided_terms(data) if t is not None)
+    lower = tuple(a - mu for a in p) if g is None else tuple(max(a - mu, b) for a, b in zip(p, g))
+    upper = tuple(a + mu for a in q) if h is None else tuple(min(a + mu, b) for a, b in zip(q, h))
+    if not math.isfinite(mu) or not all(map(le, lower, upper)):
+        return None
+    return mu, lower, upper
+
+
+class TestEndpointBound:
+    """The two-sided solve's O(n) rounding bound in place of its objective passes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(two_sided_problems(), mixed_scale_two_sided_problems()))
+    def test_objectives_within_five_quarter_ulps_of_mu(self, data):
+        built = _built_endpoints(data)
+        assume(built is not None)
+        mu, lower, upper = built
+        p, q = data[:2]
+        m = max(abs(mu), *map(abs, p + q + lower + upper))
+        assume(math.isfinite(4 * m))
+        values = _endpoint_objectives(lower, upper, q, p)
+        assert all(abs(value - mu) <= 1.25 * math.ulp(2 * m) for value in values)
+        if _endpoints_proved(mu, p, q, lower, upper):
+            event("the bound proves attainment")
+            assert all(math.isfinite(value) and _close(value, mu) for value in values)
+
+    def test_fallback_refuses_what_the_bound_cannot_prove(self, monkeypatch):
+        # p_3 = -1e308 puts 4 M past the float range: the bound proves
+        # nothing, the objective passes run, and lower's value 0.0 is
+        # refused against mu = -0.5
+        doc = {"kind": "two_sided", "p": [0.0, -4.0, -2.5, -1e308], "q": [1.0, -2.0, 0.0, 0.0]}
+        data = parse_problem(doc)[1]
+        mu, lower, upper = _built_endpoints(data)
+        assert not _endpoints_proved(mu, *data[:2], lower, upper)
+        calls, objectives = [], solvers._endpoint_objectives
+        monkeypatch.setattr(solvers, "_endpoint_objectives", lambda *a: calls.append(a) or objectives(*a))
+        code, out = _run(["solve", "-"], doc)
+        # the success path's passes, then _require_endpoints_attain's
+        assert len(calls) == 2
+        assert (code, out["error"]["reason"]) == (2, "precision_loss")
+        message = "rounding made an endpoint attain 0.0, not the optimum -0.5, by more than the tolerance"
+        assert out["error"]["message"] == message
+        assert _outcome(reference.two_sided, data) == (solvers.PrecisionLossError, message)
+
+
 # a claimed answer: the solver's, or one corrupted as test_certificate.py
 # corrupts it, or by a rounding error, or out of the float range
 CORRUPTIONS = ["none", "mu+", "mu-", "mu~", "nan", "inf", "move+", "move-", "move~", "swap", "neg_inf", "short"]
@@ -582,7 +686,10 @@ class TestSuccessPaths:
     counterexample."""
 
     @settings(max_examples=500, deadline=None)
-    @given(two_sided_problems(), st.sampled_from(CORRUPTIONS), st.integers(0, 7))
+    @given(
+        st.one_of(two_sided_problems(), mixed_scale_two_sided_problems()),
+        st.sampled_from(CORRUPTIONS), st.integers(0, 7),
+    )
     def test_two_sided(self, data, how, i):
         want = _full_outcome(reference.two_sided, data)
         assert _full_outcome(solvers.two_sided, data) == want
@@ -705,8 +812,9 @@ class TestVerifyPasses:
         with pytest.MonkeyPatch.context() as monkeypatch:
             code, report, calls = self._verify(monkeypatch, json.dumps(doc))
         assert code == 0 and report["max_discrepancy"] == 0
-        # one _endpoint_objectives in the solve, one in the check, and no ordered check
-        assert calls == ["_endpoint_objectives", "_endpoint_objectives"]
+        # the solve's rounding bound proves the endpoints attain mu, so
+        # _endpoint_objectives runs once, in the check, and no ordered check
+        assert calls == ["_endpoint_objectives"]
 
     def test_rounding_repair_takes_both_ordered_paths(self, monkeypatch):
         # p - delta rounds above q + delta: the solve raises upper to lower
