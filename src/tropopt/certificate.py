@@ -7,19 +7,21 @@ returned point must then be feasible and attain that bound.  Interval
 solutions are also checked for completeness coordinate by coordinate,
 against the sublevel set of the optimum, which is a box.  Every check
 is a few passes over the data, so the cost is linear in the problem
-size, for any real data and any dimension.  A claim that holds is
-decided from exact identities: the two-sided check makes three passes
-for its bound's terms, one or two for the binding and two for the box,
-then compares the endpoints with the box and makes one order pass and
-two or three objective passes (``solvers._endpoint_objectives``); the
-matrix check makes two O(m n) passes for its bound (``q~A`` and
-``A (q~A)~``; the g-term's top is ``max(q~A + g)``), an order pass over
-``x`` and one O(m n) pass for ``A x``.  Each keeps its objective passes
-though the solver proves attainment without them, from a rounding
-bound (``solvers._endpoints_proved`` and ``solvers._attainment_proved``):
-``max_discrepancy`` reports ``|F(x) - mu|`` bit for bit.  Only a claim
-that fails one of those identities takes the checks one by one, in
-their order, for the error and the counterexample.  Failures raise
+size, for any real data and any dimension.  The two-sided check
+decides a claim that holds from exact identities, which save passes: it
+makes three passes for its bound's terms, one or two for the binding and
+two for the box, then compares the endpoints with the box and makes one
+order pass and two or three objective passes, where the ordered
+endpoints bound each other's objective (``_endpoint_objectives``); only
+a claim that fails one of those identities takes its checks one by one,
+in their order, for the error and the counterexample.  The matrix check
+takes its checks in order alone: two O(m n) passes for its bound
+(``q~A`` and ``A (q~A)~``; the g-term's top is ``max(q~A + g)``), an
+order pass over ``x`` and one O(m n) pass for ``A x``.  Each keeps its
+objective passes though the solver proves attainment without them, from
+a rounding bound (``solvers._endpoints_proved`` and
+``solvers._attainment_proved``): ``max_discrepancy`` reports
+``|F(x) - mu|`` bit for bit.  Failures raise
 ``VerificationFailedError`` with a counterexample vector; one that
 would overflow raises the error that the solver raises on the data.
 
@@ -51,9 +53,9 @@ from .linalg import NotColumnRegularError, ShapeMismatchError, TropVector
 from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _record
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, PointSolution,
-    TwoSidedProblem, _above_g, _ax, _best_under_value, _defect, _endpoint_objectives, _halves, _in_box,
-    _limit, _matrix_value, _objective, _require_column, _require_dim, _require_problem, _top_half,
-    _two_sided_value, _under_p, best_under, matrix_lower, two_sided,
+    TwoSidedProblem, _above_g, _ax, _best_under_value, _defect, _halves, _in_box, _limit, _matrix_value,
+    _require_column, _require_dim, _require_problem, _top_half, _two_sided_value, _under_p, best_under,
+    matrix_lower, two_sided,
 )
 
 
@@ -69,10 +71,10 @@ class VerificationFailedError(TropicalError):
 
 class OracleReport(Record):
     """Outcome of a check: the certified (or grid) minimum, a point
-    attaining it, and how many objective evaluations were made.
-    ``binding`` names the term of the bound that attains the minimum and
-    its first index, an int or a ``(row, col)`` pair; the grid oracle
-    leaves it ``None``."""
+    attaining it, and how many objective evaluations were made, an int
+    of at least 1.  ``binding`` names the term of the bound that attains
+    the minimum and its first index, an int or a ``(row, col)`` pair;
+    the grid oracle leaves it ``None``."""
 
     __slots__ = (
         "min_value", "argmin", "points_evaluated", "agrees_with_solver", "max_discrepancy", "binding"
@@ -83,7 +85,7 @@ class OracleReport(Record):
         agrees_with_solver: bool = True, max_discrepancy: float = 0.0,
         binding: tuple[str, int | tuple[int, int]] | None = None,
     ) -> None:
-        if points_evaluated < 1:
+        if type(points_evaluated) is not int or points_evaluated < 1:
             raise TropicalError("an oracle report must cover at least one point")
         self._init(min_value, argmin, points_evaluated, agrees_with_solver, max_discrepancy, binding)
 
@@ -112,6 +114,26 @@ def _check_attains(data, mu: float, value, points) -> float:
             raise _fail(f"returned vector attains {v}, not the claimed {mu}", x)
         gap = max(gap, abs(v - mu))
     return gap
+
+
+def _endpoint_objectives(lower, upper, q, p) -> tuple[float, float]:
+    """``_objective`` at ``lower`` and at ``upper``, bit for bit, for
+    ``lower <= upper`` exactly, in two passes where the tops agree and
+    three where they differ.
+
+    Rounding is monotone, so ``max(lower - q) <= max(upper - q)`` and
+    ``max(p - upper) <= max(p - lower)``: the greater of the tops
+    ``max(upper - q)`` and ``max(p - lower)`` is the objective at its own
+    endpoint, and equal tops are the objective at both.  ``max`` keeps
+    the first of equal values, so a zero top needs the third pass too,
+    for the sign that ``max`` would give lower's value.
+    """
+    top_up, top_lo = max(map(sub, upper, q)), max(map(sub, p, lower))
+    if top_up >= top_lo:
+        if top_up == top_lo and top_lo:
+            return top_lo, top_up
+        return max(max(map(sub, lower, q)), top_lo), top_up
+    return top_lo, max(top_up, max(map(sub, p, upper)))
 
 
 def _interval(data, sol: Interval) -> Report:
@@ -205,14 +227,6 @@ def _matrix_bound(data) -> tuple:
 def _matrix_lower(data, sol: Point) -> Report:
     bound, binding, r = _matrix_bound(data)
     mu, x = sol.mu, sol.x
-    # x >= g exactly, of g's length and regular, passes the feasibility
-    # test and _require_dim; its objective, of the same A x pass, is
-    # finite where it is close to mu.  Any other x takes the checks in order
-    A, p, q, g = data
-    if bound == mu and len(x) == len(g) and NEG_INF not in x and all(map(le, g, x)):
-        value = _objective(_ax(A, x), q, p)
-        if _close(value, mu):
-            return Report((bound, x, 1, True, abs(value - mu), binding))
     if not _above_g(data, x):
         raise _fail("returned vector violates the lower bound", x)
     gap = _check_attains(data, mu, _matrix_value, (x,))

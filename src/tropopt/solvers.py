@@ -37,20 +37,20 @@ halved first where the difference alone leaves the float range
 (``_half``).  Rounding is monotone, which saves passes: an answer's
 objective is within ``c ulp(4 M)`` of ``mu``, ``M`` a bound on the
 magnitudes in play, so one bound proves that it attains ``mu`` wherever
-that is within the tolerance (``_within_tolerance``).  For the two-sided
+that is within the tolerance (``_within_tolerance``).  Each solver
+decides by that bound or by its ordered checks alone.  For the two-sided
 answer, ``c`` is 2 and ``M`` is O(n), from ``math.hypot`` of each tuple,
 and the two objective passes run only where it proves nothing
-(``_endpoints_proved``); there the ordered endpoints bound each other's
-objective (``_endpoint_objectives``).  For the matrix answer, ``c`` is
-3 and ``M`` is O(m + n), and the O(m n) ``A x`` pass runs only where it
-proves nothing (``_attainment_proved``).  A regularity scan sums its
-tuple first: a finite sum holds no ``-inf`` (``_holds_zero``), and a
-row 0 of ``A`` with no ``-inf`` makes ``A`` column-regular, so its
-columns are built for the test only otherwise.  Each objective and
-feasibility test is defined here once, for ``solve``, ``eval`` and
-``verify``; ``certificate.RULES`` pairs them with the proofs, and the
-public objectives, which test a problem's class as the public solvers
-do, are in ``certificate``.
+(``_endpoints_proved``).  For the matrix answer, ``c`` is 3 and ``M`` is
+O(m + n), and the O(m n) ``A x`` pass runs only where it proves nothing
+(``_attainment_proved``).  A regularity scan sums its tuple first: a
+finite sum holds no ``-inf`` (``_holds_zero``), and a row 0 of ``A``
+with no ``-inf`` makes ``A`` column-regular, so its columns are built
+for the test only otherwise.  Each objective and feasibility test is
+defined here once, for ``solve``, ``eval`` and ``verify``;
+``certificate.RULES`` pairs them with the proofs, and the public
+objectives, which test a problem's class as the public solvers do, are
+in ``certificate``.
 """
 
 from __future__ import annotations
@@ -424,12 +424,12 @@ def two_sided(data) -> Interval:
     ``[mu^-1 p + g, (mu^-1 q~ + h~)~]``.  An upper endpoint below the
     lower one by no more than the tolerance is raised to it; a greater
     shortfall, or an endpoint off ``mu``, raises ``PrecisionLossError``.
-    Endpoints that are ordered and attain a finite ``mu`` are returned
-    after one order pass and either ``_endpoints_proved``'s O(n) rounding
-    bound, four ``math.hypot`` passes, or, where that proves nothing, two
-    or three objective passes (``_endpoint_objectives``): on integer data
-    of moderate size the solve makes no objective pass.  Only other
-    endpoints take the checks one by one, for their error or the repair.
+    Ordered endpoints that ``_endpoints_proved``'s O(n) rounding bound,
+    four ``math.hypot`` passes, proves to attain ``mu`` are returned after
+    one order pass and that bound: on integer data of moderate size the
+    solve makes no objective pass.  Any other endpoints take the checks
+    one by one, for their error, the repair, or the two objective passes
+    that show they attain ``mu``.
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)
@@ -442,16 +442,11 @@ def two_sided(data) -> Interval:
     if h is not None:
         upper = [x if x <= y else y for x, y in zip(upper, h)]
     lower, upper = tuple(lower), tuple(upper)
-    # ordered endpoints whose objectives are close to a finite mu pass
-    # every check below: a +inf in upper shows in max(upper - q), one in
-    # lower is in upper too, and a -inf in upper is in lower too, where it
-    # shows in max(p - lower).  The rounding bound proves them close
-    # where it can, with no objective pass.  Any other answer takes the
-    # checks in order
-    if math.isfinite(mu) and delta <= mu and all(map(le, lower, upper)) and (
-        _endpoints_proved(mu, p, q, lower, upper)
-        or all(_close(value, mu) for value in _endpoint_objectives(lower, upper, q, p))
-    ):
+    # ordered endpoints that the rounding bound proves close to mu pass
+    # every check below with no objective pass: it proves nothing for an
+    # infinite mu or an infinite element, and delta <= mu always.  Any
+    # other answer takes the checks in order
+    if all(map(le, lower, upper)) and _endpoints_proved(mu, p, q, lower, upper):
         return Interval((mu, lower, upper, delta, g_term, h_term))
     if POS_INF in lower or POS_INF in upper:
         raise ScalarOverflowError("value exceeds the float range")
@@ -466,18 +461,16 @@ def two_sided(data) -> Interval:
 
 def _require_endpoints_attain(mu: float, lower, upper, q, p) -> None:
     """``_require_attained`` at ``lower``, then at ``upper``, each after
-    ``_objective``'s overflow test, for ``lower <= upper`` exactly."""
-    for value in _endpoint_objectives(lower, upper, q, p):
-        if value == POS_INF:
-            raise ScalarOverflowError("value exceeds the float range")
-        _require_attained(mu, "an endpoint", value)
+    ``_objective``'s overflow test."""
+    _require_attained(mu, "an endpoint", _objective(lower, q, p))
+    _require_attained(mu, "an endpoint", _objective(upper, q, p))
 
 
 def _endpoints_proved(mu: float, p, q, lower, upper) -> bool:
     """Whether rounding provably keeps the objective at both endpoints
-    within the tolerance of a finite ``mu``, for ``lower <= upper``
-    exactly, so that ``_endpoint_objectives`` need not run; O(n), one
-    ``math.hypot`` pass over each tuple.
+    within the tolerance of ``mu``, for ``lower <= upper`` exactly, so
+    that the objective passes need not run; O(n), one ``math.hypot`` pass
+    over each tuple.
 
     Let ``m`` be the greatest of ``|mu|`` and the magnitudes in ``p``,
     ``q``, ``lower`` and ``upper``, and ``e = ulp(2 m)``.  Each endpoint
@@ -499,32 +492,12 @@ def _endpoints_proved(mu: float, p, q, lower, upper) -> bool:
     greatest ``|element|`` but for its own rounding, so ``4 M >= 2 m`` and
     ``e <= ulp(4 M)``: the test is ``_within_tolerance`` with ``c = 2``,
     and where it holds, both objectives are finite and ``_close`` to
-    ``mu``.  A ``+-inf`` element makes ``M`` infinite, and an ``M`` whose
-    ``4 M`` overflows proves nothing.  No NaN gets here: the data hold
-    none, and ``mu`` is finite.
+    ``mu``.  A ``+-inf`` element makes ``M`` infinite, and an infinite
+    ``mu``, or an ``M`` whose ``4 M`` overflows, proves nothing.  No NaN
+    gets here: the data hold none.
     """
     M = max(abs(mu), math.hypot(*p), math.hypot(*q), math.hypot(*lower), math.hypot(*upper))
     return _within_tolerance(2, M, mu)
-
-
-def _endpoint_objectives(lower, upper, q, p) -> tuple[float, float]:
-    """``_objective`` at ``lower`` and at ``upper``, bit for bit, for
-    ``lower <= upper`` exactly, in two passes where the tops agree and
-    three where they differ.
-
-    Rounding is monotone, so ``max(lower - q) <= max(upper - q)`` and
-    ``max(p - upper) <= max(p - lower)``: the greater of the tops
-    ``max(upper - q)`` and ``max(p - lower)`` is the objective at its own
-    endpoint, and equal tops are the objective at both.  ``max`` keeps
-    the first of equal values, so a zero top needs the third pass too,
-    for the sign that ``max`` would give lower's value.
-    """
-    top_up, top_lo = max(map(sub, upper, q)), max(map(sub, p, lower))
-    if top_up >= top_lo:
-        if top_up == top_lo and top_lo:
-            return top_lo, top_up
-        return max(max(map(sub, lower, q)), top_lo), top_up
-    return top_lo, max(top_up, max(map(sub, p, upper)))
 
 
 def _q_a(data) -> list[float]:
@@ -569,8 +542,9 @@ def _within_tolerance(c: int, M: float, mu: float) -> bool:
     """Whether ``c ulp(4 M)``, a proved bound on how far rounding moves an
     objective from ``mu``, is within the tolerance of ``mu``: then the
     objective is finite and ``_close`` to ``mu``.  An infinite ``M``, or one
-    whose ``4 M`` overflows, has an infinite ulp and proves nothing."""
-    return c * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
+    whose ``4 M`` overflows, has an infinite ulp and proves nothing; nor
+    does a ``mu`` that is not finite, whose tolerance is not."""
+    return math.isfinite(mu) and c * math.ulp(4 * M) <= _TOL * max(1.0, abs(mu))
 
 
 def matrix_lower(data) -> Point:

@@ -1,9 +1,10 @@
 """The passes that the solver and the certificate save, against the
 longer forms in ``reference.py``.
 
-* ``two_sided`` finds the objective at both endpoints of its interval
-  from two tops, ``max(upper - q)`` and ``max(p - lower)``, and a third
-  pass only where they differ or are zero; four passes did it before.
+* ``certify``'s two-sided check finds the objective at both endpoints
+  of an interval from two tops, ``max(upper - q)`` and
+  ``max(p - lower)``, and a third pass only where they differ or are
+  zero; four passes did it before.
 * The matrix certificate's g-term top is ``max(r + g)`` with ``r = q~A``,
   not one max per row, and its binding is searched only in the columns
   whose top is the bound.
@@ -15,12 +16,12 @@ longer forms in ``reference.py``.
 * ``matrix_data`` builds the columns of ``A`` for its regularity test
   only where row 0 holds ``-inf``; a regularity scan sums a tuple
   before it looks for ``-inf`` in it.
-* ``two_sided`` returns ordered endpoints that attain a finite ``mu``
-  without its checks one by one; ``certify``'s two-sided check returns
-  a claim equal to its bound and box from an order pass and the two
-  endpoint objectives, and its matrix check an ``x >= g`` exactly from
-  its ``A x`` pass, without ``_require_dim``'s scan.  Only a failing
-  answer takes the ordered checks (the rounding-repair fixture does).
+* ``two_sided`` returns ordered endpoints that its rounding bound
+  proves to attain ``mu`` without its checks one by one, and
+  ``certify``'s two-sided check returns a claim equal to its bound and
+  box from an order pass and the two endpoint objectives.  Any other
+  answer takes the ordered checks (the rounding-repair fixture does),
+  and the matrix check takes them alone.
 * ``_limit`` filters only the columns that hold ``-inf``.
 * A location file's data skip ``two_sided_data``'s checks of ``p`` and
   ``q``, whose elements are the checked ``r`` and ``s``.
@@ -63,12 +64,12 @@ from test_golden import _case
 from test_golden import _run as golden_run
 from tropopt import certificate, solvers
 from tropopt.applications import location_data
-from tropopt.certificate import _interval, _matrix_bound, _matrix_lower
+from tropopt.certificate import _endpoint_objectives, _interval, _matrix_bound, _matrix_lower
 from tropopt.cli import parse_problem
 from tropopt.semifield import _TOL, POS_INF, _close
 from tropopt.solvers import (
-    _attainment_proved, _endpoint_objectives, _endpoints_proved, _half, _halves, _limit, _matrix_terms,
-    _matrix_value, _q_a, _require_endpoints_attain, _top_half, _two_sided_terms, matrix_data, matrix_lower,
+    _attainment_proved, _endpoints_proved, _half, _halves, _limit, _matrix_terms, _matrix_value, _q_a,
+    _require_endpoints_attain, _top_half, _two_sided_terms, _within_tolerance, matrix_data, matrix_lower,
 )
 
 # half-integers, both zeros and the float range's edges: ties between
@@ -636,19 +637,37 @@ class TestEndpointBound:
             event("the bound proves attainment")
             assert all(math.isfinite(value) and _close(value, mu) for value in values)
 
+    @pytest.mark.parametrize("mu", [POS_INF, NEG_INF, math.nan], ids=["inf", "-inf", "nan"])
+    def test_a_mu_out_of_the_float_range_proves_nothing(self, mu):
+        # c ulp(4 M) <= _TOL max(1, |mu|) alone holds for an infinite mu,
+        # an infinite M's too, and for a NaN mu
+        assert not _within_tolerance(2, 1.0, mu)
+        assert not _endpoints_proved(mu, (1.0,), (0.0,), (0.0,), (1.0,))
+        assert not _attainment_proved(mu, (1.0,), (0.0,), (1.0,), (0.0,))
+
+    def test_an_infinite_mu_is_an_overflow(self):
+        # g - q overflows, so mu is +inf: the bound proves nothing, and the
+        # ordered checks find +inf in upper
+        doc = {"kind": "two_sided", "p": [-1e308], "q": [-1e308], "g": [1e308]}
+        assert _two_sided_terms(parse_problem(doc)[1])[1] == POS_INF
+        code, out = _run(["solve", "-"], doc)
+        assert (code, out["error"]["reason"]) == (2, "overflow")
+        assert out["error"]["message"] == "value exceeds the float range"
+
     def test_fallback_refuses_what_the_bound_cannot_prove(self, monkeypatch):
         # p_3 = -1e308 puts 4 M past the float range: the bound proves
-        # nothing, the objective passes run, and lower's value 0.0 is
+        # nothing, the ordered checks run, and lower's value 0.0 is
         # refused against mu = -0.5
         doc = {"kind": "two_sided", "p": [0.0, -4.0, -2.5, -1e308], "q": [1.0, -2.0, 0.0, 0.0]}
         data = parse_problem(doc)[1]
         mu, lower, upper = _built_endpoints(data)
         assert not _endpoints_proved(mu, *data[:2], lower, upper)
-        calls, objectives = [], solvers._endpoint_objectives
-        monkeypatch.setattr(solvers, "_endpoint_objectives", lambda *a: calls.append(a) or objectives(*a))
+        calls, objective, objectives = [], solvers._objective, certificate._endpoint_objectives
+        monkeypatch.setattr(solvers, "_objective", lambda x, *a: calls.append(x) or objective(x, *a))
+        monkeypatch.setattr(certificate, "_endpoint_objectives", lambda *a: calls.append(a) or objectives(*a))
         code, out = _run(["solve", "-"], doc)
-        # the success path's passes, then _require_endpoints_attain's
-        assert len(calls) == 2
+        # one objective, at lower, which it refuses: no pass before it
+        assert calls == [lower]
         assert (code, out["error"]["reason"]) == (2, "precision_loss")
         message = "rounding made an endpoint attain 0.0, not the optimum -0.5, by more than the tolerance"
         assert out["error"]["message"] == message
@@ -679,11 +698,11 @@ def _corrupted(answer, how, i):
 
 
 class TestSuccessPaths:
-    """``two_sided``, ``_interval`` and ``_matrix_lower`` return from exact
-    identities and run their checks in order only where one fails; each
-    matches its copy in ``reference.py``, which makes every check in
-    order, on the answer, report or error, bit for bit, with the same
-    counterexample."""
+    """``two_sided`` returns from its rounding bound and ``_interval`` from
+    exact identities, and each runs its checks in order only where that
+    fails; ``_matrix_lower`` runs them in order alone.  Each matches its
+    copy in ``reference.py``, which makes every check in order, on the
+    answer, report or error, bit for bit, with the same counterexample."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -780,17 +799,19 @@ ROUNDING_REPAIR = FIXTURES / "rounding_repair.json"
 
 
 class TestVerifyPasses:
-    """Which checks a ``verify`` reaches: on integer data the success paths
-    alone, and on the rounding-repair fixture the ordered ones."""
+    """Which checks a ``verify`` reaches: on integer two-sided data the
+    success paths alone, on the rounding-repair fixture the ordered ones,
+    and on matrix data the ordered ones alone."""
 
     ORDERED = ("_two_sided_value", "_require_endpoints_attain", "_check_attains", "_above_g", "_matrix_value")
 
     def _counting(self, monkeypatch):
-        """The names of ``ORDERED`` and ``_endpoint_objectives`` called in
-        ``solvers`` or ``certificate`` from now on, as they are called."""
+        """The names of ``ORDERED`` called in ``solvers`` or ``certificate``,
+        and of ``_endpoint_objectives`` called in ``certificate``, from now
+        on, as they are called."""
         calls = []
-        for module in (solvers, certificate):
-            for name in ("_endpoint_objectives", *self.ORDERED):
+        for module, names in ((solvers, self.ORDERED), (certificate, ("_endpoint_objectives", *self.ORDERED))):
+            for name in names:
                 fn = getattr(module, name, None)
                 if fn is not None:
                     monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -823,17 +844,14 @@ class TestVerifyPasses:
         code, report, calls = self._verify(monkeypatch, ROUNDING_REPAIR.read_text())
         assert code == 0 and report["agrees_with_solver"] is True
         assert report["max_discrepancy"] == 4.440892098500626e-16
-        assert calls == [
-            "_check_attains", "_endpoint_objectives", "_require_endpoints_attain",
-            "_two_sided_value", "_two_sided_value",
-        ]
+        assert calls == ["_check_attains", "_require_endpoints_attain", "_two_sided_value", "_two_sided_value"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 5), st.randoms(use_true_random=False))
     def test_matrix_check_makes_three_passes(self, m, n, rng):
         # r = q~A and res = A (q~A)~ for the bound, and A x: each iterates
         # every row once, and only the delta binding's search one row more;
-        # no ordered check runs
+        # the ordered checks make the A x pass
         A = tuple(tuple(float(rng.randint(-20, 20)) for _ in range(n)) for _ in range(m))
         p, q, g = (tuple(float(rng.randint(-20, 20)) for _ in range(k)) for k in (m, m, n))
         sol = matrix_lower((A, p, q, g))
@@ -841,7 +859,7 @@ class TestVerifyPasses:
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = self._counting(monkeypatch)
             report = _matrix_lower((rows, p, q, g), sol)
-        assert calls == []
+        assert calls == ["_above_g", "_check_attains", "_matrix_value"]
         assert report == reference.matrix_lower_check((A, p, q, g), sol)
         passes = sorted(row.passes for row in rows)
         assert passes[0] == 3 and passes[-1] <= 4 and passes[-2] == 3

@@ -7,8 +7,9 @@ or from a value that is no sequence of scalars, each problem class from
 any argument, every public function of a problem on every class and on
 any other value, every objective, ``certify`` (on every problem class,
 on any value in place of a problem or a solution, and on solutions made
-by hand with any ``mu``, ``delta``, diagnostic term or point) and the
-residuation end in a value or a ``TropicalError``."""
+by hand with any ``mu``, ``delta``, diagnostic term or point), the
+residuation and an ``OracleReport`` of any point count end in a value or
+a ``TropicalError``."""
 
 import contextlib
 import io
@@ -26,6 +27,7 @@ from tropopt import (
     IntervalSolution,
     LocationProblem,
     MatrixLowerProblem,
+    OracleReport,
     PointSolution,
     TropicalError,
     TropMatrix,
@@ -258,12 +260,14 @@ made_points = st.one_of(st.just(SOLVERS), wrong)
 @given(
     case=front_cases(), mu=made_scalars, delta=made_scalars,
     terms=st.tuples(made_scalars, made_scalars), made_point=made_points, other=wrong,
+    count=st.one_of(st.integers(-1, 3), elements),
 )
-def test_library_front_ends_in_a_value_or_a_tropical_error(case, mu, delta, terms, made_point, other):
+def test_library_front_ends_in_a_value_or_a_tropical_error(case, mu, delta, terms, made_point, other, count):
     # every function of a problem takes every problem class, and any value
     # in place of one; every point, solution and argument may be of the
     # wrong type
     cls, builders, solver, objective, point = case
+    ends_well(lambda: OracleReport(0.0, point(), count))
     if "A" in builders:
         for each in (best_underestimator, max_solution_leq):
             ends_well(lambda: each(builders["A"](), builders["p"]()))

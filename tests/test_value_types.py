@@ -251,6 +251,13 @@ class TestDiagnosticsAndReducedAreNotCompared:
          "g must be a column vector of dimension 3"),
         (lambda: OracleReport(1.0, v(0), 0), TropicalError,
          "an oracle report must cover at least one point"),
+        # a point count that is no int would end in a builtin TypeError
+        pytest.param(lambda: OracleReport(1.0, v(0), "a"), TropicalError,
+                     "an oracle report must cover at least one point", id="oracle-count-str"),
+        pytest.param(lambda: OracleReport(1.0, v(0), None), TropicalError,
+                     "an oracle report must cover at least one point", id="oracle-count-none"),
+        pytest.param(lambda: OracleReport(1.0, v(0), 2.0), TropicalError,
+                     "an oracle report must cover at least one point", id="oracle-count-float"),
         # a solution's mu and delta are checked scalars, as a vector's elements are
         pytest.param(lambda: IntervalSolution("a", v(0), v(0), 0.0), InvalidScalarError,
                      "'a' is not a max-plus scalar", id="interval-mu-str"),
