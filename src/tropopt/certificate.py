@@ -49,7 +49,7 @@ from math import isfinite, isnan
 from operator import add, itemgetter, le, sub
 
 from .applications import ApproximationProblem, LocationProblem
-from .linalg import NotColumnRegularError, ShapeMismatchError, TropVector
+from .linalg import ShapeMismatchError, TropVector
 from .semifield import NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _close, _leq, _record
 from .solvers import (
     BestUnderProblem, Interval, IntervalSolution, MatrixLowerProblem, Point, PointSolution,
@@ -243,9 +243,6 @@ def _best_under(data, sol: Point) -> Report:
     mu, x = sol.mu, sol.x
     _require_dim(x, "x", len(A[0]), regular=False)
     limit = _limit(data)
-    # a column with no finite entry bounds no x_l, as the solver reports
-    if POS_INF in limit and (NEG_INF,) * len(A) in zip(*A):
-        raise NotColumnRegularError("matrix must be column-regular")
     # an x equal to the limit is close to it at every column; only an
     # unequal one is walked with the tolerance
     if list(x) != limit:

@@ -7,11 +7,17 @@ JSON numbers, with ``"-inf"`` for the tropical zero; a repeated key is a
 ``parse_error``.  No subcommand imports numpy.
 
 The commands run on the tuple core and build no value class:
-``parse_problem`` reads a document into ``(kind, data, name)``, with each
-scalar validated once by the readers and the data checked by the kind's
-data function; ``solve_loaded``, ``verify_loaded`` and ``eval`` call the
-functions that ``certificate.RULES`` pairs with the kind's core problem;
-``solution_to_dict`` and ``report_to_dict`` turn the answers into dicts.
+``parse_problem`` reads a document into ``(kind, data, name, integers)``,
+with each scalar validated once by the readers and the data checked by
+the kind's data function; ``solve_loaded``, ``verify_loaded`` and
+``eval`` call the functions that ``certificate.RULES`` pairs with the
+kind's core problem; ``solution_to_dict`` and ``report_to_dict`` turn the
+answers into dicts.  ``integers`` is a bit that the readers' one type
+pass gives at no cost: every numeric field held JSON integers alone.
+Such an array needs no sum to prove it finite, and an answer whose
+``mu`` is integral then has integral coordinates, which are written with
+no integrality pass (``_vectors_out``).  So an all-integer file skips two
+passes and prints the same bytes as the same file written in floats.
 ``load_problem`` reads a file for a library caller: a ``LoadedProblem``
 holding the kind's problem class, built after the same checks.
 
@@ -67,7 +73,7 @@ def _kind(name: str, cls, data) -> Kind:
     """The kind of problem class ``cls``, with the class's fields as its
     payload keys, those without a default required, and its rule."""
     keys = cls._fields
-    readers = tuple((key, _matrix_in if key == "A" else _vector_in) for key in keys)
+    readers = tuple((key, _read_matrix if key == "A" else _read_vector) for key in keys)
     required = frozenset(keys[:cls._required])
     allowed = frozenset({*keys, "kind", "name", "description"})
     return Kind((name, cls, data, RULES[cls], readers, required, allowed))
@@ -90,6 +96,7 @@ def _scalar_in(token, where: str) -> float:
 
 
 _NUMBER_TYPES = frozenset({int, float})
+_INTEGERS = frozenset({int})
 _isfinite = math.isfinite
 
 
@@ -104,46 +111,92 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
     return tuple([_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens)])
 
 
-# The readers validate each scalar once.  A list of plain numbers takes
-# three builtin passes: its types, a ``float`` conversion (OverflowError
-# on an integer too long for a float) and a sum, finite only when every
-# element is; any other list goes token by token through ``_scalars_in``.
-def _vector_in(obj, where: str) -> tuple[float, ...]:
+# The readers validate each scalar once, and return the floats with
+# whether the array holds JSON integers alone.  One builtin pass takes the
+# set of the elements' types.  Integers alone convert with ``float``, whose
+# float of an int is finite or raises OverflowError (an integer too long
+# for a float), so they need no other pass.  Ints and floats take a sum
+# too, finite only when every element is.  Any other array, or one that
+# fails its test, goes token by token through ``_scalars_in``, which names
+# a bad element: a bool, a string, ``"-inf"`` or a literal beyond the
+# float range.
+def _read_vector(obj, where: str) -> tuple[tuple[float, ...], bool]:
+    """The floats of a nonempty array of scalars, and whether all its
+    elements are JSON integers."""
     if not isinstance(obj, list) or not obj:
         raise ProblemFormatError(f"{where}: expected a nonempty array of scalars")
-    if _NUMBER_TYPES.issuperset(map(type, obj)):
+    types = {*map(type, obj)}
+    if types <= _NUMBER_TYPES:
         try:
             values = tuple(map(float, obj))
         except OverflowError:
             pass
         else:
-            if _isfinite(sum(values)):
-                return values
-    return _scalars_in(obj, where)
+            integers = types == _INTEGERS
+            if integers or _isfinite(sum(values)):
+                return values, integers
+    return _scalars_in(obj, where), False
 
 
-def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
-    """The rows of a matrix: the three passes over all rows at once."""
+def _read_matrix(obj, where: str) -> tuple[tuple[tuple[float, ...], ...], bool]:
+    """The rows of a matrix, and whether all its entries are JSON
+    integers: the passes over all rows at once."""
     if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise ProblemFormatError(f"{where}: expected an array of row arrays")
-    rows = None
-    if _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+    types = {*map(type, chain.from_iterable(obj))}
+    integers, rows = types == _INTEGERS, None
+    if types <= _NUMBER_TYPES:
         try:
             rows = tuple([tuple(map(float, row)) for row in obj])
         except OverflowError:
             pass
-    if rows is None or not _isfinite(sum(map(sum, rows))):
-        rows = tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)])
+    if rows is None or not (integers or _isfinite(sum(map(sum, rows)))):
+        rows, integers = tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)]), False
     _require_rectangular(rows)
-    return rows
+    return rows, integers
+
+
+def _vector_in(obj, where: str) -> tuple[float, ...]:
+    """The floats of ``_read_vector``."""
+    return _read_vector(obj, where)[0]
+
+
+def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
+    """The rows of ``_read_matrix``."""
+    return _read_matrix(obj, where)[0]
+
+
+def _integers_out(values: tuple[float, ...]) -> list:
+    """The ints of integral, finite ``values``: one ``math.trunc`` pass,
+    the same ints as ``int`` in half the time."""
+    return list(map(math.trunc, values))
 
 
 def _scalars_out(values: tuple[float, ...]) -> list:
-    """``_scalar_out`` of each element; when all are integral, one
-    ``math.trunc`` pass, the same ints as ``int`` in half the time."""
+    """``_scalar_out`` of each element: ``_integers_out`` when an
+    integrality pass finds all of them integral."""
     if all(map(float.is_integer, values)):
-        return list(map(math.trunc, values))
+        return _integers_out(values)
     return [_scalar_out(e) for e in values]
+
+
+def _vectors_out(integers: bool, mu: float):
+    """The writer of the vectors that the solvers return with optimum
+    ``mu``: ``_integers_out``, with no integrality pass, where the file
+    held JSON integers alone (``integers``, from ``parse_problem``) and
+    ``mu`` is integral; otherwise ``_scalars_out``.
+
+    The closed forms use only max, min, +, - and halving.  Every returned
+    coordinate is an input coordinate, a max or min of such, or one
+    rounded sum or difference of integral floats (``p_i - mu``, ``q_i +
+    mu``, ``a_kl - q_k``, ``mu - r_l``, ``p_k - a_kl``).  A rounded sum of
+    two integral floats is integral: it is exact below 2^53, and every
+    float of magnitude 2^52 or more is an integer.  So on such a file
+    every coordinate is integral, and ``_scalars_out``'s pass would find
+    just that.  The solvers return no ``+-inf`` coordinate, so ``trunc``
+    cannot raise.
+    """
+    return _integers_out if integers and mu.is_integer() else _scalars_out
 
 
 _KINDS = {
@@ -159,9 +212,11 @@ _KINDS = {
 
 
 def parse_problem(doc) -> tuple:
-    """Read a decoded JSON document into ``(kind, data, name)``: the entry
-    of ``_KINDS``, the checked data of its core problem, and the ``name``.
-    The schema is checked first, then the scalars, then the problem."""
+    """Read a decoded JSON document into ``(kind, data, name, integers)``:
+    the entry of ``_KINDS``, the checked data of its core problem, the
+    ``name``, and whether every numeric field holds JSON integers alone
+    (a ``"-inf"`` or a float literal in any of them makes it False).  The
+    schema is checked first, then the scalars, then the problem."""
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     kind = doc.get("kind")
@@ -174,11 +229,13 @@ def parse_problem(doc) -> tuple:
     if not doc.keys() >= spec.required:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
-    data = spec.data(*[read(doc[key], key) if key in doc else None for key, read in spec.readers])
+    parsed = [read(doc[key], key) if key in doc else (None, True) for key, read in spec.readers]
+    fields, integers = zip(*parsed)
+    data = spec.data(*fields)
     for label in ("name", "description"):
         if doc.get(label) is not None and not isinstance(doc[label], str):
             raise ProblemFormatError(f"{label} must be a string")
-    return spec, data, doc.get("name")
+    return spec, data, doc.get("name"), all(integers)
 
 
 class LoadedProblem(Record):
@@ -192,29 +249,30 @@ class LoadedProblem(Record):
 
 def load_problem(doc) -> LoadedProblem:
     """``doc`` checked by ``parse_problem``, then built with its kind's class."""
-    spec, _, name = parse_problem(doc)
-    fields = {key: (TropMatrix if key == "A" else TropVector)(read(doc[key], key))
-              for key, read in spec.readers if key in doc}
+    spec, _, name, _ = parse_problem(doc)
+    fields = {key: TropMatrix(_matrix_in(value, key)) if key == "A" else TropVector(_vector_in(value, key))
+              for key, value in doc.items() if key in spec.cls._fields}
     return LoadedProblem(spec.name, spec.cls(**fields), name)
 
 
 def solve_loaded(lp: tuple):
     """The core's answer to a parsed problem: an ``Interval`` or a ``Point``."""
-    spec, data, _ = lp
+    spec, data, _, _ = lp
     return spec.rule.solve(data)
 
 
 def solution_to_dict(lp: tuple, sol) -> dict:
-    spec, _, name = lp
+    spec, _, name, integers = lp
     out: dict = {"kind": spec.name}
     if name is not None:
         out["name"] = name
     out["mu"] = _scalar_out(sol.mu)
     out["delta"] = delta = _scalar_out(sol.delta)
+    vector_out = _vectors_out(integers, sol.mu)
     if type(sol) is Interval:
-        out["solution"] = {"lower": _scalars_out(sol.lower), "upper": _scalars_out(sol.upper)}
+        out["solution"] = {"lower": vector_out(sol.lower), "upper": vector_out(sol.upper)}
     else:
-        out["solution"] = {"x": _scalars_out(sol.x)}
+        out["solution"] = {"x": vector_out(sol.x)}
     diagnostics = {"delta_term": delta}
     if sol.g_term is not None:
         diagnostics["g_term"] = _scalar_out(sol.g_term)
@@ -227,7 +285,7 @@ def solution_to_dict(lp: tuple, sol) -> dict:
 def verify_loaded(lp: tuple, sol, *, step=None, samples=None):
     """Prove ``sol`` optimal; returns the ``certificate.Report``.  The
     benchmark in ``perfbench/`` still passes the unused ``step``/``samples``."""
-    spec, data, _ = lp
+    spec, data, _, _ = lp
     return spec.rule.check(data, sol)
 
 
@@ -237,7 +295,7 @@ def report_to_dict(lp: tuple, sol, report) -> dict:
         "kind": lp[0].name,
         "mu": _scalar_out(sol.mu),
         "min_value": _scalar_out(report.min_value),
-        "argmin": _scalars_out(report.argmin),
+        "argmin": _vectors_out(lp[3], sol.mu)(report.argmin),
         "points_evaluated": report.points_evaluated,
         "agrees_with_solver": report.agrees_with_solver,
         "max_discrepancy": report.max_discrepancy,
@@ -319,7 +377,7 @@ def _eval(lp: tuple, args: Command) -> dict:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
-    spec, data, _ = lp
+    spec, data, _, _ = lp
     value = _scalar_out(spec.rule.objective(data, x))
     return {"kind": spec.name, "value": value, "feasible": spec.rule.feasible(data, x)}
 

@@ -60,8 +60,8 @@ from itertools import repeat
 from operator import add, le, sub
 
 from .linalg import (
-    NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError, _no_overflow,
-    _residuate, _vector, vec_leq,
+    NotColumnRegularError, NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError,
+    _no_overflow, _residuate, _vector, vec_leq,
 )
 from .semifield import (
     NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _record, _store,
@@ -183,9 +183,14 @@ def matrix_data(A, p, q, g) -> tuple:
 
 
 def best_under_data(A, p) -> tuple:
-    """Check that ``A``'s rows and ``p`` conform; returns the data."""
+    """Check that ``A``'s rows and ``p`` conform, that ``p`` is regular and
+    that ``A`` is column-regular, as ``matrix_data`` tests it; returns the data."""
     if len(A) != len(p):
         raise ShapeMismatchError("A and p dimensions do not conform")
+    if _holds_zero(p):
+        raise NotRegularError("bound vector must be regular")
+    if _holds_zero(A[0]) and (NEG_INF,) * len(A) in zip(*A):
+        raise NotColumnRegularError("matrix must be column-regular")
     return A, p
 
 
@@ -218,7 +223,8 @@ class MatrixLowerProblem(Record):
 
 
 class BestUnderProblem(Record):
-    """Maximize ``A x`` subject to ``A x <= p``."""
+    """Maximize ``A x`` subject to ``A x <= p``.  ``p`` must be regular
+    and ``A`` column-regular."""
 
     __slots__ = ("A", "p", "_data")
 

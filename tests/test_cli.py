@@ -325,12 +325,17 @@ class TestEval:
         code, out = run(capsys, "eval", str(prob), "--point", "[2, 4, 3]")
         doc = json.loads(out)
         assert doc["feasible"] is False
-        # a_00 = -inf bounds nothing, though p_0 - a_00 is NaN; x_1 = -inf
-        # meets the limit p_0 - a_01 = -inf
+        # a p that is not regular is refused before the point is read, as
+        # solve refuses it
         prob = write(tmp_path, {"kind": "best_under", "A": [["-inf", 0], [0, 0]], "p": ["-inf", 5]})
         code, out = run(capsys, "eval", prob, "--point", '[0, "-inf"]')
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "not_regular", "message": "bound vector must be regular"}
+        # a_00 = -inf bounds nothing: row 1 alone limits x_0, to 5
+        prob = write(tmp_path, {"kind": "best_under", "A": [["-inf", 0], [0, 0]], "p": [1, 5]})
+        code, out = run(capsys, "eval", prob, "--point", "[5, 1]")
         assert code == 0
-        assert json.loads(out) == {"kind": "best_under", "value": 5, "feasible": True}
+        assert json.loads(out) == {"kind": "best_under", "value": 0, "feasible": True}
 
 
 class TestVerify:
@@ -398,7 +403,7 @@ def _assert_reads_back(doc):
     """Each field of a problem file reads back from the parsed data as
     the number the file holds, and a field the file omits is ``None``;
     the data are those that the kind's problem class keeps."""
-    spec, data, name = parse_problem(doc)
+    spec, data, name, _ = parse_problem(doc)
     assert (spec.name, name) == (doc["kind"], doc.get("name"))
     assert data == core(problem(doc))._data
     index = DATA_INDEX[doc["kind"]]

@@ -294,7 +294,8 @@ class TestNoCounterexampleOutsideTheFloatRange:
     def test_best_under_column_with_no_finite_entry(self):
         A, p = TropMatrix(((0.0, NEG_INF), (1.0, NEG_INF))), TropVector((0.0, 0.0))
         sol = PointSolution(0.0, TropVector((-1.0, 5.0)), 0.0)
-        assert _certify_error(BestUnderProblem(A, p), sol) == _solver_error(best_underestimator, A, p)
+        # such an A is refused where the problem is built, so no check meets it
+        assert _solver_error(lambda: certify(BestUnderProblem(A, p), sol)) == _solver_error(best_underestimator, A, p)
 
     def test_best_under_limit_that_overflows(self):
         # p_0 - a_00 = 1e308 + 1e308 overflows, so x_0 has no greatest value
