@@ -18,8 +18,11 @@ Such an array needs no sum to prove it finite, and an answer whose
 ``mu`` is integral then has integral coordinates, which are written with
 no integrality pass (``_vectors_out``).  So an all-integer file skips two
 passes and prints the same bytes as the same file written in floats.
-``load_problem`` reads a file for a library caller: a ``LoadedProblem``
-holding the kind's problem class, built after the same checks.
+``parse_problem`` leaves its argument as it is; the commands parse with
+``_take_problem``, which takes each array out of the document it decoded,
+so that each array is freed once converted.  ``load_problem`` reads a
+file for a library caller: a ``LoadedProblem`` holding the kind's problem
+class, built after the same checks.
 
 Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
 or nesting too deep to decode) or an output that cannot be written, 2 an
@@ -62,8 +65,8 @@ class UsageError(TropicalError):
 
 
 # a problem kind: its name, its problem class, its data function, its
-# class's rule, and its schema: each payload key's reader, the required
-# and allowed keys
+# class's rule, and its schema: each payload key's reader, which takes the
+# key's array out of the document, the required and allowed keys
 Kind = _record("Kind", "name cls data rule readers required allowed")
 # a parsed command line: ``run`` is the subcommand's function
 Command = _record("Command", "run input output pretty point")
@@ -73,7 +76,7 @@ def _kind(name: str, cls, data) -> Kind:
     """The kind of problem class ``cls``, with the class's fields as its
     payload keys, those without a default required, and its rule."""
     keys = cls._fields
-    readers = tuple((key, _read_matrix if key == "A" else _read_vector) for key in keys)
+    readers = tuple((key, _take_matrix if key == "A" else _take_vector) for key in keys)
     required = frozenset(keys[:cls._required])
     allowed = frozenset({*keys, "kind", "name", "description"})
     return Kind((name, cls, data, RULES[cls], readers, required, allowed))
@@ -138,20 +141,46 @@ def _read_vector(obj, where: str) -> tuple[tuple[float, ...], bool]:
     return _scalars_in(obj, where), False
 
 
-def _read_matrix(obj, where: str) -> tuple[tuple[tuple[float, ...], ...], bool]:
-    """The rows of a matrix, and whether all its entries are JSON
-    integers: the passes over all rows at once."""
+# The parse's readers take their array out of the document themselves, so
+# that nothing else holds it: a Python 3.10 call keeps its arguments in the
+# caller's frame until it returns, so an array passed in would outlive its
+# conversion.  Each array then dies once converted, and its floats reuse
+# its freed blocks.
+def _take_vector(doc: dict, key: str) -> tuple[tuple[float, ...], bool]:
+    """``_read_vector`` of the array taken out of ``doc`` at ``key``."""
+    return _read_vector(doc.pop(key), key)
+
+
+def _take_matrix(doc: dict, key: str) -> tuple[tuple[tuple[float, ...], ...], bool]:
+    """The rows of the matrix taken out of ``doc`` at ``key``, and whether
+    all its entries are JSON integers: the passes over all rows at once.
+
+    After the type pass the rows are converted in place in a shallow copy
+    of the outer list, and the outer list is dropped first, so a row that
+    nothing else holds dies once its floats exist, on either path; a
+    caller's list is never changed.  Where a conversion fails, the copy
+    holds the converted rows, then the raw ones from the failing row on,
+    and a converted row holds the same floats as its tokens, so
+    ``_scalars_in`` over the copy names the first bad element in
+    row-major order, as over the raw rows."""
+    obj = doc.pop(key)
     if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
-        raise ProblemFormatError(f"{where}: expected an array of row arrays")
+        raise ProblemFormatError(f"{key}: expected an array of row arrays")
     types = {*map(type, chain.from_iterable(obj))}
-    integers, rows = types == _INTEGERS, None
-    if types <= _NUMBER_TYPES:
+    integers, failed = types == _INTEGERS, not types <= _NUMBER_TYPES
+    rows = obj[:]
+    del obj
+    if not failed:
         try:
-            rows = tuple([tuple(map(float, row)) for row in obj])
+            for i, row in enumerate(rows):
+                rows[i] = tuple(map(float, row))
         except OverflowError:
-            pass
-    if rows is None or not (integers or _isfinite(sum(map(sum, rows)))):
-        rows, integers = tuple([_scalars_in(row, f"{where}[{i}]") for i, row in enumerate(obj)]), False
+            failed = True
+    if failed or not (integers or _isfinite(sum(map(sum, rows)))):
+        for i, row in enumerate(rows):
+            rows[i] = _scalars_in(row, f"{key}[{i}]")
+        integers = False
+    rows = tuple(rows)
     _require_rectangular(rows)
     return rows, integers
 
@@ -162,8 +191,8 @@ def _vector_in(obj, where: str) -> tuple[float, ...]:
 
 
 def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
-    """The rows of ``_read_matrix``."""
-    return _read_matrix(obj, where)[0]
+    """The rows of ``_take_matrix``, taken out of a document of their own."""
+    return _take_matrix({where: obj}, where)[0]
 
 
 def _integers_out(values: tuple[float, ...]) -> list:
@@ -216,7 +245,15 @@ def parse_problem(doc) -> tuple:
     the entry of ``_KINDS``, the checked data of its core problem, the
     ``name``, and whether every numeric field holds JSON integers alone
     (a ``"-inf"`` or a float literal in any of them makes it False).  The
-    schema is checked first, then the scalars, then the problem."""
+    schema is checked first, then the scalars, then the problem.  ``doc``
+    is left as it is: ``_take_problem`` reads a shallow copy of it."""
+    return _take_problem({**doc} if isinstance(doc, dict) else doc)
+
+
+def _take_problem(doc) -> tuple:
+    """``parse_problem`` of a document that the caller gives up: each
+    field is taken out of ``doc`` as it is read, so that the command path,
+    which owns the document it decodes, frees each array once converted."""
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     kind = doc.get("kind")
@@ -229,7 +266,7 @@ def parse_problem(doc) -> tuple:
     if not doc.keys() >= spec.required:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
-    parsed = [read(doc[key], key) if key in doc else (None, True) for key, read in spec.readers]
+    parsed = [take(doc, key) if key in doc else (None, True) for key, take in spec.readers]
     fields, integers = zip(*parsed)
     data = spec.data(*fields)
     for label in ("name", "description"):
@@ -394,10 +431,12 @@ def run_command(args: Command) -> int:
             doc = _read_json(args.input)
         except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             return _io_failure("unreadable_input", "cannot read problem", exc)
-        # neither the decoded document nor the problem is kept past its
-        # use, so that the solve and the encoding of the output reuse their
-        # memory: about 0.2-0.4 MB less peak RSS for a solve at n = 10^4
-        lp = parse_problem(doc)
+        # the parse takes each array out of the decoded document as it
+        # reads it, and each row of A once the row's floats exist, so each
+        # array is freed once converted; neither the document nor the
+        # problem is kept past its use, so that the solve and the encoding
+        # of the output reuse their memory
+        lp = _take_problem(doc)
         del doc
         result, code = args.run(lp, args), 0
         del lp

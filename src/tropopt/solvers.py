@@ -370,15 +370,14 @@ def _above_g(data, x) -> bool:
 
 def _limit(data) -> list[float]:
     """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)`` over
-    the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing), else ``+inf``.
-    Only a column that holds ``-inf`` is filtered, since a ``-inf`` ``p_k``
-    against a ``-inf`` entry gives NaN; any other column is one ``map``."""
+    the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing).  On data that
+    ``best_under_data`` has checked that is one ``map`` per column: ``p``
+    is regular, so an ``a_kl = -inf`` gives ``p_k - a_kl = +inf``, which
+    ``min`` passes over, and ``A`` is column-regular, so every column
+    holds a finite entry; ``min`` takes the first of equal values, so the
+    bits are those of the filtered minimum."""
     A, p = data
-    return [
-        min(map(sub, p, col)) if NEG_INF not in col
-        else min((pk - a for pk, a in zip(p, col) if a != NEG_INF), default=POS_INF)
-        for col in zip(*A)
-    ]
+    return [min(map(sub, p, col)) for col in zip(*A)]
 
 
 def _under_p(data, x) -> bool:

@@ -22,7 +22,7 @@ longer forms in ``reference.py``.
   box from an order pass and the two endpoint objectives.  Any other
   answer takes the ordered checks (the rounding-repair fixture does),
   and the matrix check takes them alone.
-* ``_limit`` filters only the columns that hold ``-inf``.
+* ``_limit`` is one ``map`` per column, unfiltered, on checked data.
 * A location file's data skip ``two_sided_data``'s checks of ``p`` and
   ``q``, whose elements are the checked ``r`` and ``s``.
 
@@ -221,9 +221,13 @@ class TestMatrixBound:
 
 @st.composite
 def best_under_data(draw):
-    """Any ``A`` and ``p`` of one height, ``-inf`` entries and all."""
+    """``A`` and ``p`` of one height that ``solvers.best_under_data``
+    accepts, ``_limit``'s domain: ``-inf`` entries in ``A`` and all, but
+    a regular ``p`` and a column-regular ``A``."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return tuple(_vectors(draw, n, scalar) for _ in range(m)), _vectors(draw, m, scalar)
+    A = tuple(_vectors(draw, n, scalar) for _ in range(m))
+    assume((NEG_INF,) * m not in zip(*A))
+    return solvers.best_under_data(A, _vectors(draw, m, finite))
 
 
 class TestLimit:
