@@ -245,7 +245,7 @@ def _best_under(data, sol: Point) -> Report:
     limit = _limit(data)
     # an x equal to the limit is close to it at every column; only an
     # unequal one is walked with the tolerance
-    if list(x) != limit:
+    if x != limit:
         for l, (xl, top) in enumerate(zip(x, limit)):
             if not _leq(xl, top):
                 raise _fail(f"returned vector violates A x <= p in column {l}", x)

@@ -357,6 +357,8 @@ def _read_json(path: str):
     if path == "-":
         if sys.stdin is None:  # the process started with fd 0 closed
             raise OSError("stdin is closed")
+        # read as a path is read: strict UTF-8, universal newlines
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:

@@ -231,18 +231,6 @@ def conjugate(x: TropVector) -> TropVector:
     return TropVector(out, flipped)
 
 
-def _residuate(A: tuple, p: tuple[float, ...]) -> tuple[float, ...]:
-    """The greatest ``x`` with ``A x <= p``, from the rows of ``A`` and the
-    float tuple ``p`` that ``solvers.best_under_data`` has checked: ``p``
-    regular and ``A`` column-regular, so that it exists and is regular."""
-    # x_l = min_k(p_k - a_kl), the conjugate of p~A: -inf only where p~A
-    # overflowed, +inf only where p_k - a_kl overflowed at every finite a_kl
-    x = tuple([min(map(sub, p, col)) for col in zip(*A)])
-    if NEG_INF in x:
-        raise ScalarOverflowError("value exceeds the float range")
-    return _no_overflow(x)
-
-
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     """Componentwise order between vectors of equal shape."""
     vectors = isinstance(x, TropVector) and isinstance(y, TropVector)

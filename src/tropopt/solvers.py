@@ -61,7 +61,7 @@ from operator import add, le, sub
 
 from .linalg import (
     NotColumnRegularError, NotRegularError, ShapeMismatchError, TropMatrix, TropVector, ZeroVectorError,
-    _no_overflow, _residuate, _vector, vec_leq,
+    _no_overflow, _vector, vec_leq,
 )
 from .semifield import (
     NEG_INF, POS_INF, Record, ScalarOverflowError, TropicalError, _TOL, _close, _leq, _record, _store,
@@ -368,7 +368,7 @@ def _above_g(data, x) -> bool:
     return _all_leq(data[3], x)
 
 
-def _limit(data) -> list[float]:
+def _limit(data) -> tuple[float, ...]:
     """The greatest ``x`` with ``A x <= p``: ``x_l = min_k(p_k - a_kl)`` over
     the ``a_kl > -inf`` (an ``a_kl = -inf`` bounds nothing).  On data that
     ``best_under_data`` has checked that is one ``map`` per column: ``p``
@@ -377,7 +377,7 @@ def _limit(data) -> list[float]:
     holds a finite entry; ``min`` takes the first of equal values, so the
     bits are those of the filtered minimum."""
     A, p = data
-    return [min(map(sub, p, col)) for col in zip(*A)]
+    return tuple([min(map(sub, p, col)) for col in zip(*A)])
 
 
 def _under_p(data, x) -> bool:
@@ -573,12 +573,22 @@ def matrix_lower(data) -> Point:
     return Point((mu, x, delta, g_term, None))
 
 
+def _greatest(data) -> tuple[float, ...]:
+    """``_limit`` on checked data, where it exists and is regular unless it
+    overflowed: ``x_l`` is -inf only where ``p~A`` overflowed, +inf only
+    where ``p_k - a_kl`` overflowed at every finite ``a_kl``."""
+    x = _limit(data)
+    if NEG_INF in x:
+        raise ScalarOverflowError("value exceeds the float range")
+    return _no_overflow(x)
+
+
 def best_under(data) -> Point:
     """Best approximation of ``p`` from below by ``A x``: the residuation
     maximizer ``x = (p~ A)~``, which no feasible vector exceeds, and its
     defect ``mu = (A x)~ p``, which none improves on."""
     A, p = data
-    x = _residuate(A, p)
+    x = _greatest(data)
     mu = max(_defect(p, _ax(A, x)))
     _point_checks(mu, x)
     return Point((mu, x, 0.5 * mu + 0.0, None, None))
@@ -620,4 +630,4 @@ def max_solution_leq(A: TropMatrix, p: TropVector) -> TropVector:
     """Greatest regular vector x with A x <= p (residuation), checked as
     ``best_underestimator`` checks.  Every regular solution of the
     inequality is dominated componentwise by the returned vector."""
-    return _vector(_residuate(*BestUnderProblem(A, p)._data))
+    return _vector(_greatest(BestUnderProblem(A, p)._data))

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tropopt
 from public import core, problem
+from test_console import _fresh_env, _run_command_line
 from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications, cli, linalg, solvers
 from tropopt.cli import (
     LoadedProblem,
@@ -152,7 +152,7 @@ class TestSolve:
 
     def test_stdin_stdout(self, capsys, monkeypatch):
         payload = json.dumps({"kind": "two_sided", "p": [1, 3, 1], "q": [-3, 1, -2]})
-        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload.encode()), encoding="utf-8"))
         code, out = run(capsys, "solve", "-")
         assert code == 0
         doc = json.loads(out)
@@ -629,14 +629,6 @@ def _record_builds(monkeypatch) -> list:
     return built
 
 
-def _fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout,
-    with stdout buffered as in a plain run, so that a missing flush shows."""
-    env = {**os.environ, "PYTHONPATH": str(Path(tropopt.__file__).resolve().parent.parent)}
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 def _run_fresh(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this checkout;
     its assertions fail the test."""
@@ -644,15 +636,6 @@ def _run_fresh(code: str) -> None:
         [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def _run_command_line(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """Run ``tropopt`` with ``argv`` in a fresh interpreter, as the console
-    script does (``python -m tropopt`` calls the same ``cli.run``)."""
-    return subprocess.run(
-        [sys.executable, "-m", "tropopt", *argv],
-        env=_fresh_env(), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
-    )
 
 
 class TestProcess:
@@ -733,7 +716,7 @@ def _main_in(directory: Path, argv: list[str]) -> tuple[int, str, str]:
     for path in FIXTURES.glob("*.json"):
         (directory / "in" / path.name).write_bytes(path.read_bytes())
     out, err, cwd, stdin = io.StringIO(), io.StringIO(), os.getcwd(), sys.stdin
-    sys.stdin = io.StringIO(Path(LOCATION).read_text())
+    sys.stdin = io.TextIOWrapper(io.BytesIO(Path(LOCATION).read_bytes()), encoding="utf-8")
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -113,7 +113,7 @@ def cases():
 
 
 def _run(argv, text):
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
