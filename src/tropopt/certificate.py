@@ -188,7 +188,7 @@ def _interval(data, sol: Interval) -> Report:
                     raise _fail(
                         f"the minimizer set differs from the interval at coordinate {i}", point
                     )
-    return Report((bound, lower, 2, True, max(gap, abs(bound - mu)), (term, index)))
+    return Report((bound, lower, 2, True, float(max(gap, abs(bound - mu))), (term, index)))
 
 
 def _matrix_bound(data) -> tuple:
@@ -233,7 +233,7 @@ def _matrix_lower(data, sol: Point) -> Report:
     # the claimed optimum must equal the bound, which x_l = bound - r_l attains
     if bound != mu and not _close(bound, mu):
         raise _fail(f"the optimum is {bound}, not the claimed {mu}", [bound - rl for rl in r])
-    return Report((bound, x, 1, True, max(gap, abs(bound - mu)), binding))
+    return Report((bound, x, 1, True, float(max(gap, abs(bound - mu))), binding))
 
 
 def _best_under(data, sol: Point) -> Report:
@@ -261,7 +261,7 @@ def _best_under(data, sol: Point) -> Report:
     if value != mu and not _close(value, mu):
         raise _fail(f"returned vector attains {value}, not the claimed {mu}", x)
     binding = ("delta", (k, list(map(add, A[k], x)).index(ax[k])))
-    return Report((value, x, 1, True, abs(value - mu), binding))
+    return Report((value, x, 1, True, float(abs(value - mu)), binding))
 
 
 # per problem class: its tuple solver, the objective and the feasibility

@@ -16,8 +16,10 @@ answers into dicts.  ``integers`` is a bit that the readers' one type
 pass gives at no cost: every numeric field held JSON integers alone.
 Such an array needs no sum to prove it finite, and an answer whose
 ``mu`` is integral then has integral coordinates, which are written with
-no integrality pass (``_vectors_out``).  So an all-integer file skips two
-passes and prints the same bytes as the same file written in floats.
+no integrality pass (``_vectors_out``).  Where every array is also
+exact, below 2^50, the data keep the ints and the core runs on them, and
+an answer whose ``mu`` is an int is written as it is.  So an all-integer
+file prints the same bytes as the same file written in floats.
 ``parse_problem`` leaves its argument as it is; the commands parse with
 ``_take_problem``, which takes each array out of the document it decoded,
 so that each array is freed once converted.  ``load_problem`` reads a
@@ -115,30 +117,38 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
 
 
 # The readers validate each scalar once, and return the floats with
-# whether the array holds JSON integers alone.  One builtin pass takes the
-# set of the elements' types.  Integers alone convert with ``float``, whose
-# float of an int is finite or raises OverflowError (an integer too long
-# for a float), so they need no other pass.  Ints and floats take a sum
-# too, finite only when every element is.  Any other array, or one that
-# fails its test, goes token by token through ``_scalars_in``, which names
-# a bad element: a bool, a string, ``"-inf"`` or a literal beyond the
-# float range.
-def _read_vector(obj, where: str) -> tuple[tuple[float, ...], bool]:
-    """The floats of a nonempty array of scalars, and whether all its
-    elements are JSON integers."""
-    if not isinstance(obj, list) or not obj:
-        raise ProblemFormatError(f"{where}: expected a nonempty array of scalars")
-    types = {*map(type, obj)}
-    if types <= _NUMBER_TYPES:
-        try:
-            values = tuple(map(float, obj))
-        except OverflowError:
-            pass
-        else:
-            integers = types == _INTEGERS
-            if integers or _isfinite(sum(values)):
-                return values, integers
-    return _scalars_in(obj, where), False
+# whether the array holds JSON integers alone.  One builtin pass per array
+# takes the set of its elements' types (``_types``), for every array before
+# any is read.  Integers alone convert with ``float``, whose float of an
+# int is finite or raises OverflowError (an integer too long for a float),
+# so they need no other pass.  Ints and floats take a sum too, finite only
+# when every element is.  Any other array, or one that fails its test,
+# goes token by token through ``_scalars_in``, which names a bad element:
+# a bool, a string, ``"-inf"`` or a literal beyond the float range.
+#
+# The command path's readers keep the ints of an exact array, JSON
+# integers whose ``math.hypot`` (at least the greatest |element|; it
+# raises OverflowError where ``float`` would) is below B = 2^50, where
+# every array of the file is exact: the core then runs on ints alone.
+# The lemma: every value computed from ints alone is an int below 7B <
+# 2^53, which a float holds exactly (the longest chain is ``r = q~A``,
+# ``res``, ``x = mu - r``, ``A x``, ``A x - q``).  An operation with a
+# half-integral operand is a float operation in both forms, whose int
+# operand converts exactly; Python compares an int with a float exactly,
+# and no -0.0 arises.  So every value equals the float path's, and
+# ``_scalar_out`` and ``_integers_out`` print the two alike.  A computed
+# int comes from an exact file, where nothing is ``+-inf``: the core
+# skips, on a tuple whose first element is an int, the scans that only
+# find ``-inf`` or overflow.
+_EXACT = 2**50
+
+
+def _types(obj, matrix: bool):
+    """The set of the types of a nonempty array's elements, or of a
+    matrix's entries; None for a value of neither shape."""
+    if not isinstance(obj, list) or not obj or matrix and not all(map(isinstance, obj, repeat(list))):
+        return None
+    return {*map(type, chain.from_iterable(obj) if matrix else obj)}
 
 
 # The parse's readers take their array out of the document themselves, so
@@ -146,31 +156,62 @@ def _read_vector(obj, where: str) -> tuple[tuple[float, ...], bool]:
 # caller's frame until it returns, so an array passed in would outlive its
 # conversion.  Each array then dies once converted, and its floats reuse
 # its freed blocks.
-def _take_vector(doc: dict, key: str) -> tuple[tuple[float, ...], bool]:
-    """``_read_vector`` of the array taken out of ``doc`` at ``key``."""
-    return _read_vector(doc.pop(key), key)
+def _take_vector(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple, bool, bool]:
+    """The floats of the array of scalars taken out of ``doc`` at ``key``,
+    whose ``_types`` are ``types``, whether all its elements are JSON
+    integers, and whether they are kept as ints instead: where ``exact``
+    (the file holds JSON integers alone) and the array is exact."""
+    obj = doc.pop(key)
+    if types is None:
+        raise ProblemFormatError(f"{key}: expected a nonempty array of scalars")
+    if exact:
+        obj = tuple(obj)  # the list dies here
+        try:
+            if math.hypot(*obj) < _EXACT:
+                return obj, True, True
+            return tuple(map(float, obj)), True, False
+        except OverflowError:
+            pass
+    elif types <= _NUMBER_TYPES:
+        try:
+            values = tuple(map(float, obj))
+        except OverflowError:
+            pass
+        else:
+            integers = types == _INTEGERS
+            if integers or _isfinite(sum(values)):
+                return values, integers, False
+    return _scalars_in(obj, key), False, False
 
 
-def _take_matrix(doc: dict, key: str) -> tuple[tuple[tuple[float, ...], ...], bool]:
-    """The rows of the matrix taken out of ``doc`` at ``key``, and whether
-    all its entries are JSON integers: the passes over all rows at once.
+def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple[tuple, ...], bool, bool]:
+    """The rows of the matrix taken out of ``doc`` at ``key``, whose
+    ``_types`` are ``types``, whether all its entries are JSON integers,
+    and whether its rows are kept as ints: as ``_take_vector`` keeps them.
 
     After the type pass the rows are converted in place in a shallow copy
     of the outer list, and the outer list is dropped first, so a row that
-    nothing else holds dies once its floats exist, on either path; a
+    nothing else holds dies once its tuple exists, on either path; a
     caller's list is never changed.  Where a conversion fails, the copy
     holds the converted rows, then the raw ones from the failing row on,
-    and a converted row holds the same floats as its tokens, so
+    and a converted row holds the same values as its tokens, so
     ``_scalars_in`` over the copy names the first bad element in
     row-major order, as over the raw rows."""
     obj = doc.pop(key)
-    if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
+    if types is None:
         raise ProblemFormatError(f"{key}: expected an array of row arrays")
-    types = {*map(type, chain.from_iterable(obj))}
     integers, failed = types == _INTEGERS, not types <= _NUMBER_TYPES
     rows = obj[:]
     del obj
-    if not failed:
+    kept = exact
+    if kept:
+        try:
+            for i, row in enumerate(rows):
+                rows[i] = row = tuple(row)
+                kept = kept and math.hypot(*row) < _EXACT
+        except OverflowError:
+            failed = True
+    if not (failed or kept):
         try:
             for i, row in enumerate(rows):
                 rows[i] = tuple(map(float, row))
@@ -179,20 +220,27 @@ def _take_matrix(doc: dict, key: str) -> tuple[tuple[tuple[float, ...], ...], bo
     if failed or not (integers or _isfinite(sum(map(sum, rows)))):
         for i, row in enumerate(rows):
             rows[i] = _scalars_in(row, f"{key}[{i}]")
-        integers = False
+        integers = kept = False
     rows = tuple(rows)
     _require_rectangular(rows)
-    return rows, integers
+    return rows, integers, kept
 
 
 def _vector_in(obj, where: str) -> tuple[float, ...]:
-    """The floats of ``_read_vector``."""
-    return _read_vector(obj, where)[0]
+    """The floats of ``_take_vector``, taken out of a document of their own."""
+    return _take_vector({where: obj}, where, _types(obj, False))[0]
 
 
 def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
-    """The rows of ``_take_matrix``, taken out of a document of their own."""
-    return _take_matrix({where: obj}, where)[0]
+    """The float rows of ``_take_matrix``, taken out of a document of their own."""
+    return _take_matrix({where: obj}, where, _types(obj, True))[0]
+
+
+def _floats(field):
+    """A field that a reader kept as ints, as floats: a vector or the rows of ``A``."""
+    if type(field[0]) is tuple:
+        return tuple([tuple(map(float, row)) for row in field])
+    return tuple(map(float, field))
 
 
 def _integers_out(values: tuple[float, ...]) -> list:
@@ -201,19 +249,23 @@ def _integers_out(values: tuple[float, ...]) -> list:
     return list(map(math.trunc, values))
 
 
-def _scalars_out(values: tuple[float, ...]) -> list:
+def _scalars_out(values: tuple) -> list:
     """``_scalar_out`` of each element: ``_integers_out`` when an
-    integrality pass finds all of them integral."""
-    if all(map(float.is_integer, values)):
-        return _integers_out(values)
+    integrality pass finds all of them integral floats."""
+    try:
+        if all(map(float.is_integer, values)):
+            return _integers_out(values)
+    except TypeError:  # an int, which float.is_integer refuses
+        pass
     return [_scalar_out(e) for e in values]
 
 
-def _vectors_out(integers: bool, mu: float):
+def _vectors_out(integers: bool, mu):
     """The writer of the vectors that the solvers return with optimum
-    ``mu``: ``_integers_out``, with no integrality pass, where the file
-    held JSON integers alone (``integers``, from ``parse_problem``) and
-    ``mu`` is integral; otherwise ``_scalars_out``.
+    ``mu``: ``list`` for an int ``mu``; ``_integers_out``, with no
+    integrality pass, where the file held JSON integers alone
+    (``integers``, from ``parse_problem``) and ``mu`` is integral; else
+    ``_scalars_out``.
 
     The closed forms use only max, min, +, - and halving.  Every returned
     coordinate is an input coordinate, a max or min of such, or one
@@ -223,8 +275,11 @@ def _vectors_out(integers: bool, mu: float):
     float of magnitude 2^52 or more is an integer.  So on such a file
     every coordinate is integral, and ``_scalars_out``'s pass would find
     just that.  The solvers return no ``+-inf`` coordinate, so ``trunc``
-    cannot raise.
+    cannot raise.  An int ``mu`` comes from an exact file's ints, and so
+    does every coordinate (the readers' lemma).
     """
+    if type(mu) is int:
+        return list
     return _integers_out if integers and mu.is_integer() else _scalars_out
 
 
@@ -266,8 +321,16 @@ def _take_problem(doc) -> tuple:
     if not doc.keys() >= spec.required:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
-    parsed = [take(doc, key) if key in doc else (None, True) for key, take in spec.readers]
-    fields, integers = zip(*parsed)
+    # the type passes first: only a file of JSON integers alone may keep its
+    # ints, and once an array is not exact, those kept before it convert
+    types = [_types(doc[key], take is _take_matrix) if key in doc else _INTEGERS for key, take in spec.readers]
+    parsed, exact = [], types.count(_INTEGERS) == len(types)
+    for (key, take), kinds in zip(spec.readers, types):
+        parsed.append(take(doc, key, kinds, exact) if key in doc else (None, True, exact))
+        exact = parsed[-1][2]
+    fields, integers, kept = zip(*parsed)
+    if not exact:
+        fields = [_floats(f) if k and f is not None else f for f, k in zip(fields, kept)]
     data = spec.data(*fields)
     for label in ("name", "description"):
         if doc.get(label) is not None and not isinstance(doc[label], str):

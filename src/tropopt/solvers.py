@@ -11,7 +11,9 @@ Three problems are solved, all in direct form with no iteration:
 
 Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.
 
-The core is plain functions of float tuples.  A problem's data are one
+The core is plain functions of float tuples, or of int tuples where
+``cli``'s readers keep an exact file's ints, whose arithmetic is then
+exact and gives the floats' answers.  A problem's data are one
 tuple: ``(p, q, g, h)`` (an absent bound is ``None``), ``(A, p, q, g)`` or
 ``(A, p)``, with ``A`` as the tuple of its rows; a pass over its columns
 iterates ``zip(*A)``, which holds one column at a time.  The data
@@ -135,10 +137,10 @@ def _require_problem(prob, cls) -> tuple:
 
 
 def _holds_zero(v: tuple) -> bool:
-    """``NEG_INF in v`` for a float tuple: a finite sum holds no ``-inf``,
-    and one C pass of ``sum`` costs less than the scan, which runs only
-    where the sum is not finite."""
-    return not math.isfinite(sum(v)) and NEG_INF in v
+    """``NEG_INF in v``: a tuple of an exact file's ints holds none, a
+    finite sum holds none, and one C pass of ``sum`` costs less than the
+    scan, which runs only where the sum is not finite."""
+    return type(v[0]) is not int and not math.isfinite(sum(v)) and NEG_INF in v
 
 
 def _require_dim(v: tuple, name: str, dim: int, regular: bool = True) -> None:
@@ -259,7 +261,7 @@ def _interval_checks(mu: float, upper: tuple, delta: float) -> None:
 
 def _point_checks(mu: float, x: tuple) -> None:
     _require_finite_optimum(mu)
-    if NEG_INF in x:
+    if type(x[0]) is not int and NEG_INF in x:
         raise NotRegularError("attaining vector must be regular")
 
 
@@ -434,7 +436,10 @@ def two_sided(data) -> Interval:
     one order pass and that bound: on integer data of moderate size the
     solve makes no objective pass.  Any other endpoints take the checks
     one by one, for their error, the repair, or the two objective passes
-    that show they attain ``mu``.
+    that show they attain ``mu``.  An exact file's endpoints need none:
+    with exact arithmetic (``cli``'s readers), ``mu`` at least every
+    ``(p_i - q_i)/2``, ``g_i - q_i`` and ``p_i - h_i`` and ``g <= h``
+    give ``lower <= upper``, and both endpoints attain ``mu`` exactly.
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)
@@ -451,7 +456,7 @@ def two_sided(data) -> Interval:
     # every check below with no objective pass: it proves nothing for an
     # infinite mu or an infinite element, and delta <= mu always.  Any
     # other answer takes the checks in order
-    if all(map(le, lower, upper)) and _endpoints_proved(mu, p, q, lower, upper):
+    if type(p[0]) is int or (all(map(le, lower, upper)) and _endpoints_proved(mu, p, q, lower, upper)):
         return Interval((mu, lower, upper, delta, g_term, h_term))
     if POS_INF in lower or POS_INF in upper:
         raise ScalarOverflowError("value exceeds the float range")

@@ -38,11 +38,16 @@ from tropopt.solvers import Interval
 OBJECTIVES = {MatrixLowerProblem: objective_matrix, BestUnderProblem: objective_best_under}
 
 
-def _bits(answer, points, report) -> str:
-    """Every float of an answer and its report, signed zeros told apart
-    by ``repr``."""
-    terms = (answer.mu, answer.delta, answer.g_term, answer.h_term)
-    return repr((terms, points, report.min_value, report.max_discrepancy, report.binding))
+def _float(value):
+    return value if value is None else float(value)
+
+
+def _bits(answer, points, report, number=lambda value: value) -> str:
+    """Every number of an answer and its report, each mapped through
+    ``number``, signed zeros told apart by ``repr``."""
+    terms = tuple(map(number, (answer.mu, answer.delta, answer.g_term, answer.h_term)))
+    points = tuple(tuple(map(number, v)) for v in points)
+    return repr((terms, points, number(report.min_value), number(report.max_discrepancy), report.binding))
 
 
 def _outcome(run):
@@ -57,7 +62,9 @@ def _command_path(doc, point):
         lp = parse_problem(doc)
         sol = solve_loaded(lp)
         points = (sol.lower, sol.upper) if type(sol) is Interval else (sol.x,)
-        return _bits(sol, points, verify_loaded(lp, sol))
+        # an exact file's answers hold ints, each equal to its float, and
+        # the float of an int is exact
+        return _bits(sol, points, verify_loaded(lp, sol), _float)
 
     def evaluated():
         spec, data, _, _ = parse_problem(doc)

@@ -179,6 +179,32 @@ def _peak(parse, text) -> int:
     return peak
 
 
+def _past_exact(doc):
+    """``doc`` with one element of magnitude 2^50 in each array, which
+    sends the file down the float path; ``g``'s is negative, so that it
+    stays below ``h``."""
+    doc = copy.deepcopy(doc)
+    for key, value in doc.items():
+        if isinstance(value, list):
+            (value[0] if key == "A" else value)[0] = -(2**50) if key == "g" else 2**50
+    return doc
+
+
+def _list_bytes(doc) -> int:
+    """The bytes of the decoded lists' pointers, 8 per element, ``A``'s
+    outer list and rows included."""
+    lists = [value for key, value in doc.items() if isinstance(value, list)]
+    lists += doc.get("A", [])
+    return 8 * sum(map(len, lists))
+
+
+DOCUMENTS = pytest.mark.parametrize(
+    "make, size",
+    [(_two_sided, 10_000), (_locate, 10_000), (_matrix_lower, 200)],
+    ids=["two_sided", "locate", "matrix_lower"],
+)
+
+
 class TestPeakMemory:
     @pytest.mark.parametrize(
         "make, size",
@@ -188,7 +214,23 @@ class TestPeakMemory:
     def test_command_path_holds_one_copy_of_each_array(self, make, size):
         # parse_problem's caller keeps its document, so every int list
         # lives to the end next to its floats; the command path frees
-        # each once converted
-        text = json.dumps(make(random.Random(f"peak-{make.__name__}"), size))
+        # each once converted.  An element of 2^50 in each array, or a
+        # "-inf", makes the file inexact, so its arrays become floats
+        doc = make(random.Random(f"peak-{make.__name__}"), size)
+        text = json.dumps(doc if make is _matrix_lower_zeros else _past_exact(doc))
+        assert type(parse_problem(json.loads(text))[1][-1][0]) is float
         taking, copying = _peak(cli._take_problem, text), _peak(parse_problem, text)
         assert taking <= 0.75 * copying, (taking, copying)
+
+    @DOCUMENTS
+    def test_exact_file_frees_every_decoded_list(self, make, size):
+        # an exact file's tuples share their ints with the decoded lists,
+        # so the copying parse holds the lists on top of what the taking
+        # parse holds at its peak.  The copying parse runs first, so that
+        # what a function's first call allocates (a frame, on Python
+        # 3.10) is charged to it
+        doc = make(random.Random(f"peak-{make.__name__}"), size)
+        text = json.dumps(doc)
+        assert type(parse_problem(doc)[1][-1][0]) is int
+        copying, taking = _peak(parse_problem, text), _peak(cli._take_problem, text)
+        assert copying - taking >= _list_bytes(doc), (taking, copying)
