@@ -7,19 +7,18 @@ JSON numbers, with ``"-inf"`` for the tropical zero; a repeated key is a
 ``parse_error``.  No subcommand imports numpy.
 
 The commands run on the tuple core and build no value class:
-``parse_problem`` reads a document into ``(kind, data, name, integers)``,
-with each scalar validated once by the readers and the data checked by
-the kind's data function; ``solve_loaded``, ``verify_loaded`` and
-``eval`` call the functions that ``certificate.RULES`` pairs with the
-kind's core problem; ``solution_to_dict`` and ``report_to_dict`` turn the
-answers into dicts.  ``integers`` is a bit that the readers' one type
-pass gives at no cost: every numeric field held JSON integers alone.
-Such an array needs no sum to prove it finite, and an answer whose
-``mu`` is integral then has integral coordinates, which are written with
-no integrality pass (``_vectors_out``).  Where every array is also
-exact, below 2^50, the data keep the ints and the core runs on them, and
-an answer whose ``mu`` is an int is written as it is.  So an all-integer
-file prints the same bytes as the same file written in floats.
+``parse_problem`` reads a document into ``(kind, data, name)``, with
+each scalar validated once by the readers and the data checked by the
+kind's data function; ``solve_loaded``, ``verify_loaded`` and ``eval``
+call the functions that ``certificate.RULES`` pairs with the kind's core
+problem; ``solution_to_dict`` and ``report_to_dict`` turn the answers
+into dicts.  A file is exact when it holds JSON integers alone and every
+array is below 2^50: its data keep the ints and the core runs on them.
+The data's element type is then the one exactness bit.  An answer whose
+``mu`` is an int is written as it is, and one whose ``mu`` is an
+integral float has integral coordinates, written with no integrality
+pass (``_vectors_out``).  So an exact file prints the same bytes as the
+same file written in floats; any other file is all floats.
 ``parse_problem`` leaves its argument as it is; the commands parse with
 ``_take_problem``, which takes each array out of the document it decoded,
 so that each array is freed once converted.  ``load_problem`` reads a
@@ -116,20 +115,21 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
     return tuple([_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens)])
 
 
-# The readers validate each scalar once, and return the floats with
-# whether the array holds JSON integers alone.  One builtin pass per array
-# takes the set of its elements' types (``_types``), for every array before
-# any is read.  Integers alone convert with ``float``, whose float of an
-# int is finite or raises OverflowError (an integer too long for a float),
-# so they need no other pass.  Ints and floats take a sum too, finite only
-# when every element is.  Any other array, or one that fails its test,
-# goes token by token through ``_scalars_in``, which names a bad element:
-# a bool, a string, ``"-inf"`` or a literal beyond the float range.
+# The readers validate each scalar once and return the array's values.
+# One builtin pass per array takes the set of its elements' types
+# (``_types``), for every array before any is read.  Integers alone
+# convert with ``float``, whose float of an int is finite or raises
+# OverflowError (an integer too long for a float), so they need no other
+# pass.  Ints and floats take a sum too, finite only when every element
+# is.  Any other array, or one that fails its test, goes token by token
+# through ``_scalars_in``, which names a bad element: a bool, a string,
+# ``"-inf"`` or a literal beyond the float range.
 #
 # The command path's readers keep the ints of an exact array, JSON
 # integers whose ``math.hypot`` (at least the greatest |element|; it
-# raises OverflowError where ``float`` would) is below B = 2^50, where
-# every array of the file is exact: the core then runs on ints alone.
+# raises OverflowError where ``float`` would) is below B = 2^50, and
+# ``_take_problem`` keeps them where every array of the file is exact:
+# the core then runs on ints alone.
 # The lemma: every value computed from ints alone is an int below 7B <
 # 2^53, which a float holds exactly (the longest chain is ``r = q~A``,
 # ``res``, ``x = mu - r``, ``A x``, ``A x - q``).  An operation with a
@@ -156,20 +156,17 @@ def _types(obj, matrix: bool):
 # caller's frame until it returns, so an array passed in would outlive its
 # conversion.  Each array then dies once converted, and its floats reuse
 # its freed blocks.
-def _take_vector(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple, bool, bool]:
-    """The floats of the array of scalars taken out of ``doc`` at ``key``,
-    whose ``_types`` are ``types``, whether all its elements are JSON
-    integers, and whether they are kept as ints instead: where ``exact``
-    (the file holds JSON integers alone) and the array is exact."""
+def _take_vector(doc: dict, key: str, types, exact: bool = False) -> tuple:
+    """The values of the array of scalars taken out of ``doc`` at ``key``,
+    whose ``_types`` are ``types``: its ints where ``exact`` (the file
+    holds JSON integers alone) and the array is exact, else its floats."""
     obj = doc.pop(key)
     if types is None:
         raise ProblemFormatError(f"{key}: expected a nonempty array of scalars")
     if exact:
         obj = tuple(obj)  # the list dies here
         try:
-            if math.hypot(*obj) < _EXACT:
-                return obj, True, True
-            return tuple(map(float, obj)), True, False
+            return obj if math.hypot(*obj) < _EXACT else tuple(map(float, obj))
         except OverflowError:
             pass
     elif types <= _NUMBER_TYPES:
@@ -178,16 +175,15 @@ def _take_vector(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple
         except OverflowError:
             pass
         else:
-            integers = types == _INTEGERS
-            if integers or _isfinite(sum(values)):
-                return values, integers, False
-    return _scalars_in(obj, key), False, False
+            if types == _INTEGERS or _isfinite(sum(values)):
+                return values
+    return _scalars_in(obj, key)
 
 
-def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple[tuple, ...], bool, bool]:
+def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple, ...]:
     """The rows of the matrix taken out of ``doc`` at ``key``, whose
-    ``_types`` are ``types``, whether all its entries are JSON integers,
-    and whether its rows are kept as ints: as ``_take_vector`` keeps them.
+    ``_types`` are ``types``: kept as ints as ``_take_vector`` keeps them,
+    else floats.
 
     After the type pass the rows are converted in place in a shallow copy
     of the outer list, and the outer list is dropped first, so a row that
@@ -200,7 +196,7 @@ def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple
     obj = doc.pop(key)
     if types is None:
         raise ProblemFormatError(f"{key}: expected an array of row arrays")
-    integers, failed = types == _INTEGERS, not types <= _NUMBER_TYPES
+    failed = not types <= _NUMBER_TYPES
     rows = obj[:]
     del obj
     kept = exact
@@ -217,27 +213,21 @@ def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple
                 rows[i] = tuple(map(float, row))
         except OverflowError:
             failed = True
-    if failed or not (integers or _isfinite(sum(map(sum, rows)))):
+    if failed or not (types == _INTEGERS or _isfinite(sum(map(sum, rows)))):
         for i, row in enumerate(rows):
             rows[i] = _scalars_in(row, f"{key}[{i}]")
-        integers = kept = False
     rows = tuple(rows)
     _require_rectangular(rows)
-    return rows, integers, kept
+    return rows
 
 
 def _vector_in(obj, where: str) -> tuple[float, ...]:
     """The floats of ``_take_vector``, taken out of a document of their own."""
-    return _take_vector({where: obj}, where, _types(obj, False))[0]
-
-
-def _matrix_in(obj, where: str) -> tuple[tuple[float, ...], ...]:
-    """The float rows of ``_take_matrix``, taken out of a document of their own."""
-    return _take_matrix({where: obj}, where, _types(obj, True))[0]
+    return _take_vector({where: obj}, where, _types(obj, False))
 
 
 def _floats(field):
-    """A field that a reader kept as ints, as floats: a vector or the rows of ``A``."""
+    """A field as floats, whether a reader kept its ints or not: a vector or the rows of ``A``."""
     if type(field[0]) is tuple:
         return tuple([tuple(map(float, row)) for row in field])
     return tuple(map(float, field))
@@ -260,27 +250,26 @@ def _scalars_out(values: tuple) -> list:
     return [_scalar_out(e) for e in values]
 
 
-def _vectors_out(integers: bool, mu):
+def _vectors_out(data: tuple, mu):
     """The writer of the vectors that the solvers return with optimum
-    ``mu``: ``list`` for an int ``mu``; ``_integers_out``, with no
-    integrality pass, where the file held JSON integers alone
-    (``integers``, from ``parse_problem``) and ``mu`` is integral; else
+    ``mu`` on ``data``: ``list`` for an int ``mu``; ``_integers_out``, with
+    no integrality pass, where the data are exact (``data[1]``, a vector in
+    every kind's data, holds ints) and ``mu`` is integral; else
     ``_scalars_out``.
 
     The closed forms use only max, min, +, - and halving.  Every returned
-    coordinate is an input coordinate, a max or min of such, or one
-    rounded sum or difference of integral floats (``p_i - mu``, ``q_i +
-    mu``, ``a_kl - q_k``, ``mu - r_l``, ``p_k - a_kl``).  A rounded sum of
-    two integral floats is integral: it is exact below 2^53, and every
-    float of magnitude 2^52 or more is an integer.  So on such a file
-    every coordinate is integral, and ``_scalars_out``'s pass would find
-    just that.  The solvers return no ``+-inf`` coordinate, so ``trunc``
-    cannot raise.  An int ``mu`` comes from an exact file's ints, and so
-    does every coordinate (the readers' lemma).
+    coordinate is an input coordinate, a max or min of such, or one sum or
+    difference of integers and ``mu`` (``p_i - mu``, ``q_i + mu``, ``a_kl
+    - q_k``, ``mu - r_l``, ``p_k - a_kl``).  On exact data each is computed
+    exactly (the readers' lemma), so where ``mu`` is integral every
+    coordinate is integral, and ``_scalars_out``'s pass would find just
+    that.  The solvers return no ``+-inf`` coordinate, so ``trunc`` cannot
+    raise.  An int ``mu`` comes from exact data, and so does every
+    coordinate.
     """
     if type(mu) is int:
         return list
-    return _integers_out if integers and mu.is_integer() else _scalars_out
+    return _integers_out if type(data[1][0]) is int and mu.is_integer() else _scalars_out
 
 
 _KINDS = {
@@ -296,12 +285,12 @@ _KINDS = {
 
 
 def parse_problem(doc) -> tuple:
-    """Read a decoded JSON document into ``(kind, data, name, integers)``:
-    the entry of ``_KINDS``, the checked data of its core problem, the
-    ``name``, and whether every numeric field holds JSON integers alone
-    (a ``"-inf"`` or a float literal in any of them makes it False).  The
-    schema is checked first, then the scalars, then the problem.  ``doc``
-    is left as it is: ``_take_problem`` reads a shallow copy of it."""
+    """Read a decoded JSON document into ``(kind, data, name)``: the entry
+    of ``_KINDS``, the checked data of its core problem, whose fields hold
+    ints where the file is exact and floats elsewhere, and the ``name``.
+    The schema is checked first, then the scalars, then the problem.
+    ``doc`` is left as it is: ``_take_problem`` reads a shallow copy of
+    it."""
     return _take_problem({**doc} if isinstance(doc, dict) else doc)
 
 
@@ -322,20 +311,18 @@ def _take_problem(doc) -> tuple:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
     # the type passes first: only a file of JSON integers alone may keep its
-    # ints, and once an array is not exact, those kept before it convert
+    # ints, and where a reader gave floats for an array at 2^50 or above,
+    # those kept convert
     types = [_types(doc[key], take is _take_matrix) if key in doc else _INTEGERS for key, take in spec.readers]
-    parsed, exact = [], types.count(_INTEGERS) == len(types)
-    for (key, take), kinds in zip(spec.readers, types):
-        parsed.append(take(doc, key, kinds, exact) if key in doc else (None, True, exact))
-        exact = parsed[-1][2]
-    fields, integers, kept = zip(*parsed)
-    if not exact:
-        fields = [_floats(f) if k and f is not None else f for f, k in zip(fields, kept)]
+    exact = types.count(_INTEGERS) == len(types)
+    fields = [take(doc, key, kinds, exact) if key in doc else None for (key, take), kinds in zip(spec.readers, types)]
+    if exact and float in {type(f[0][0] if type(f[0]) is tuple else f[0]) for f in fields if f is not None}:
+        fields = [None if f is None else _floats(f) for f in fields]
     data = spec.data(*fields)
     for label in ("name", "description"):
         if doc.get(label) is not None and not isinstance(doc[label], str):
             raise ProblemFormatError(f"{label} must be a string")
-    return spec, data, doc.get("name"), all(integers)
+    return spec, data, doc.get("name")
 
 
 class LoadedProblem(Record):
@@ -349,26 +336,26 @@ class LoadedProblem(Record):
 
 def load_problem(doc) -> LoadedProblem:
     """``doc`` checked by ``parse_problem``, then built with its kind's class."""
-    spec, _, name, _ = parse_problem(doc)
-    fields = {key: TropMatrix(_matrix_in(value, key)) if key == "A" else TropVector(_vector_in(value, key))
-              for key, value in doc.items() if key in spec.cls._fields}
+    spec, _, name = parse_problem(doc)
+    fields = {key: (TropMatrix if key == "A" else TropVector)(value) for key, value in doc.items()
+              if key in spec.cls._fields}
     return LoadedProblem(spec.name, spec.cls(**fields), name)
 
 
 def solve_loaded(lp: tuple):
     """The core's answer to a parsed problem: an ``Interval`` or a ``Point``."""
-    spec, data, _, _ = lp
+    spec, data, _ = lp
     return spec.rule.solve(data)
 
 
 def solution_to_dict(lp: tuple, sol) -> dict:
-    spec, _, name, integers = lp
+    spec, data, name = lp
     out: dict = {"kind": spec.name}
     if name is not None:
         out["name"] = name
     out["mu"] = _scalar_out(sol.mu)
     out["delta"] = delta = _scalar_out(sol.delta)
-    vector_out = _vectors_out(integers, sol.mu)
+    vector_out = _vectors_out(data, sol.mu)
     if type(sol) is Interval:
         out["solution"] = {"lower": vector_out(sol.lower), "upper": vector_out(sol.upper)}
     else:
@@ -385,7 +372,7 @@ def solution_to_dict(lp: tuple, sol) -> dict:
 def verify_loaded(lp: tuple, sol, *, step=None, samples=None):
     """Prove ``sol`` optimal; returns the ``certificate.Report``.  The
     benchmark in ``perfbench/`` still passes the unused ``step``/``samples``."""
-    spec, data, _, _ = lp
+    spec, data, _ = lp
     return spec.rule.check(data, sol)
 
 
@@ -395,7 +382,7 @@ def report_to_dict(lp: tuple, sol, report) -> dict:
         "kind": lp[0].name,
         "mu": _scalar_out(sol.mu),
         "min_value": _scalar_out(report.min_value),
-        "argmin": _vectors_out(lp[3], sol.mu)(report.argmin),
+        "argmin": _vectors_out(lp[1], sol.mu)(report.argmin),
         "points_evaluated": report.points_evaluated,
         "agrees_with_solver": report.agrees_with_solver,
         "max_discrepancy": report.max_discrepancy,
@@ -479,7 +466,7 @@ def _eval(lp: tuple, args: Command) -> dict:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
-    spec, data, _, _ = lp
+    spec, data, _ = lp
     value = _scalar_out(spec.rule.objective(data, x))
     return {"kind": spec.name, "value": value, "feasible": spec.rule.feasible(data, x)}
 

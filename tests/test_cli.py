@@ -22,8 +22,9 @@ from test_console import _fresh_env, _run_command_line
 from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications, cli, linalg, solvers
 from tropopt.cli import (
     LoadedProblem,
-    _matrix_in,
     _scalar_in,
+    _take_matrix,
+    _types,
     _vector_in,
     load_problem,
     main,
@@ -403,7 +404,7 @@ def _assert_reads_back(doc):
     """Each field of a problem file reads back from the parsed data as
     the number the file holds, and a field the file omits is ``None``;
     the data are those that the kind's problem class keeps."""
-    spec, data, name, _ = parse_problem(doc)
+    spec, data, name = parse_problem(doc)
     assert (spec.name, name) == (doc["kind"], doc.get("name"))
     assert data == core(problem(doc))._data
     index = DATA_INDEX[doc["kind"]]
@@ -1032,7 +1033,7 @@ class TestBulkParse:
 
     @given(st.lists(st.lists(tokens, max_size=3), min_size=1, max_size=3))
     def test_matrix_matches_per_token_parse(self, rows):
-        got = _outcome(lambda: _matrix_in(rows, "A"))
+        got = _outcome(lambda: _take_matrix({"A": rows}, "A", _types(rows, True)))
         want = _outcome(
             lambda: TropMatrix(tuple(
                 tuple(_scalar_in(t, f"A[{i}][{j}]") for j, t in enumerate(row)) for i, row in enumerate(rows)

@@ -67,7 +67,7 @@ def _command_path(doc, point):
         return _bits(sol, points, verify_loaded(lp, sol), _float)
 
     def evaluated():
-        spec, data, _, _ = parse_problem(doc)
+        spec, data, _ = parse_problem(doc)
         return repr(spec.rule.objective(data, tuple(NEG_INF if v == "-inf" else float(v) for v in point)))
 
     return _outcome(solved), _outcome(evaluated)

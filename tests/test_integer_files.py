@@ -1,16 +1,16 @@
 """An integer problem file prints what the same file written in floats prints.
 
 The readers take the set of each array's element types in one pass.  An
-array of JSON integers alone needs no sum to prove it finite, and
-``parse_problem`` records whether every numeric field was such an array.
-Where every such array is also exact, its ``math.hypot`` below 2^50, the
-data keep the ints and the core runs on them: its arithmetic is then
-exact, and an answer whose ``mu`` is an int is written as it is.  Where
-``mu`` is an integral float, every returned coordinate is integral
-(``cli._vectors_out``), so the output writes it with no integrality
-pass.  The same document with every number written as a float takes the
-checked path on both sides, so the two must print the same bytes,
-errors included, under ``solve``, ``verify`` and ``eval``.
+array of JSON integers alone needs no sum to prove it finite.  Where
+every numeric field is such an array and exact, its ``math.hypot`` below
+2^50, the data keep the ints and the core runs on them: its arithmetic
+is then exact, and an answer whose ``mu`` is an int is written as it is.
+Where ``mu`` is an integral float on such data, every returned
+coordinate is integral (``cli._vectors_out``), so the output writes it
+with no integrality pass.  Any other file's data are floats.  The same
+document with every number written as a float takes the checked path
+on both sides, so the two must print the same bytes, errors included,
+under ``solve``, ``verify`` and ``eval``.
 """
 
 import json
@@ -81,11 +81,11 @@ def _as_floats(obj):
     return float(obj) if type(obj) is int else obj
 
 
-def _integers_bit(doc):
-    """Whether ``parse_problem`` reads ``doc`` as JSON integers alone, or
-    None where it refuses the document."""
+def _data_types(doc):
+    """The types of the scalars of the data that ``parse_problem`` reads
+    from ``doc``, or None where it refuses the document."""
     try:
-        return parse_problem(doc)[3]
+        return _scalar_types(parse_problem(doc)[1])
     except TropicalError:
         return None
 
@@ -112,8 +112,8 @@ def _scalar_types(fields) -> set:
 def test_integer_file_prints_what_its_float_copy_prints(drawn):
     doc, point = drawn
     text, copy = json.dumps(doc), json.dumps(_as_floats(doc))
-    assert _integers_bit(json.loads(text)) in (True, None)
-    assert _integers_bit(json.loads(copy)) in (False, None)
+    assert _data_types(json.loads(text)) in ({int} if _exact(doc) else {float}, None)
+    assert _data_types(json.loads(copy)) in ({float}, None)
     for argv in (["solve", "-"], ["verify", "-"], ["eval", "-", "--point", json.dumps(point)]):
         got = golden_run(argv, text)
         assert got == golden_run(argv, copy), argv
@@ -177,7 +177,7 @@ class TestShortcut:
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_float_or_minus_inf_token_turns_it_off(self, monkeypatch, doc, integer_doc, command):
-        assert parse_problem(doc)[3] is False and parse_problem(integer_doc)[3] is True
+        assert _data_types(doc) == {float} and _data_types(integer_doc) == {int}
         code, out, passes = _counting(monkeypatch, [command, "-"], doc)
         assert code == 0 and passes > 0
         assert [code, out] == golden_run([command, "-"], json.dumps(integer_doc))
@@ -185,7 +185,7 @@ class TestShortcut:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_half_integral_mu_turns_it_off(self, monkeypatch, command):
         doc = {"kind": "two_sided", "p": [3, 2], "q": [0, 1]}
-        assert parse_problem(doc)[3] is True
+        assert _data_types(doc) == {int}
         code, out, passes = _counting(monkeypatch, [command, "-"], doc)
         assert code == 0 and passes > 0
         result = json.loads(out)
@@ -199,11 +199,14 @@ class TestShortcut:
 # an exact file per writer route, by the type of its mu: an int, where a
 # bound's term binds; an integral float, where delta binds; and a
 # half-integral one, whose lower endpoint holds g_1, an int, which
-# float.is_integer refuses (Python 3.12 and later have int.is_integer)
+# float.is_integer refuses (Python 3.12 and later have int.is_integer);
+# and an all-integer file with an array at 2^50 or above, whose data are
+# floats, so that its integral mu takes the integrality pass
 ROUTES = {
     "int_mu": ({**TWO_SIDED, "g": [5, 0]}, 4, 0),
     "integral_float_mu": (TWO_SIDED, 1.0, 0),
     "half_integral_mu": ({"kind": "two_sided", "p": [3, 2], "q": [0, 1], "g": [0, 1]}, 1.5, 2),
+    "inexact_integer_file": ({"kind": "two_sided", "p": [2**50 + 2, 2], "q": [2**50, 0]}, 1.0, 2),
 }
 
 
