@@ -7,14 +7,15 @@ JSON numbers, with ``"-inf"`` for the tropical zero; a repeated key is a
 ``parse_error``.  No subcommand imports numpy.
 
 The commands run on the tuple core and build no value class:
-``parse_problem`` reads a document into ``(kind, data, name)``, with
-each scalar validated once by the readers and the data checked by the
-kind's data function; ``solve_loaded``, ``verify_loaded`` and ``eval``
-call the functions that ``certificate.RULES`` pairs with the kind's core
-problem; ``solution_to_dict`` and ``report_to_dict`` turn the answers
-into dicts.  A file is exact when it holds JSON integers alone and every
-array is below 2^50: its data keep the ints and the core runs on them.
-The data's element type is then the one exactness bit.  An answer whose
+``parse_problem`` reads a document into ``(kind, data, name)``: one
+reader, ``_take``, which reads a vector as a matrix of one row, validates
+each scalar once, and the kind's data function checks the data;
+``solve_loaded``, ``verify_loaded`` and ``eval`` call the functions that
+``certificate.RULES`` pairs with the kind's core problem;
+``solution_to_dict`` and ``report_to_dict`` turn the answers into dicts.
+A file is exact when it holds JSON integers alone and every array is
+below 2^50: its data keep the ints and the core runs on them.  The
+data's element type is then the one exactness bit.  An answer whose
 ``mu`` is an int is written as it is, and one whose ``mu`` is an
 integral float has integral coordinates, written with no integrality
 pass (``_vectors_out``).  So an exact file prints the same bytes as the
@@ -25,13 +26,14 @@ so that each array is freed once converted.  ``load_problem`` reads a
 file for a library caller: a ``LoadedProblem`` holding the kind's problem
 class, built after the same checks.
 
-Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax
-or nesting too deep to decode) or an output that cannot be written, 2 an
-invalid or infeasible problem, a failed verification, or a command line
-in none of ``USAGE``'s forms.  Exit 2 writes a JSON error whose
-``reason`` the ``TropicalError`` class declares; exit 1 prints one on
-stderr, ``unreadable_input`` (with the ``line:column`` of a JSON syntax
-error) or ``unwritable_output``.  ``run`` ends with ``os._exit`` once the
+Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, JSON syntax,
+an integer literal past Python's digit limit, or nesting too deep to
+decode) or an output that cannot be written, 2 an invalid or infeasible
+problem, a failed verification, or a command line in none of
+``USAGE``'s forms.  Exit 2 writes a JSON error whose ``reason`` the
+``TropicalError`` class declares; exit 1 prints one on stderr,
+``unreadable_input`` (with the ``line:column`` of a JSON syntax error)
+or ``unwritable_output``.  ``run`` ends with ``os._exit`` once the
 output is flushed.
 """
 
@@ -66,9 +68,9 @@ class UsageError(TropicalError):
 
 
 # a problem kind: its name, its problem class, its data function, its
-# class's rule, and its schema: each payload key's reader, which takes the
-# key's array out of the document, the required and allowed keys
-Kind = _record("Kind", "name cls data rule readers required allowed")
+# class's rule, and its schema: the payload keys, in the order of the data
+# function's arguments, the required and allowed keys
+Kind = _record("Kind", "name cls data rule keys required allowed")
 # a parsed command line: ``run`` is the subcommand's function
 Command = _record("Command", "run input output pretty point")
 
@@ -77,10 +79,9 @@ def _kind(name: str, cls, data) -> Kind:
     """The kind of problem class ``cls``, with the class's fields as its
     payload keys, those without a default required, and its rule."""
     keys = cls._fields
-    readers = tuple((key, _take_matrix if key == "A" else _take_vector) for key in keys)
     required = frozenset(keys[:cls._required])
     allowed = frozenset({*keys, "kind", "name", "description"})
-    return Kind((name, cls, data, RULES[cls], readers, required, allowed))
+    return Kind((name, cls, data, RULES[cls], keys, required, allowed))
 
 
 def _scalar_in(token, where: str) -> float:
@@ -115,7 +116,7 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
     return tuple([_scalar_in(t, f"{where}[{i}]") for i, t in enumerate(tokens)])
 
 
-# The readers validate each scalar once and return the array's values.
+# The reader validates each scalar once and returns the array's values.
 # One builtin pass per array takes the set of its elements' types
 # (``_types``), for every array before any is read.  Integers alone
 # convert with ``float``, whose float of an int is finite or raises
@@ -125,9 +126,9 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
 # through ``_scalars_in``, which names a bad element: a bool, a string,
 # ``"-inf"`` or a literal beyond the float range.
 #
-# The command path's readers keep the ints of an exact array, JSON
-# integers whose ``math.hypot`` (at least the greatest |element|; it
-# raises OverflowError where ``float`` would) is below B = 2^50, and
+# The reader keeps the ints of an exact array, JSON integers whose
+# ``math.hypot`` (at least the greatest |element|; it raises
+# OverflowError where ``float`` would) is below B = 2^50, and
 # ``_take_problem`` keeps them where every array of the file is exact:
 # the core then runs on ints alone.
 # The lemma: every value computed from ints alone is an int below 7B <
@@ -151,83 +152,61 @@ def _types(obj, matrix: bool):
     return {*map(type, chain.from_iterable(obj) if matrix else obj)}
 
 
-# The parse's readers take their array out of the document themselves, so
-# that nothing else holds it: a Python 3.10 call keeps its arguments in the
-# caller's frame until it returns, so an array passed in would outlive its
+# ``_take`` takes its array out of the document itself, so that nothing
+# else holds it: a Python 3.10 call keeps its arguments in the caller's
+# frame until it returns, so an array passed in would outlive its
 # conversion.  Each array then dies once converted, and its floats reuse
 # its freed blocks.
-def _take_vector(doc: dict, key: str, types, exact: bool = False) -> tuple:
-    """The values of the array of scalars taken out of ``doc`` at ``key``,
-    whose ``_types`` are ``types``: its ints where ``exact`` (the file
-    holds JSON integers alone) and the array is exact, else its floats."""
-    obj = doc.pop(key)
+def _take(doc: dict, key: str, types, exact: bool = False) -> tuple:
+    """The values of the array taken out of ``doc`` at ``key``, whose
+    ``_types`` are ``types``: the rows of ``A``, or a vector's values,
+    read as a matrix of one row; ints where ``exact`` (the file holds
+    JSON integers alone) and every row is exact, else floats.
+
+    The rows are converted in place in a list of their own, ``A``'s outer
+    list dropped, so a row that nothing else holds dies once its tuple
+    exists, on either path; a caller's list is never changed.  The loops
+    index the rows, as an ``enumerate`` tuple would keep a row's list
+    alive.  Where a conversion fails, the list holds the converted rows,
+    then the raw ones from the failing row on, and a converted row holds
+    the same values as its tokens, so ``_scalars_in`` over it names the
+    first bad element in row-major order, as over the raw rows."""
+    matrix = key == "A"
     if types is None:
-        raise ProblemFormatError(f"{key}: expected a nonempty array of scalars")
-    if exact:
-        obj = tuple(obj)  # the list dies here
-        try:
-            return obj if math.hypot(*obj) < _EXACT else tuple(map(float, obj))
-        except OverflowError:
-            pass
-    elif types <= _NUMBER_TYPES:
-        try:
-            values = tuple(map(float, obj))
-        except OverflowError:
-            pass
-        else:
-            if types == _INTEGERS or _isfinite(sum(values)):
-                return values
-    return _scalars_in(obj, key)
-
-
-def _take_matrix(doc: dict, key: str, types, exact: bool = False) -> tuple[tuple, ...]:
-    """The rows of the matrix taken out of ``doc`` at ``key``, whose
-    ``_types`` are ``types``: kept as ints as ``_take_vector`` keeps them,
-    else floats.
-
-    After the type pass the rows are converted in place in a shallow copy
-    of the outer list, and the outer list is dropped first, so a row that
-    nothing else holds dies once its tuple exists, on either path; a
-    caller's list is never changed.  Where a conversion fails, the copy
-    holds the converted rows, then the raw ones from the failing row on,
-    and a converted row holds the same values as its tokens, so
-    ``_scalars_in`` over the copy names the first bad element in
-    row-major order, as over the raw rows."""
-    obj = doc.pop(key)
-    if types is None:
-        raise ProblemFormatError(f"{key}: expected an array of row arrays")
+        raise ProblemFormatError(f"{key}: expected an array of row arrays" if matrix
+                                 else f"{key}: expected a nonempty array of scalars")
+    rows = doc.pop(key)[:] if matrix else [doc.pop(key)]
     failed = not types <= _NUMBER_TYPES
-    rows = obj[:]
-    del obj
     kept = exact
     if kept:
         try:
-            for i, row in enumerate(rows):
-                rows[i] = row = tuple(row)
+            for i in range(len(rows)):
+                rows[i] = row = tuple(rows[i])
                 kept = kept and math.hypot(*row) < _EXACT
         except OverflowError:
             failed = True
     if not (failed or kept):
         try:
-            for i, row in enumerate(rows):
-                rows[i] = tuple(map(float, row))
+            for i in range(len(rows)):
+                rows[i] = tuple(map(float, rows[i]))
         except OverflowError:
             failed = True
     if failed or not (types == _INTEGERS or _isfinite(sum(map(sum, rows)))):
-        for i, row in enumerate(rows):
-            rows[i] = _scalars_in(row, f"{key}[{i}]")
-    rows = tuple(rows)
-    _require_rectangular(rows)
-    return rows
+        for i in range(len(rows)):
+            rows[i] = _scalars_in(rows[i], f"{key}[{i}]" if matrix else key)
+    if matrix:
+        _require_rectangular(rows)
+        return tuple(rows)
+    return rows[0]
 
 
 def _vector_in(obj, where: str) -> tuple[float, ...]:
-    """The floats of ``_take_vector``, taken out of a document of their own."""
-    return _take_vector({where: obj}, where, _types(obj, False))
+    """The floats of ``_take``, taken out of a document of their own."""
+    return _take({where: obj}, where, _types(obj, False))
 
 
 def _floats(field):
-    """A field as floats, whether a reader kept its ints or not: a vector or the rows of ``A``."""
+    """A field as floats, whether ``_take`` kept its ints or not: a vector or the rows of ``A``."""
     if type(field[0]) is tuple:
         return tuple([tuple(map(float, row)) for row in field])
     return tuple(map(float, field))
@@ -261,7 +240,7 @@ def _vectors_out(data: tuple, mu):
     coordinate is an input coordinate, a max or min of such, or one sum or
     difference of integers and ``mu`` (``p_i - mu``, ``q_i + mu``, ``a_kl
     - q_k``, ``mu - r_l``, ``p_k - a_kl``).  On exact data each is computed
-    exactly (the readers' lemma), so where ``mu`` is integral every
+    exactly (the reader's lemma), so where ``mu`` is integral every
     coordinate is integral, and ``_scalars_out``'s pass would find just
     that.  The solvers return no ``+-inf`` coordinate, so ``trunc`` cannot
     raise.  An int ``mu`` comes from exact data, and so does every
@@ -311,11 +290,11 @@ def _take_problem(doc) -> tuple:
         raise ProblemFormatError(f"missing fields for kind {kind}: {sorted(spec.required - doc.keys())}")
 
     # the type passes first: only a file of JSON integers alone may keep its
-    # ints, and where a reader gave floats for an array at 2^50 or above,
+    # ints, and where ``_take`` gave floats for an array at 2^50 or above,
     # those kept convert
-    types = [_types(doc[key], take is _take_matrix) if key in doc else _INTEGERS for key, take in spec.readers]
+    types = [_types(doc[key], key == "A") if key in doc else _INTEGERS for key in spec.keys]
     exact = types.count(_INTEGERS) == len(types)
-    fields = [take(doc, key, kinds, exact) if key in doc else None for (key, take), kinds in zip(spec.readers, types)]
+    fields = [_take(doc, key, kinds, exact) if key in doc else None for key, kinds in zip(spec.keys, types)]
     if exact and float in {type(f[0][0] if type(f[0]) is tuple else f[0]) for f in fields if f is not None}:
         fields = [None if f is None else _floats(f) for f in fields]
     data = spec.data(*fields)
@@ -398,8 +377,11 @@ def _unique_keys(pairs: list) -> dict:
     """A JSON object from its members, none of whose keys may repeat."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ProblemFormatError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ProblemFormatError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -463,7 +445,7 @@ def _solve(lp: tuple, args: Command) -> dict:
 def _eval(lp: tuple, args: Command) -> dict:
     try:
         point_doc = json.loads(args.point, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSON syntax, or an int past the digit limit
         raise ProblemFormatError(f"--point is not valid JSON: {exc}") from exc
     x = _vector_in(point_doc, "--point")
     spec, data, _ = lp
@@ -481,7 +463,7 @@ def run_command(args: Command) -> int:
     try:
         try:
             doc = _read_json(args.input)
-        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             return _io_failure("unreadable_input", "cannot read problem", exc)
         # the parse takes each array out of the decoded document as it
         # reads it, and each row of A once the row's floats exist, so each

@@ -169,7 +169,7 @@ def _vector(elements: tuple[float, ...]) -> TropVector:
 def _no_overflow(values):
     """Return computed ``values`` unless one overflowed to +inf: the test,
     and the message, of a validated container.  Ints, which come from an
-    exact file alone (``cli``'s readers), cannot overflow."""
+    exact file alone (``cli._take``), cannot overflow."""
     if type(values[0]) is not int and POS_INF in values:
         raise ScalarOverflowError("value exceeds the float range")
     return values

@@ -12,7 +12,7 @@ Three problems are solved, all in direct form with no iteration:
 Here ``v~`` denotes the multiplicative conjugate transpose of ``v``.
 
 The core is plain functions of float tuples, or of int tuples where
-``cli``'s readers keep an exact file's ints, whose arithmetic is then
+``cli._take`` keeps an exact file's ints, whose arithmetic is then
 exact and gives the floats' answers.  A problem's data are one
 tuple: ``(p, q, g, h)`` (an absent bound is ``None``), ``(A, p, q, g)`` or
 ``(A, p)``, with ``A`` as the tuple of its rows; a pass over its columns
@@ -437,7 +437,7 @@ def two_sided(data) -> Interval:
     solve makes no objective pass.  Any other endpoints take the checks
     one by one, for their error, the repair, or the two objective passes
     that show they attain ``mu``.  An exact file's endpoints need none:
-    with exact arithmetic (``cli``'s readers), ``mu`` at least every
+    with exact arithmetic (``cli._take``), ``mu`` at least every
     ``(p_i - q_i)/2``, ``g_i - q_i`` and ``p_i - h_i`` and ``g <= h``
     give ``lower <= upper``, and both endpoints attain ``mu`` exactly.
     """

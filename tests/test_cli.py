@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications
 from tropopt.cli import (
     LoadedProblem,
     _scalar_in,
-    _take_matrix,
+    _take,
     _types,
     _vector_in,
     load_problem,
@@ -189,6 +190,14 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 1
         assert "location" not in io_error(capsys.readouterr().err, "unreadable_input")
 
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["eval", "--point", "[0]"]])
+    def test_integer_literal_past_the_digit_limit_is_unreadable_input(self, capsys, tmp_path, command):
+        # json.loads refuses an integer of more than 4,300 digits, which
+        # guards against quadratic int parsing, with a ValueError
+        path = write(tmp_path, '{"kind": "two_sided", "p": [1' + "0" * 4999 + '], "q": [0]}')
+        assert main([command[0], path, *command[1:]]) == 1
+        assert "location" not in io_error(capsys.readouterr().err, "unreadable_input")
+
     def test_unknown_kind_is_invalid_problem(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "frobnicate"}))
@@ -223,6 +232,17 @@ class TestSolve:
         code, out = run(capsys, "solve", path)
         assert code == 2
         assert json.loads(out)["error"] == {"reason": "parse_error", "message": "duplicate key 'a'"}
+
+    def test_duplicate_key_among_many_is_found_in_linear_time(self, capsys, tmp_path):
+        # 10^5 keys, the last one a repeat: a search that rescans the keys
+        # before each one takes over a minute at this size
+        members = ", ".join(f'"k{i}": 0' for i in range(100_000))
+        path = write(tmp_path, f'{{"kind": "two_sided", "p": [1], "q": [0], {members}, "k99999": 1}}')
+        start = time.perf_counter()
+        code, out = run(capsys, "solve", path)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "parse_error", "message": "duplicate key 'k99999'"}
 
     @pytest.mark.parametrize(
         "kind, key", [(kind, key) for kind, keys in sorted(REQUIRED_KEYS.items()) for key in keys]
@@ -961,6 +981,46 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "parse_error"
 
+    def test_point_past_the_digit_limit_is_a_parse_error(self, capsys):
+        code, out = run(capsys, "eval", LOCATION, "--point", "[1" + "0" * 4999 + ", 0, 0]")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["reason"] == "parse_error" and error["message"].startswith("--point is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"kind": "two_sided", "p": 3, "q": [0]},
+             (cli.ProblemFormatError, "parse_error", "p: expected a nonempty array of scalars")),
+            ({"kind": "two_sided", "p": [], "q": [0]},
+             (cli.ProblemFormatError, "parse_error", "p: expected a nonempty array of scalars")),
+            ({"kind": "best_under", "A": [1, 2], "p": [0, 0]},
+             (cli.ProblemFormatError, "parse_error", "A: expected an array of row arrays")),
+            ({"kind": "best_under", "A": [], "p": [0]},
+             (cli.ProblemFormatError, "parse_error", "A: expected an array of row arrays")),
+            ({"kind": "best_under", "A": [[]], "p": [0]},
+             (linalg.ShapeMismatchError, "shape_mismatch", "matrices must be nonempty")),
+        ],
+        ids=["vector_scalar", "vector_empty", "matrix_flat", "matrix_empty", "matrix_empty_row"],
+    )
+    @pytest.mark.parametrize("command", [["solve"], ["verify"], ["eval", "--point", "[0]"]])
+    def test_array_of_the_wrong_shape(self, capsys, tmp_path, doc, error, command):
+        with pytest.raises(TropicalError) as info:
+            parse_problem(doc)
+        assert (type(info.value), info.value.reason, str(info.value)) == error
+        code, out = run(capsys, command[0], write(tmp_path, doc), *command[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": error[1], "message": error[2]}
+
+    @pytest.mark.parametrize("point", ["{}", "3", "[]", "null"])
+    def test_point_of_the_wrong_shape(self, capsys, point):
+        message = "--point: expected a nonempty array of scalars"
+        with pytest.raises(cli.ProblemFormatError, match=f"^{message}$"):
+            _vector_in(json.loads(point), "--point")
+        code, out = run(capsys, "eval", LOCATION, "--point", point)
+        assert code == 2
+        assert json.loads(out)["error"] == {"reason": "parse_error", "message": message}
+
 
 # JSON tokens that take each branch of the scalar parse: plain numbers,
 # signed zeros, bools, the zero's string, other strings, literals beyond
@@ -1033,7 +1093,7 @@ class TestBulkParse:
 
     @given(st.lists(st.lists(tokens, max_size=3), min_size=1, max_size=3))
     def test_matrix_matches_per_token_parse(self, rows):
-        got = _outcome(lambda: _take_matrix({"A": rows}, "A", _types(rows, True)))
+        got = _outcome(lambda: _take({"A": rows}, "A", _types(rows, True)))
         want = _outcome(
             lambda: TropMatrix(tuple(
                 tuple(_scalar_in(t, f"A[{i}][{j}]") for j, t in enumerate(row)) for i, row in enumerate(rows)

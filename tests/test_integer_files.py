@@ -1,6 +1,6 @@
 """An integer problem file prints what the same file written in floats prints.
 
-The readers take the set of each array's element types in one pass.  An
+The reader takes the set of each array's element types in one pass.  An
 array of JSON integers alone needs no sum to prove it finite.  Where
 every numeric field is such an array and exact, its ``math.hypot`` below
 2^50, the data keep the ints and the core runs on them: its arithmetic
