@@ -15,11 +15,11 @@ each scalar once, and the kind's data function checks the data;
 ``solution_to_dict`` and ``report_to_dict`` turn the answers into dicts.
 A file is exact when it holds JSON integers alone and every array is
 below 2^50: its data keep the ints and the core runs on them.  The
-data's element type is then the one exactness bit.  An answer whose
-``mu`` is an int is written as it is, and one whose ``mu`` is an
-integral float has integral coordinates, written with no integrality
-pass (``_vectors_out``).  So an exact file prints the same bytes as the
-same file written in floats; any other file is all floats.
+data's element type is then the one exactness bit, and it picks the
+writer (``_vectors_out``): an exact answer is written as it is, or with
+one truncation pass where ``mu`` is an integral float; neither makes an
+integrality pass.  So an exact file prints the same bytes as the same
+file written in floats; any other file is all floats.
 ``parse_problem`` leaves its argument as it is; the commands parse with
 ``_take_problem``, which takes each array out of the document it decoded,
 so that each array is freed once converted.  ``load_problem`` reads a
@@ -140,7 +140,13 @@ def _scalars_in(tokens: list, where: str) -> tuple[float, ...]:
 # ``_scalar_out`` and ``_integers_out`` print the two alike.  A computed
 # int comes from an exact file, where nothing is ``+-inf``: the core
 # skips, on a tuple whose first element is an int, the scans that only
-# find ``-inf`` or overflow.
+# find ``-inf`` or overflow.  The closed forms use only max, min, +, -
+# and halving, so ``mu`` is an int, an integral float or a half-integral
+# float, and every returned coordinate is an int computed from ints alone
+# (an input coordinate, a max or min of such, or ``p_k - a_kl``) or one
+# sum or difference of such an int and ``mu`` (``p_i - mu``, ``q_i +
+# mu``, ``mu - r_l``), which has ``mu``'s type and integrality: never
+# an integral float beside a half-integral ``mu``, ``-0.0`` or ``+-inf``.
 _EXACT = 2**50
 
 
@@ -218,37 +224,26 @@ def _integers_out(values: tuple[float, ...]) -> list:
     return list(map(math.trunc, values))
 
 
-def _scalars_out(values: tuple) -> list:
-    """``_scalar_out`` of each element: ``_integers_out`` when an
-    integrality pass finds all of them integral floats."""
-    try:
-        if all(map(float.is_integer, values)):
-            return _integers_out(values)
-    except TypeError:  # an int, which float.is_integer refuses
-        pass
+def _scalars_out(values: tuple[float, ...]) -> list:
+    """``_scalar_out`` of each of a float answer's ``values``:
+    ``_integers_out`` when an integrality pass finds all of them integral."""
+    if all(map(float.is_integer, values)):
+        return _integers_out(values)
     return [_scalar_out(e) for e in values]
 
 
 def _vectors_out(data: tuple, mu):
     """The writer of the vectors that the solvers return with optimum
-    ``mu`` on ``data``: ``list`` for an int ``mu``; ``_integers_out``, with
-    no integrality pass, where the data are exact (``data[1]``, a vector in
-    every kind's data, holds ints) and ``mu`` is integral; else
-    ``_scalars_out``.
-
-    The closed forms use only max, min, +, - and halving.  Every returned
-    coordinate is an input coordinate, a max or min of such, or one sum or
-    difference of integers and ``mu`` (``p_i - mu``, ``q_i + mu``, ``a_kl
-    - q_k``, ``mu - r_l``, ``p_k - a_kl``).  On exact data each is computed
-    exactly (the reader's lemma), so where ``mu`` is integral every
-    coordinate is integral, and ``_scalars_out``'s pass would find just
-    that.  The solvers return no ``+-inf`` coordinate, so ``trunc`` cannot
-    raise.  An int ``mu`` comes from exact data, and so does every
-    coordinate.
+    ``mu`` on ``data``: ``_scalars_out`` for float data.  On exact data
+    (``data[1]``, a vector in every kind's data, holds ints) the reader's
+    lemma gives each coordinate's type: where ``mu`` is an integral float,
+    each is an int or an integral float, which ``_integers_out`` writes
+    with no integrality pass; else each is an int or a half-integral
+    float, which ``list`` hands ``json.dumps`` as ``_scalar_out`` would.
     """
-    if type(mu) is int:
-        return list
-    return _integers_out if type(data[1][0]) is int and mu.is_integer() else _scalars_out
+    if type(data[1][0]) is not int:
+        return _scalars_out
+    return _integers_out if type(mu) is float and mu.is_integer() else list
 
 
 _KINDS = {

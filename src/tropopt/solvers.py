@@ -437,9 +437,9 @@ def two_sided(data) -> Interval:
     solve makes no objective pass.  Any other endpoints take the checks
     one by one, for their error, the repair, or the two objective passes
     that show they attain ``mu``.  An exact file's endpoints need none:
-    with exact arithmetic (``cli._take``), ``mu`` at least every
-    ``(p_i - q_i)/2``, ``g_i - q_i`` and ``p_i - h_i`` and ``g <= h``
-    give ``lower <= upper``, and both endpoints attain ``mu`` exactly.
+    in exact arithmetic (the lemma above ``cli._take``), ``mu`` at least
+    every ``(p_i - q_i)/2``, ``g_i - q_i`` and ``p_i - h_i`` and ``g <=
+    h`` give ``lower <= upper``, and both endpoints attain ``mu`` exactly.
     """
     p, q, g, h = data
     delta, g_term, h_term = _two_sided_terms(data)

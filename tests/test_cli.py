@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from public import core, problem
 from test_console import _fresh_env, _run_command_line
-from tropopt import NEG_INF, TropicalError, TropMatrix, TropVector, applications, cli, linalg, solvers
+from tropopt import (
+    NEG_INF, TropicalError, TropMatrix, TropVector, VerificationFailedError, applications, cli, linalg, solvers,
+)
 from tropopt.cli import (
     LoadedProblem,
     _scalar_in,
@@ -173,11 +175,13 @@ class TestSolve:
 
     def test_json_syntax_error_is_io_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "two_sided",\n "p": [1, 2,]}')
+        # a missing comma: Python 3.10 to 3.13 report it alike, where 3.13
+        # reports a trailing comma in other words than earlier versions
+        bad.write_text('{"kind": "two_sided",\n "p": [1 2]}')
         assert main(["solve", str(bad)]) == 1
         error = io_error(capsys.readouterr().err, "unreadable_input")
-        assert error["location"] == "2:13"
-        assert error["message"] == "cannot read problem: Expecting value: line 2 column 13 (char 34)"
+        assert error["location"] == "2:10"
+        assert error["message"] == "cannot read problem: Expecting ',' delimiter: line 2 column 10 (char 31)"
 
     @pytest.mark.parametrize(
         "content",
@@ -376,6 +380,23 @@ class TestVerify:
         code, out = run(capsys, "verify", INFEASIBLE)
         assert code == 2
         assert json.loads(out)["error"]["reason"] == "infeasible_bounds"
+
+    # verify certifies the solver's own answers, so only a check patched
+    # to reject one writes the verification_failed payload
+    @pytest.mark.parametrize(
+        "counterexample, tail",
+        [(TropVector((1.5, -0.0, NEG_INF)), ', "counterexample": [1.5, 0, "-inf"]'), (None, "")],
+        ids=["with_counterexample", "without_counterexample"],
+    )
+    def test_verification_failed_payload(self, capsys, monkeypatch, counterexample, tail):
+        def reject(lp, sol):
+            raise VerificationFailedError("the answer is not optimal", counterexample)
+
+        monkeypatch.setattr(cli, "verify_loaded", reject)
+        code, out = run(capsys, "verify", LOCATION)
+        assert code == 2
+        assert out == ('{"error": {"reason": "verification_failed", "message": "the answer is not optimal"}, '
+                       f'"agrees_with_solver": false{tail}}}\n')
 
     def test_wide_problem_verifies(self, capsys, tmp_path):
         # 41^8 lattice points: over the grid oracle's cap, which the exact

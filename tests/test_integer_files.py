@@ -4,10 +4,12 @@ The reader takes the set of each array's element types in one pass.  An
 array of JSON integers alone needs no sum to prove it finite.  Where
 every numeric field is such an array and exact, its ``math.hypot`` below
 2^50, the data keep the ints and the core runs on them: its arithmetic
-is then exact, and an answer whose ``mu`` is an int is written as it is.
-Where ``mu`` is an integral float on such data, every returned
-coordinate is integral (``cli._vectors_out``), so the output writes it
-with no integrality pass.  Any other file's data are floats.  The same
+is then exact, and the data's element type picks the writer
+(``cli._vectors_out``): where ``mu`` is an integral float, every returned
+coordinate is integral, and it is written with one truncation pass;
+else each is an int or a half-integral float, written as it is.
+Neither makes ``_scalars_out``'s integrality pass, which serves the
+float data of any other file.  The same
 document with every number written as a float takes the checked path
 on both sides, so the two must print the same bytes, errors included,
 under ``solve``, ``verify`` and ``eval``.
@@ -15,6 +17,7 @@ under ``solve``, ``verify`` and ``eval``.
 
 import json
 import math
+import random
 from itertools import chain
 from operator import mul
 
@@ -182,12 +185,14 @@ class TestShortcut:
         assert code == 0 and passes > 0
         assert [code, out] == golden_run([command, "-"], json.dumps(integer_doc))
 
+    # a half-integral mu's coordinates are half-integral floats or ints,
+    # which the writer hands json.dumps as they are
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_half_integral_mu_turns_it_off(self, monkeypatch, command):
+    def test_half_integral_mu_makes_no_integrality_pass(self, monkeypatch, command):
         doc = {"kind": "two_sided", "p": [3, 2], "q": [0, 1]}
         assert _data_types(doc) == {int}
         code, out, passes = _counting(monkeypatch, [command, "-"], doc)
-        assert code == 0 and passes > 0
+        assert (code, passes) == (0, 0)
         result = json.loads(out)
         assert result["mu"] == 1.5
         if command == "solve":
@@ -196,16 +201,37 @@ class TestShortcut:
             assert result["argmin"] == [1.5, 0.5]
 
 
+def _odd_spread_file(kind, n):
+    """An exact unbounded ``two_sided`` or ``locate`` file of dimension
+    ``n`` whose greatest ``p_i - q_i`` is odd, so that its ``mu`` is
+    half-integral."""
+    rng = random.Random(n)
+    p = [rng.randint(-10**6, 10**6) for _ in range(n)]
+    q = [x - rng.randint(0, 1000) for x in p]
+    top = max(range(n), key=lambda i: p[i] - q[i])
+    p[top] += 1 - (p[top] - q[top]) % 2
+    if kind == "two_sided":
+        return {"kind": kind, "p": p, "q": q}
+    # a location's p and q are the entrywise max and min of r and s
+    return {"kind": kind, "r": p[::2] + q[1::2], "s": q[::2] + p[1::2]}
+
+
 # an exact file per writer route, by the type of its mu: an int, where a
-# bound's term binds; an integral float, where delta binds; and a
-# half-integral one, whose lower endpoint holds g_1, an int, which
-# float.is_integer refuses (Python 3.12 and later have int.is_integer);
-# and an all-integer file with an array at 2^50 or above, whose data are
-# floats, so that its integral mu takes the integrality pass
+# bound's term binds; an integral float, where delta binds; a
+# half-integral one, whose lower endpoint holds g_1, an int beside
+# half-integral floats; a half-integral one at a point, x = mu - q~A;
+# half-integral ones on two-sided and location files at n = 10^4; and an
+# all-integer file with an array at 2^50 or above, whose data are floats,
+# so that its integral mu takes the integrality pass
 ROUTES = {
     "int_mu": ({**TWO_SIDED, "g": [5, 0]}, 4, 0),
     "integral_float_mu": (TWO_SIDED, 1.0, 0),
-    "half_integral_mu": ({"kind": "two_sided", "p": [3, 2], "q": [0, 1], "g": [0, 1]}, 1.5, 2),
+    "half_integral_mu": ({"kind": "two_sided", "p": [3, 2], "q": [0, 1], "g": [0, 1]}, 1.5, 0),
+    "half_integral_point": (
+        {"kind": "matrix_lower", "A": [[0, 0], [0, 0]], "p": [1, 0], "q": [0, 0], "g": [-5, -5]}, 0.5, 0,
+    ),
+    "two_sided_at_scale": (_odd_spread_file("two_sided", 10**4), 500.5, 0),
+    "locate_at_scale": (_odd_spread_file("locate", 10**4), 500.5, 0),
     "inexact_integer_file": ({"kind": "two_sided", "p": [2**50 + 2, 2], "q": [2**50, 0]}, 1.0, 2),
 }
 
